@@ -28,7 +28,7 @@ from .prospects import (
     Prospect,
     convolve_supports,
 )
-from .valuation import certain_equivalent, check_risk_aversion
+from .valuation import _certain_equivalents, certain_equivalent, check_risk_aversion
 
 __all__ = [
     "TailRelation",
@@ -157,10 +157,10 @@ def _discrete_tail(
     # exponential sum, hence a larger certain equivalent.
     relation = TailRelation.X_ABOVE if cstar > 0.0 else TailRelation.Y_ABOVE
     residual = math.fsum(abs(d) for d in diffs[istar + 1 :])
-    gap = merged[istar + 1] - merged[istar]
     if residual <= abs(cstar):
         k0 = 1.0
     else:
+        gap = merged[istar + 1] - merged[istar]
         k0 = math.log(residual / abs(cstar)) / (r * gap)
     certified = max(1.0, k0 * (1.0 + 1e-9) + 1e-6)
     if istar == 0 and (px.get(merged[0], 0.0) == 0.0 or py.get(merged[0], 0.0) == 0.0):
@@ -251,8 +251,8 @@ def _scan_difference(
         return certain_equivalent(x, k * r) - certain_equivalent(y, k * r)
 
     ks = _geometric_grid(1.0, max(1.0, certified))
-    ce_x = np.asarray([certain_equivalent(x, k * r) for k in ks])
-    ce_y = np.asarray([certain_equivalent(y, k * r) for k in ks])
+    ce_x = _certain_equivalents(x, ks * r)
+    ce_y = _certain_equivalents(y, ks * r)
     gs = ce_x - ce_y
     tols = _TIE_EPS * (1.0 + np.maximum(np.abs(ce_x), np.abs(ce_y)))
 
@@ -409,9 +409,7 @@ def _grid_envelope(
 ) -> List[EnvelopeSegment]:
     ks = _geometric_grid(k_lo, k_hi)
     ids = [pid for pid, _ in items]
-    ces = np.asarray(
-        [[certain_equivalent(p, k * r) for k in ks] for _, p in items]
-    )
+    ces = np.asarray([_certain_equivalents(p, ks * r) for _, p in items])
     best = np.argmax(ces, axis=0)
 
     def diff(i: int, j: int) -> Callable[[float], float]:

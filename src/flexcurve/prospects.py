@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Iterable, Tuple, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "Discrete",
@@ -46,6 +46,11 @@ _MASS_SUM_EXACT = 1e-12
 # Exact convolution is abandoned in favor of a lazy IndependentSum once the
 # product support would exceed this many points.
 CONVOLUTION_SUPPORT_CAP = 1_000_000
+
+# Largest (t x support) block the log-sum-exp kernel materialises at once
+# (512 KB of float64): a long k grid over a wide support is evaluated in
+# row blocks, so its working set stays that of a single wide evaluation.
+_LSE_BLOCK_ELEMENTS = 1 << 16
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -78,6 +83,14 @@ class Discrete:
         total = math.fsum(self.masses)
         if abs(total - 1.0) > _MASS_SUM_EXACT:
             raise ValueError(f"masses sum to {total!r}, expected 1 within {_MASS_SUM_EXACT}")
+
+    @cached_property
+    def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only float arrays of the support values and masses, built on first use."""
+        arrays = np.array(self.values, dtype=float), np.array(self.masses, dtype=float)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -194,19 +207,6 @@ def shift(prospect: Prospect, c: float) -> Prospect:
     raise TypeError(f"not a prospect: {prospect!r}")
 
 
-def _merge_sorted(values: Sequence[float], masses: Sequence[float]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """Merge exactly-equal neighbors in an already sorted support."""
-    out_v: list[float] = []
-    out_m: list[float] = []
-    for v, m in zip(values, masses):
-        if out_v and v == out_v[-1]:
-            out_m[-1] += m
-        else:
-            out_v.append(v)
-            out_m.append(m)
-    return tuple(out_v), tuple(out_m)
-
-
 def convolve_supports(
     x: Discrete, z: Discrete
 ) -> Tuple[Tuple[float, ...], Tuple[float, ...]] | None:
@@ -217,8 +217,9 @@ def convolve_supports(
     """
     if len(x.values) * len(z.values) > CONVOLUTION_SUPPORT_CAP:
         return None
-    sums = np.add.outer(np.asarray(x.values), np.asarray(z.values)).ravel()
-    weights = np.multiply.outer(np.asarray(x.masses), np.asarray(z.masses)).ravel()
+    (xv, xm), (zv, zm) = x._arrays, z._arrays
+    sums = np.add.outer(xv, zv).ravel()
+    weights = np.multiply.outer(xm, zm).ravel()
     uniq, inverse = np.unique(sums, return_inverse=True)
     agg = np.bincount(inverse, weights=weights, minlength=len(uniq))
     total = math.fsum(agg.tolist())
@@ -247,6 +248,61 @@ def add_independent(x: Prospect, z: Prospect) -> Prospect:
     return IndependentSum(_sum_terms(x) + _sum_terms(z))
 
 
+def _logsumexp(ts: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """ln sum_j weights[j] * exp(ts[i] * values[j]) for every i.
+
+    Each row is shifted by its largest exponent; the weight at that maximum
+    is kept out of the sum and added back through log1p, which keeps full
+    precision when one term dominates.  Rows are processed in blocks of at
+    most ``_LSE_BLOCK_ELEMENTS`` elements.  Raises OverflowError when any
+    exponent t*value, or any result, is not finite.
+    """
+    # Rounding is monotone, so some t*value overflows exactly when the
+    # product of the two largest magnitudes does.
+    reach = float(np.abs(ts).max()) * float(np.abs(values).max())
+    if not math.isfinite(reach):
+        raise OverflowError(f"log-MGF overflow: |t*value| reaches {reach!r}")
+    out = np.empty(len(ts))
+    rows = max(1, _LSE_BLOCK_ELEMENTS // len(values))
+    for lo in range(0, len(ts), rows):
+        block = np.multiply.outer(ts[lo : lo + rows], values)
+        peak = block.max(axis=1, keepdims=True)
+        top = block == peak
+        at_peak = (weights * top).sum(axis=1)
+        block -= peak
+        np.exp(block, out=block)
+        block *= weights
+        block[top] = 0.0
+        with np.errstate(divide="ignore", over="ignore"):
+            rest = np.log1p(block.sum(axis=1) / at_peak)
+            out[lo : lo + rows] = rest + np.log(at_peak) + peak[:, 0]
+    if not np.isfinite(out).all():
+        raise OverflowError("log-MGF overflow: result out of floating-point range")
+    return out
+
+
+def _log_mgf_grid(prospect: Prospect, ts: np.ndarray) -> np.ndarray:
+    """ln E{exp(t*X)} for every t in a 1-D float array."""
+    if isinstance(prospect, Discrete):
+        return _logsumexp(ts, *prospect._arrays)
+    if isinstance(prospect, Gaussian):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = prospect.mean * ts + 0.5 * prospect.variance * ts * ts
+        finite = np.isfinite(out)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise OverflowError(
+                f"log-MGF overflow: Gaussian exponent {float(out[bad])!r} at t={float(ts[bad])!r}"
+            )
+        return out
+    if isinstance(prospect, Affine):
+        return _log_mgf_grid(prospect.base, prospect.scale * ts) + prospect.offset * ts
+    if isinstance(prospect, IndependentSum):
+        parts = [_log_mgf_grid(term, ts) for term in prospect.terms]
+        return np.asarray([math.fsum(column) for column in zip(*parts)])
+    raise TypeError(f"not a prospect: {prospect!r}")
+
+
 def log_mgf(prospect: Prospect, t: float) -> float:
     """Evaluate ln E{exp(t*X)}.
 
@@ -254,30 +310,13 @@ def log_mgf(prospect: Prospect, t: float) -> float:
     IndependentSum nodes compose through the standard MGF identities.
     """
     t = _require_finite(t, "MGF argument t")
-    if isinstance(prospect, Discrete):
-        with np.errstate(over="ignore"):
-            exponents = np.asarray(prospect.values) * t
-        if not np.all(np.isfinite(exponents)):
-            worst = float(np.max(np.abs(exponents)))
-            raise OverflowError(f"log-MGF overflow: |t*value| reaches {worst!r}")
-        return float(logsumexp(exponents, b=np.asarray(prospect.masses)))
-    if isinstance(prospect, Gaussian):
-        out = prospect.mean * t + 0.5 * prospect.variance * t * t
-        if not math.isfinite(out):
-            raise OverflowError(f"log-MGF overflow: Gaussian exponent {out!r} at t={t!r}")
-        return out
-    if isinstance(prospect, Affine):
-        return log_mgf(prospect.base, prospect.scale * t) + prospect.offset * t
-    if isinstance(prospect, IndependentSum):
-        return math.fsum(log_mgf(term, t) for term in prospect.terms)
-    raise TypeError(f"not a prospect: {prospect!r}")
+    return float(_log_mgf_grid(prospect, np.asarray([t]))[0])
 
 
 def stats(prospect: Prospect) -> ProspectStats:
     """Exact mean, variance and worst case, composed by independence."""
     if isinstance(prospect, Discrete):
-        v = np.asarray(prospect.values)
-        m = np.asarray(prospect.masses)
+        v, m = prospect._arrays
         mean = float(np.dot(m, v))
         variance = float(np.dot(m, (v - mean) ** 2))
         return ProspectStats(mean, variance, prospect.values[0])

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .prospects import Discrete, make_discrete
-from .valuation import FlexibilityCurve, check_risk_aversion
+from .prospects import Discrete, _logsumexp, make_discrete
+from .valuation import FlexibilityCurve, _check_k_grid, check_risk_aversion
 
 __all__ = [
     "DecisionNode",
@@ -149,10 +148,11 @@ def _rollback_value(
         probs = [p for p, _ in node.children]
         if rho == 0.0:
             return float(np.dot(probs, ces))
-        lse = float(logsumexp(-rho * np.asarray(ces), b=np.asarray(probs)))
-        if not math.isfinite(lse):
-            raise OverflowError(f"rollback overflow at chance node {node_id!r}")
-        return -lse / rho
+        try:
+            lse = _logsumexp(np.asarray([-rho]), np.asarray(ces), np.asarray(probs))
+        except OverflowError:
+            raise OverflowError(f"rollback overflow at chance node {node_id!r}") from None
+        return float(-lse[0] / rho)
     best_label: str | None = None
     best_ce = -math.inf
     # Sorted labels plus strict improvement break ties toward the
@@ -216,11 +216,7 @@ def node_curve(
     r = check_risk_aversion(r)
     if node_id not in tree.nodes:
         raise ValueError(f"unknown node id {node_id!r}")
-    grid = tuple(float(k) for k in ks)
-    if not grid:
-        raise ValueError("k grid must be nonempty")
-    if grid[0] <= 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("k grid must be strictly ascending and positive")
+    grid = _check_k_grid(ks)
     ces = tuple(_rollback_value(tree, k * r, node_id, {}) for k in grid)
     return FlexibilityCurve(node_id, r, grid, ces, _worst_case(tree, node_id))
 

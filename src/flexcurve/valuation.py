@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .prospects import Prospect, log_mgf, stats
+import numpy as np
+
+from .prospects import Prospect, _log_mgf_grid, log_mgf, stats
 
 __all__ = [
     "FlexibilityCurve",
@@ -37,6 +39,16 @@ def check_risk_aversion(r: float, *, allow_zero: bool = False) -> float:
         kind = "nonnegative" if allow_zero else "positive"
         raise ValueError(f"risk aversion must be {kind}, got {r!r}")
     return r
+
+
+def _check_k_grid(ks: Sequence[float]) -> Tuple[float, ...]:
+    """Validate a k grid: nonempty, positive and strictly ascending."""
+    grid = tuple(float(k) for k in ks)
+    if not grid:
+        raise ValueError("k grid must be nonempty")
+    if grid[0] <= 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("k grid must be strictly ascending and positive")
+    return grid
 
 
 def utility_of_money(x: float, r: float) -> float:
@@ -90,6 +102,19 @@ def certain_equivalent(prospect: Prospect, r: float) -> float:
         raise OverflowError(f"certain equivalent at r={r!r}: {exc}") from None
 
 
+def _certain_equivalents(prospect: Prospect, rhos: np.ndarray) -> np.ndarray:
+    """CE(X|rho) for every positive rho in a 1-D array, in one log-MGF pass.
+
+    Equal, point by point, to :func:`certain_equivalent` at each rho.
+    """
+    try:
+        return -_log_mgf_grid(prospect, -rhos) / rhos
+    except OverflowError as exc:
+        raise OverflowError(
+            f"certain equivalent for r in [{float(rhos.min())!r}, {float(rhos.max())!r}]: {exc}"
+        ) from None
+
+
 def mean_variance_approximation(prospect: Prospect, r: float) -> float:
     """E{X} - r Var{X} / 2; equals the certain equivalent exactly for Gaussians."""
     r = check_risk_aversion(r, allow_zero=True)
@@ -140,10 +165,6 @@ def flexibility_curve(
     variance.
     """
     r = check_risk_aversion(r)
-    grid = tuple(float(k) for k in ks)
-    if not grid:
-        raise ValueError("k grid must be nonempty")
-    if grid[0] <= 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("k grid must be strictly ascending and positive")
-    ces = tuple(certain_equivalent(prospect, k * r) for k in grid)
+    grid = _check_k_grid(ks)
+    ces = tuple(_certain_equivalents(prospect, np.asarray(grid) * r).tolist())
     return FlexibilityCurve(prospect_id, r, grid, ces, stats(prospect).worst_case)

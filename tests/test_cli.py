@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flexcurve
 from flexcurve import certain_equivalent, make_discrete
 from flexcurve.cli import main
 
@@ -200,6 +205,12 @@ class TestFailureModes:
         code, _, err = run(capsys, "ce", "--model", str(path), "--id", "big", "--r", "10")
         assert code == 5
         assert err.startswith("error:range:")
+        # curve evaluates the whole k grid in one batch
+        code, _, err = run(
+            capsys, "curve", "--model", str(path), "--ids", "big", "--k", "1:4:3", "--r", "10"
+        )
+        assert code == 5
+        assert err.startswith("error:range:")
 
     def test_rollback_without_tree(self, tmp_path, capsys):
         path = tmp_path / "flat.json"
@@ -207,3 +218,14 @@ class TestFailureModes:
         code, _, err = run(capsys, "rollback", "--model", str(path), "--r", "0.1")
         assert code == 4
         assert "tree" in err
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.special alone costs about half of a cold CLI start
+    src = str(Path(flexcurve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, flexcurve.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.strip() == "[]"

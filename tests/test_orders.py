@@ -17,6 +17,7 @@ from flexcurve import (
     tail_order,
     upper_envelope,
 )
+from flexcurve.orders import _discrete_tail
 
 from conftest import expected_utility_ce, random_discrete
 
@@ -79,6 +80,14 @@ class TestTailOrder:
         y = make_discrete([(0, 0.5), (10, 0.3), (20, 0.2)])
         verdict = tail_order(x, y, 0.1)
         assert verdict.relation is TailRelation.X_ABOVE
+        assert verdict.rationale == "lexicographic level 1"
+
+    def test_mass_difference_only_at_top_value(self):
+        # nothing lies above the differing level, so no gap to the next
+        # support value exists and the certificate starts at k = 1
+        verdict = _discrete_tail((0.0, 1.0), (0.5, 0.5), (0.0, 1.0), (0.5, math.nextafter(0.5, 1.0)), 0.1)
+        assert verdict.relation is TailRelation.X_ABOVE
+        assert verdict.certified_from == pytest.approx(1.0, abs=1e-5)
         assert verdict.rationale == "lexicographic level 1"
 
     def test_antisymmetry(self, rng):

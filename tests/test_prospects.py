@@ -18,6 +18,7 @@ from flexcurve import (
     shift,
     stats,
 )
+from flexcurve.prospects import _LSE_BLOCK_ELEMENTS, _logsumexp
 
 from conftest import random_discrete
 
@@ -157,6 +158,53 @@ class TestLogMgf:
         t1, t2 = sorted((t, t / 3 - 1.0))
         mid = log_mgf(x, (t1 + t2) / 2)
         assert mid <= (log_mgf(x, t1) + log_mgf(x, t2)) / 2 + 1e-12
+
+
+def reference_logsumexp(t, values, weights):
+    """ln sum_j weights[j] exp(t values[j]) by a plain loop and math.fsum."""
+    exponents = [t * v for v in values]
+    peak = max(exponents)
+    return peak + math.log(math.fsum(w * math.exp(e - peak) for w, e in zip(weights, exponents)))
+
+
+class TestLogSumExpKernel:
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+                st.floats(min_value=1e-6, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=1, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop_reference(self, pairs, ts):
+        # unsorted values with repeats, as a chance node's child CEs are
+        values = np.asarray([v for v, _ in pairs] * 2)
+        weights = np.asarray([w for _, w in pairs] * 2)
+        got = _logsumexp(np.asarray(ts), values, weights)
+        for t, g in zip(ts, got):
+            want = reference_logsumexp(t, values, weights)
+            assert g == pytest.approx(want, rel=1e-12, abs=1e-12 * (1 + abs(t) * 1e3))
+
+    def test_blocks_agree_with_single_rows(self, rng):
+        # 40 rows of 7e4 points span 40 blocks; 300 rows of 1e3 span 5
+        for n, rows in ((70_000, 40), (1_000, 300)):
+            values = np.sort(rng.normal(0.0, 50.0, n))
+            weights = rng.uniform(0.1, 1.0, n)
+            weights /= weights.sum()
+            ts = -np.geomspace(1e-3, 10.0, rows)
+            assert rows * n > 4 * _LSE_BLOCK_ELEMENTS
+            batched = _logsumexp(ts, values, weights)
+            single = [_logsumexp(ts[i : i + 1], values, weights)[0] for i in range(rows)]
+            assert batched.tolist() == single
+
+    def test_overflow_on_negative_infinite_exponent(self):
+        # exp(-inf) would contribute 0, but the exponent itself is out of range
+        with pytest.raises(OverflowError, match="t\\*value"):
+            _logsumexp(np.asarray([-1e10]), np.asarray([0.0, 1e300]), np.asarray([0.5, 0.5]))
 
 
 class TestComposition:

@@ -97,6 +97,18 @@ class TestRollback:
         )
         assert rollback(tree, 0.7)[0] == pytest.approx(4.0, abs=1e-12)
 
+    def test_chance_node_overflow_names_node(self):
+        tree = DecisionTree(
+            {
+                "root": ChanceNode(((0.5, "lo"), (0.5, "hi"))),
+                "lo": TerminalNode(-1e308),
+                "hi": TerminalNode(0.0),
+            },
+            "root",
+        )
+        with pytest.raises(OverflowError, match="chance node 'root'"):
+            rollback(tree, 10.0)
+
     def test_ties_break_lexicographically(self):
         tree = DecisionTree(
             {

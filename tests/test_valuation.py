@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexcurve import (
+    Affine,
     FlexibilityCurve,
+    IndependentSum,
     add_independent,
     certain_equivalent,
     flexibility_curve,
@@ -17,8 +21,37 @@ from flexcurve import (
     stats,
     utility_of_money,
 )
+from flexcurve.valuation import _certain_equivalents
 
 from conftest import expected_utility_ce, random_discrete
+
+
+def discretes(max_size=8):
+    """Discrete prospects with arbitrary float masses."""
+    pair = st.tuples(
+        st.floats(min_value=-100, max_value=100, allow_nan=False),
+        st.floats(min_value=1e-6, max_value=1.0),
+    )
+    return st.lists(pair, min_size=1, max_size=max_size).map(
+        lambda pairs: make_discrete([(v, m / math.fsum(p[1] for p in pairs)) for v, m in pairs])
+    )
+
+
+gaussians = st.builds(
+    make_gaussian,
+    st.floats(min_value=-100, max_value=100),
+    st.floats(min_value=0.0, max_value=400.0),
+)
+affines = st.builds(
+    Affine,
+    st.one_of(discretes(), gaussians),
+    st.floats(min_value=0.1, max_value=10.0),
+    st.floats(min_value=-50, max_value=50),
+)
+lazy_sums = st.builds(
+    lambda terms: IndependentSum(tuple(terms)),
+    st.lists(st.one_of(discretes(4), gaussians, affines), min_size=2, max_size=4),
+)
 
 
 class TestUtilityPair:
@@ -144,6 +177,46 @@ class TestMeanVarianceApproximation:
         assert approx == pytest.approx(48.75, abs=1e-12)
         # third-central-moment correction bounds the gap at this scale
         assert abs(approx - exact) < 0.05
+
+
+class TestBatchedCertainEquivalents:
+    """The k-grid path must agree with scalar certain_equivalent pointwise."""
+
+    @given(
+        st.one_of(discretes(), gaussians, affines, lazy_sums),
+        st.floats(min_value=1e-4, max_value=0.5),
+        st.floats(min_value=1.0, max_value=1e3),
+        st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_grid_equals_scalar(self, prospect, r, k_hi, steps):
+        ks = np.geomspace(1.0, k_hi, steps)
+        batched = _certain_equivalents(prospect, ks * r)
+        for k, ce in zip(ks, batched):
+            assert ce == pytest.approx(certain_equivalent(prospect, k * r), rel=1e-12)
+
+    def test_wide_support_spans_blocks(self, rng):
+        values = rng.normal(0.0, 30.0, 50_000)
+        masses = rng.uniform(0.1, 1.0, 50_000)
+        x = make_discrete(zip(values.tolist(), (masses / masses.sum()).tolist()))
+        ks = tuple(np.geomspace(1.0, 200.0, 24))
+        curve = flexibility_curve(x, 0.01, ks)
+        for k, ce in zip(ks, curve.ces):
+            assert ce == pytest.approx(certain_equivalent(x, k * 0.01), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "prospect",
+        [
+            make_discrete([(-1e308, 0.5), (0.0, 0.5)]),
+            make_gaussian(0.0, 1e307),
+            IndependentSum((make_discrete([(-1e308, 0.5), (0.0, 0.5)]), make_gaussian(0, 1))),
+        ],
+    )
+    def test_overflow_on_both_paths(self, prospect):
+        with pytest.raises(OverflowError):
+            certain_equivalent(prospect, 10.0)
+        with pytest.raises(OverflowError):
+            flexibility_curve(prospect, 10.0, (1.0, 2.0))
 
 
 class TestFlexibilityCurve:
