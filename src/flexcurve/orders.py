@@ -7,7 +7,8 @@ supported algebra the difference curve is a finite exponential sum
 ordering can be certified in closed form: beyond a computable k the
 leading term of the exponential sum, or the flatter line, provably wins.
 Crossings below that certificate are isolated on a geometric grid and
-refined by bisection, which turns the for-all-k definition into a finite,
+refined to ROOT_REL_TOL by a safeguarded secant that brackets every root
+of one call at once, which turns the for-all-k definition into a finite,
 checkable procedure.
 """
 
@@ -28,7 +29,7 @@ from .prospects import (
     Prospect,
     convolve_supports,
 )
-from .valuation import _certain_equivalents, certain_equivalent, check_risk_aversion
+from .valuation import _certain_equivalents, check_risk_aversion
 
 __all__ = [
     "TailRelation",
@@ -45,8 +46,13 @@ __all__ = [
 
 GRID_POINTS_PER_DECADE = 512
 
-# Relative width at which bisection stops when refining a crossing.
+# Relative width at which refinement stops when locating a crossing.
 ROOT_REL_TOL = 1e-8
+
+# Mass differences within 64 ulps of the larger mass are rounding
+# (convolution and renormalization in a different order), not a difference
+# between distributions.
+_MASS_TIE_REL = 64 * float(np.finfo(float).eps)
 
 # Differences below 1e-12 * (1 + |CE|) cannot be distinguished from a tie.
 _TIE_EPS = 1e-12
@@ -148,13 +154,22 @@ def _discrete_tail(
     py = dict(zip(yv, ym))
     merged = sorted(set(px) | set(py))
     diffs = [py.get(v, 0.0) - px.get(v, 0.0) for v in merged]
-    istar = next((i for i, d in enumerate(diffs) if d != 0.0), None)
+    istar = next(
+        (
+            i
+            for i, (v, d) in enumerate(zip(merged, diffs))
+            if abs(d) > _MASS_TIE_REL * max(px.get(v, 0.0), py.get(v, 0.0))
+        ),
+        None,
+    )
     if istar is None:
         return TailVerdict(TailRelation.EQUAL, 1.0, "identical distribution")
     cstar = diffs[istar]
     # E{exp(-krX)} - E{exp(-krY)} is eventually dominated by the lowest value
     # where the mass functions differ: less mass there means a smaller
-    # exponential sum, hence a larger certain equivalent.
+    # exponential sum, hence a larger certain equivalent.  Ties above that
+    # level still count in the residual bound; ties below it are rounding
+    # of one mass, zero as when every level ties.
     relation = TailRelation.X_ABOVE if cstar > 0.0 else TailRelation.Y_ABOVE
     residual = math.fsum(abs(d) for d in diffs[istar + 1 :])
     if residual <= abs(cstar):
@@ -225,30 +240,74 @@ def _geometric_grid(k_lo: float, k_hi: float) -> np.ndarray:
     return np.geomspace(k_lo, k_hi, n)
 
 
-def _bisect(f: Callable[[float], float], a: float, b: float, fa: float) -> float:
-    while b - a > ROOT_REL_TOL * b:
-        mid = math.sqrt(a * b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (fa > 0.0):
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+def _refine(
+    diff: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    g_lo: np.ndarray,
+    g_hi: np.ndarray,
+) -> np.ndarray:
+    """A root of each bracket's function in [lo, hi], all brackets refined together.
+
+    ``diff(rows, ks)`` evaluates the function of bracket ``rows[i]`` at
+    ``ks[i]``; ``g_lo`` and ``g_hi`` are its nonzero, opposite-signed values
+    at the ends.  Each round evaluates two points a quarter of
+    ROOT_REL_TOL * b either side of the bracket's secant root, or of its
+    geometric midpoint when the previous round did not halve the bracket
+    (in log k), and keeps the first sub-bracket whose sign flips from the
+    left end.  Once the secant root lands within a quarter tolerance of a
+    root, the two points straddle it and the bracket closes; whatever the
+    function, the log width at least halves every second round.  A bracket
+    stops at b - a <= ROOT_REL_TOL * b and yields its midpoint, or the point
+    where the function is exactly zero.  Each round makes one ``diff`` call
+    with two points per open bracket.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    ga, gb = np.array(g_lo, dtype=float), np.array(g_hi, dtype=float)
+    roots = 0.5 * (a + b)
+    secant = np.ones(len(a), dtype=bool)
+    active = np.flatnonzero(b - a > ROOT_REL_TOL * b)
+    while active.size:
+        a0, b0, ga0, gb0 = a[active], b[active], ga[active], gb[active]
+        half = 0.25 * ROOT_REL_TOL * b0
+        centre = np.where(
+            secant[active], a0 + ga0 * (b0 - a0) / (ga0 - gb0), np.sqrt(a0 * b0)
+        )
+        # Width > 4 * half, so both points lie strictly inside the bracket.
+        centre = np.clip(centre, a0 + 2.0 * half, b0 - 2.0 * half)
+        p1, p2 = centre - half, centre + half
+        g = diff(np.repeat(active, 2), np.stack([p1, p2], axis=1).ravel())
+        g1, g2 = g[0::2], g[1::2]
+
+        left_positive = ga0 > 0.0
+        zero1 = g1 == 0.0
+        flip1 = ~zero1 & ((g1 > 0.0) != left_positive)
+        past1 = ~zero1 & ~flip1
+        zero2 = past1 & (g2 == 0.0)
+        flip2 = past1 & ~zero2 & ((g2 > 0.0) != left_positive)
+        a1 = np.where(flip1, a0, np.where(flip2, p1, p2))
+        b1 = np.where(flip1, p1, np.where(flip2, p2, b0))
+        a[active], b[active] = a1, b1
+        ga[active] = np.where(flip1, ga0, np.where(flip2, g1, g2))
+        gb[active] = np.where(flip1, g1, np.where(flip2, g2, gb0))
+        secant[active] = 2.0 * np.log(b1 / a1) <= np.log(b0 / a0)
+
+        roots[active] = np.where(zero1, p1, np.where(zero2, p2, 0.5 * (a1 + b1)))
+        active = active[~(zero1 | zero2 | (b1 - a1 <= ROOT_REL_TOL * b1))]
+    return roots
 
 
 def _scan_difference(
     x: Prospect, y: Prospect, r: float, certified: float
-) -> Tuple[float, Tuple[float, ...], np.ndarray, np.ndarray]:
+) -> Tuple[float, Tuple[float, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Crossings of g(k) = CE(X|kr) - CE(Y|kr) on [1, certified].
 
-    Returns (K, crossings, g samples, tie tolerances); K is the smallest
-    value such that g >= 0 (up to ties) on [K, certified].
+    Returns (K, crossings, grid ks, g samples, tie tolerances); K is the
+    smallest value such that g >= 0 (up to ties) on [K, certified].
     """
 
-    def g(k: float) -> float:
-        return certain_equivalent(x, k * r) - certain_equivalent(y, k * r)
+    def g(_rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return _certain_equivalents(x, k * r) - _certain_equivalents(y, k * r)
 
     ks = _geometric_grid(1.0, max(1.0, certified))
     ce_x = _certain_equivalents(x, ks * r)
@@ -256,25 +315,29 @@ def _scan_difference(
     gs = ce_x - ce_y
     tols = _TIE_EPS * (1.0 + np.maximum(np.abs(ce_x), np.abs(ce_y)))
 
-    crossings: List[float] = []
-    for i in range(len(ks) - 1):
-        lo_sig = gs[i] > tols[i] or gs[i] < -tols[i]
-        hi_sig = gs[i + 1] > tols[i + 1] or gs[i + 1] < -tols[i + 1]
-        if lo_sig and hi_sig and (gs[i] > 0.0) != (gs[i + 1] > 0.0):
-            crossings.append(_bisect(g, float(ks[i]), float(ks[i + 1]), float(gs[i])))
+    significant = np.abs(gs) > tols
+    positive = gs > 0.0
+    lo = np.flatnonzero(significant[:-1] & significant[1:] & (positive[:-1] != positive[1:]))
+    hi = lo + 1
+    crossing_count = len(lo)
 
-    negative = [i for i in range(len(ks)) if gs[i] < -tols[i]]
-    if not negative:
-        threshold = 1.0
-    else:
-        i = max(negative)
-        j = next((m for m in range(i + 1, len(ks)) if gs[m] > 0.0), None)
-        if j is None:
+    # The threshold's bracket runs from the last clearly negative sample to
+    # the next positive one; it is refined in the same batch as the crossings.
+    negative = np.flatnonzero(gs < -tols)
+    threshold = 1.0
+    if negative.size:
+        i = int(negative[-1])
+        later = np.flatnonzero(positive[i + 1 :])
+        if later.size:
+            lo, hi = np.append(lo, i), np.append(hi, i + 1 + int(later[0]))
+        else:
             # Certificate guarantees g >= 0 beyond the scan window.
             threshold = float(ks[-1])
-        else:
-            threshold = _bisect(g, float(ks[i]), float(ks[j]), float(gs[i]))
-    return threshold, tuple(crossings), gs, tols
+
+    roots = _refine(g, ks[lo], ks[hi], gs[lo], gs[hi]).tolist()
+    if len(roots) > crossing_count:
+        threshold = roots[-1]
+    return threshold, tuple(roots[:crossing_count]), ks, gs, tols
 
 
 def find_threshold(x: Prospect, y: Prospect, r: float) -> Optional[float]:
@@ -288,8 +351,7 @@ def find_threshold(x: Prospect, y: Prospect, r: float) -> Optional[float]:
         return None
     if tail.relation is TailRelation.EQUAL:
         return 1.0
-    threshold, _, _, _ = _scan_difference(x, y, r, tail.certified_from)
-    return threshold
+    return _scan_difference(x, y, r, tail.certified_from)[0]
 
 
 def compare(x: Prospect, y: Prospect, r: float) -> FlexibilityVerdict:
@@ -318,15 +380,16 @@ def compare(x: Prospect, y: Prospect, r: float) -> FlexibilityVerdict:
         dominant = (Flexibility.Y_STRICTLY_DOMINATES, Flexibility.Y_DOMINATES)
         flexible = (Flexibility.Y_STRICTLY_MORE_FLEXIBLE, Flexibility.Y_MORE_FLEXIBLE)
 
-    threshold, crossings, gs, tols = _scan_difference(winner, loser, r, tail.certified_from)
-    ks = _geometric_grid(1.0, max(1.0, tail.certified_from))
+    threshold, crossings, ks, gs, tols = _scan_difference(
+        winner, loser, r, tail.certified_from
+    )
 
     if threshold <= 1.0 + 1e-9:
         strict = bool(np.all(gs > tols))
         classification = dominant[0] if strict else dominant[1]
         return FlexibilityVerdict(classification, 1.0, crossings, tail)
 
-    beyond = np.asarray(ks) > threshold * (1.0 + 2.0 * ROOT_REL_TOL)
+    beyond = ks > threshold * (1.0 + 2.0 * ROOT_REL_TOL)
     strict = bool(np.all(gs[beyond] > tols[beyond])) if np.any(beyond) else True
     classification = flexible[0] if strict else flexible[1]
     return FlexibilityVerdict(classification, threshold, crossings, tail)
@@ -349,9 +412,9 @@ def upper_envelope(
     """Partition [k_lo, k_hi] by which prospect's CE curve is maximal.
 
     All-Gaussian inputs use the exact line-envelope construction; mixed
-    inputs fall back to a geometric grid with bisection-refined
-    breakpoints.  Prospects absent from the output are optimal for no k in
-    range.
+    inputs fall back to a geometric grid whose breakpoints are all refined
+    together to ROOT_REL_TOL.  Prospects absent from the output are optimal
+    for no k in range.
     """
     r = check_risk_aversion(r)
     items = list(prospects)
@@ -412,36 +475,39 @@ def _grid_envelope(
     ces = np.asarray([_certain_equivalents(p, ks * r) for _, p in items])
     best = np.argmax(ces, axis=0)
 
-    def diff(i: int, j: int) -> Callable[[float], float]:
-        def g(k: float) -> float:
-            return certain_equivalent(items[i][1], k * r) - certain_equivalent(
-                items[j][1], k * r
-            )
+    # Grid gaps where the top curve changes, from the one on top at the left
+    # end to the one on top at the right end.
+    t = np.flatnonzero(best[1:] != best[:-1])
+    above, below = best[t], best[t + 1]
+    g_lo = ces[above, t] - ces[below, t]
+    g_hi = ces[above, t + 1] - ces[below, t + 1]
+    cuts = np.sqrt(ks[t] * ks[t + 1])
+    crossing = g_lo * g_hi < 0.0
+    first, second = above[crossing], below[crossing]
 
+    def diff(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+        left, right = first[rows], second[rows]
+        g = np.zeros(len(k))
+        for p in np.union1d(left, right):
+            used = (left == p) | (right == p)
+            ce = _certain_equivalents(items[p][1], k[used] * r)
+            g[used] += np.where(left[used] == p, ce, -ce)
         return g
 
-    cuts: List[float] = [k_lo]
-    for t in range(len(ks) - 1):
-        a, b = int(best[t]), int(best[t + 1])
-        if a == b:
-            continue
-        g = diff(a, b)
-        ga = g(float(ks[t]))
-        if g(float(ks[t + 1])) * ga < 0.0:
-            cuts.append(_bisect(g, float(ks[t]), float(ks[t + 1]), ga))
-        else:
-            cuts.append(math.sqrt(ks[t] * ks[t + 1]))
-    cuts.append(k_hi)
+    cuts[crossing] = _refine(
+        diff, ks[t[crossing]], ks[t[crossing] + 1], g_lo[crossing], g_hi[crossing]
+    )
+    bounds = [k_lo, *cuts.tolist(), k_hi]
+    spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+    mids = np.sqrt(np.asarray(spans).prod(axis=1))
+    values = np.asarray([_certain_equivalents(p, mids * r) for _, p in items])
+    top = values.max(axis=0)
+    on_top = values >= top - 1e-9 * (1.0 + np.abs(top))
 
     segments: List[EnvelopeSegment] = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi <= lo:
-            continue
-        mid = math.sqrt(lo * hi)
-        values = [certain_equivalent(p, mid * r) for _, p in items]
-        top = max(values)
-        tol = 1e-9 * (1.0 + abs(top))
-        labels = tuple(sorted(ids[i] for i, v in enumerate(values) if v >= top - tol))
+    for (lo, hi), column in zip(spans, on_top.T):
+        labels = tuple(sorted(ids[i] for i in np.flatnonzero(column)))
         if segments and segments[-1].ids == labels:
             segments[-1] = EnvelopeSegment(segments[-1].k_lo, hi, labels)
         else:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flexcurve
 from flexcurve import (
     Flexibility,
     TailRelation,
@@ -17,7 +20,7 @@ from flexcurve import (
     tail_order,
     upper_envelope,
 )
-from flexcurve.orders import _discrete_tail
+from flexcurve.orders import _TIE_EPS, ROOT_REL_TOL, _discrete_tail, _refine
 
 from conftest import expected_utility_ce, random_discrete
 
@@ -85,9 +88,19 @@ class TestTailOrder:
     def test_mass_difference_only_at_top_value(self):
         # nothing lies above the differing level, so no gap to the next
         # support value exists and the certificate starts at k = 1
-        verdict = _discrete_tail((0.0, 1.0), (0.5, 0.5), (0.0, 1.0), (0.5, math.nextafter(0.5, 1.0)), 0.1)
+        verdict = _discrete_tail((0.0, 1.0), (0.5, 0.5), (0.0, 1.0), (0.5, 0.5 + 1e-12), 0.1)
         assert verdict.relation is TailRelation.X_ABOVE
         assert verdict.certified_from == pytest.approx(1.0, abs=1e-5)
+        assert verdict.rationale == "lexicographic level 1"
+
+    def test_mass_rounding_is_a_tie(self):
+        # a few ulps between two masses is rounding, not a different distribution
+        bumped = (0.5, math.nextafter(math.nextafter(0.5, 1.0), 1.0))
+        verdict = _discrete_tail((0.0, 1.0), (0.5, 0.5), (0.0, 1.0), bumped, 0.1)
+        assert verdict.relation is TailRelation.EQUAL
+        # below the differing level the rounding is a tie, above it counts
+        verdict = _discrete_tail((0.0, 1.0, 2.0), (0.25, 0.5, 0.25), (0.0, 1.0, 2.0), (math.nextafter(0.25, 1.0), 0.5 - 1e-6, 0.25 + 1e-6), 0.1)
+        assert verdict.relation is TailRelation.Y_ABOVE
         assert verdict.rationale == "lexicographic level 1"
 
     def test_antisymmetry(self, rng):
@@ -275,3 +288,156 @@ class TestUpperEnvelope:
             upper_envelope([], 0.1, (1.0, 2.0))
         with pytest.raises(ValueError):
             upper_envelope([("a", make_gaussian(0, 1))], 0.1, (2.0, 1.0))
+
+
+def small_discretes():
+    """Discrete prospects on integers with arbitrary float masses."""
+    pair = st.tuples(st.integers(-30, 30), st.floats(min_value=0.05, max_value=1.0))
+    return st.lists(pair, min_size=2, max_size=4, unique_by=lambda p: p[0]).map(
+        lambda pairs: make_discrete(
+            [(v, w / math.fsum(w for _, w in pairs)) for v, w in pairs]
+        )
+    )
+
+
+class TestRepresentationInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(small_discretes(), small_discretes(), small_discretes())
+    def test_association_is_equally_flexible(self, a, b, c):
+        r = 0.05
+        left = add_independent(add_independent(a, b), c)
+        right = add_independent(a, add_independent(b, c))
+        assert left.values == right.values
+        verdict = compare(left, right, r)
+        assert verdict.classification is Flexibility.EQUALLY_FLEXIBLE
+
+        # moving 1e-9 of mass from the worst value to the best is a real
+        # difference, which the tail certificate must still see
+        masses = list(left.masses)
+        masses[0] -= 1e-9
+        masses[-1] += 1e-9
+        nudged = make_discrete(zip(left.values, masses))
+        verdict = compare(nudged, right, r)
+        assert verdict.classification is Flexibility.X_STRICTLY_DOMINATES
+        assert verdict.tail.relation is TailRelation.X_ABOVE
+
+
+def counted(g, limit=500):
+    """Wrap a batched diff so the test can count rounds and never hang."""
+    calls = []
+
+    def diff(rows, ks):
+        calls.append(len(ks))
+        assert len(calls) <= limit, "refinement does not close its brackets"
+        return g(rows, ks)
+
+    return diff, calls
+
+
+def round_bound(lo, hi):
+    """Two rounds per halving of the widest log width, plus slack."""
+    widest = max(math.log(b / a) for a, b in zip(lo, hi))
+    return 2 * math.ceil(math.log2(widest / ROOT_REL_TOL)) + 2
+
+
+class TestRefine:
+    def test_roots_straddle_a_sign_change(self, rng):
+        r = 0.1
+        checked = 0
+        for _ in range(40):
+            x, y = random_discrete(rng), random_discrete(rng)
+            k_star = float(10 ** rng.uniform(0.1, 1.2))
+            y = shift(y, certain_equivalent(x, k_star * r) - certain_equivalent(y, k_star * r))
+            verdict = compare(x, y, r)
+            threshold = find_threshold(x, y, r)
+            points = list(verdict.crossings)
+            if threshold is not None and threshold > 1.0:
+                points.append(threshold)
+            for c in points:
+                sides = []
+                for k in (c * (1.0 - ROOT_REL_TOL), c * (1.0 + ROOT_REL_TOL)):
+                    cx, cy = certain_equivalent(x, k * r), certain_equivalent(y, k * r)
+                    sides.append((cx - cy, _TIE_EPS * (1.0 + max(abs(cx), abs(cy)))))
+                (g_lo, tol_lo), (g_hi, tol_hi) = sides
+                assert g_lo * g_hi < 0.0 or abs(g_lo) <= tol_lo or abs(g_hi) <= tol_hi
+                checked += 1
+        assert checked >= 20
+
+    def test_step_closes_every_bracket(self, rng):
+        steps = np.sort(10 ** rng.uniform(0.0, 2.0, size=5))
+        lo, hi = steps * 0.9, steps * np.array([1.0045, 1.2, 2.0, 10.0, 1.5])
+        lo[2] = 1.0  # one bracket spans several steps' worth of log width
+
+        def g(rows, ks):
+            return np.where(ks < steps[rows], -1.0, 1.0)
+
+        diff, calls = counted(g)
+        roots = _refine(diff, lo, hi, -np.ones(5), np.ones(5))
+        assert np.all(np.abs(roots - steps) <= ROOT_REL_TOL * roots)
+        assert len(calls) <= round_bound(lo, hi)
+
+    def test_flat_cubic_closes(self):
+        # flat at -1e-6 up to k0 - 0.01, then a triple root at k0: the
+        # secant sticks to the flat end until the midpoint rounds take over
+        k0 = 3.3
+
+        def g(rows, ks):
+            return np.maximum((ks - k0) ** 3, -1e-6)
+
+        lo, hi = np.array([1.0]), np.array([10.0])
+        diff, calls = counted(g)
+        roots = _refine(diff, lo, hi, g(0, lo), g(0, hi))
+        assert abs(roots[0] - k0) <= ROOT_REL_TOL * roots[0]
+        assert len(calls) <= round_bound(lo, hi)
+
+    def test_exact_zero_returns_its_point(self):
+        def g(rows, ks):
+            return np.where(ks < 1.9, -1.0, np.where(ks > 2.1, 1.0, 0.0))
+
+        diff, calls = counted(g)
+        roots = _refine(diff, np.array([1.0]), np.array([3.0]), np.array([-1.0]), np.array([1.0]))
+        assert 1.9 <= roots[0] <= 2.1
+        assert g(0, roots)[0] == 0.0
+        assert len(calls) == 1
+
+    def test_closed_brackets_cost_nothing(self):
+        diff, calls = counted(lambda rows, ks: ks)
+        roots = _refine(diff, np.array([2.0]), np.array([2.0 * (1.0 + ROOT_REL_TOL)]), np.array([-1.0]), np.array([1.0]))
+        assert roots[0] == pytest.approx(2.0, rel=ROOT_REL_TOL)
+        assert calls == []
+
+
+class TestBatchedEvaluation:
+    """compare, find_threshold and upper_envelope evaluate CEs only in batches."""
+
+    @pytest.fixture
+    def no_scalar_ce(self, monkeypatch):
+        from flexcurve import orders, prospects, valuation
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scalar CE or log-MGF evaluated")
+
+        for module in (flexcurve, orders, prospects, valuation):
+            for name in ("certain_equivalent", "log_mgf"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+
+    PAIRS = {
+        "discrete": (make_discrete([(10, 1.0)]), make_discrete([(0, 0.5), (100, 0.5)]), 0.01),
+        "gaussian": (make_gaussian(-55, 100), make_gaussian(-50, 400), 0.01),
+        "mixed": (
+            make_discrete([(5, 0.5), (25, 0.5)]),
+            add_independent(make_gaussian(0, 50), make_discrete([(0, 0.5), (40, 0.5)])),
+            0.01,
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PAIRS))
+    def test_no_scalar_calls(self, kind, no_scalar_ce):
+        x, y, r = self.PAIRS[kind]
+        verdict = compare(x, y, r)
+        assert verdict.classification is not Flexibility.INCOMPARABLE
+        assert verdict.threshold_k is not None and verdict.threshold_k > 1.0
+        assert find_threshold(x, y, r) == verdict.threshold_k
+        segments = upper_envelope([("x", x), ("y", y)], r, (1.0, 50.0))
+        assert [s.ids for s in segments] == [("y",), ("x",)]
