@@ -8,6 +8,7 @@ significant digits so identical runs are byte-for-byte identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -215,10 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

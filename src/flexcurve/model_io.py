@@ -82,11 +82,22 @@ def _expect(condition: bool, path: str, reason: str) -> None:
         raise ModelError(f"{path}: {reason}")
 
 
-def _number(raw: Any, path: str) -> float:
-    _expect(isinstance(raw, (int, float)) and not isinstance(raw, bool), path, "expected a number")
-    value = float(raw)
-    _expect(math.isfinite(value), path, "number must be finite")
-    return value
+def _number(raw: Any, path: str, *index: int) -> float:
+    """raw as a finite float; an error names path, then each index in brackets.
+
+    Passing list indices apart from the path leaves the path unformatted
+    unless the check fails, which matters in a loop over thousands of
+    tree children.
+    """
+    # Exact floats, the common case, skip the isinstance checks.
+    if type(raw) is float or (isinstance(raw, (int, float)) and not isinstance(raw, bool)):
+        value = float(raw)
+        if math.isfinite(value):
+            return value
+        reason = "number must be finite"
+    else:
+        reason = "expected a number"
+    raise ModelError(path + "".join(f"[{i}]" for i in index) + f": {reason}")
 
 
 def _pairs(raw: Any, path: str) -> Tuple[Tuple[float, float], ...]:
@@ -186,27 +197,23 @@ def _parse_tree(raw: Any, path: str) -> DecisionTree:
             nodes[nid] = TerminalNode(_number(node.get("payoff"), f"{npath}.payoff"))
         elif kind == "decision":
             children = node.get("children")
-            _expect(isinstance(children, list) and children, f"{npath}.children", "expected a nonempty list")
+            cpath = f"{npath}.children"
+            _expect(isinstance(children, list) and children, cpath, "expected a nonempty list")
             out = []
             for i, item in enumerate(children):
-                _expect(
-                    isinstance(item, list) and len(item) == 2 and isinstance(item[0], str) and isinstance(item[1], str),
-                    f"{npath}.children[{i}]",
-                    "expected a [label, node-id] pair",
-                )
+                if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str) and isinstance(item[1], str)):
+                    raise ModelError(f"{cpath}[{i}]: expected a [label, node-id] pair")
                 out.append((item[0], item[1]))
             nodes[nid] = DecisionNode(tuple(out))
         elif kind == "chance":
             children = node.get("children")
-            _expect(isinstance(children, list) and children, f"{npath}.children", "expected a nonempty list")
+            cpath = f"{npath}.children"
+            _expect(isinstance(children, list) and children, cpath, "expected a nonempty list")
             out = []
             for i, item in enumerate(children):
-                _expect(
-                    isinstance(item, list) and len(item) == 2 and isinstance(item[1], str),
-                    f"{npath}.children[{i}]",
-                    "expected a [probability, node-id] pair",
-                )
-                out.append((_number(item[0], f"{npath}.children[{i}][0]"), item[1]))
+                if not (isinstance(item, list) and len(item) == 2 and isinstance(item[1], str)):
+                    raise ModelError(f"{cpath}[{i}]: expected a [probability, node-id] pair")
+                out.append((_number(item[0], cpath, i, 0), item[1]))
             nodes[nid] = ChanceNode(tuple(out))
         else:
             raise ModelError(f"{npath}.kind: unknown node kind {kind!r}")

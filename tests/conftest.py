@@ -77,14 +77,22 @@ def random_tree(rng, depth=4, payoff_span=30.0, branching=(2, 3)):
 
 
 def utility_rollback(tree, r):
-    """Rollback oracle in utility space: expected utility up the tree, then invert."""
+    """Rollback oracle in utility space: expected utility up the tree, then invert.
 
-    def value(nid):
+    Iterative, so it also serves trees deeper than the recursion limit.
+    """
+    utility = {}
+    stack = [(tree.root, False)]
+    while stack:
+        nid, expanded = stack.pop()
         node = tree.nodes[nid]
         if isinstance(node, TerminalNode):
-            return utility_of_money(node.payoff, r)
-        if isinstance(node, ChanceNode):
-            return math.fsum(p * value(cid) for p, cid in node.children)
-        return max(value(cid) for _, cid in node.children)
-
-    return money_of_utility(value(tree.root), r)
+            utility[nid] = utility_of_money(node.payoff, r)
+        elif not expanded:
+            stack.append((nid, True))
+            stack.extend((cid, False) for _, cid in node.children)
+        elif isinstance(node, ChanceNode):
+            utility[nid] = math.fsum(p * utility[cid] for p, cid in node.children)
+        else:
+            utility[nid] = max(utility[cid] for _, cid in node.children)
+    return money_of_utility(utility[tree.root], r)

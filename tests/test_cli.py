@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import flexcurve
-from flexcurve import certain_equivalent, make_discrete
+from flexcurve import certain_equivalent, cli, make_discrete
 from flexcurve.cli import main
 
 
@@ -229,3 +235,157 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+class TestParserReuse:
+    def test_usage_error_then_valid_call(self, model_path, capsys, monkeypatch):
+        code, out, err = run(capsys, "rollback", "--model", model_path, "--bogus")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --bogus" in err
+        # From here on main must not build another parser.
+        monkeypatch.setattr(cli, "build_parser", None)
+        code, out, err = run(capsys, "rollback", "--model", model_path, "--r", "0.01")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "choose: root=risk"
+        code, out, _ = run(capsys, "ce", "--model", model_path)
+        assert (code, out) == (2, "")
+        code, out, _ = run(capsys, "ce", "--model", model_path, "--id", "d")
+        assert (code, out) == (0, "10\n")
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        assert first.parse_args(["rollback", "--model", "m.json"]).func is cli.cmd_rollback
+
+
+def _chain_model(depth):
+    rng = random.Random(depth)
+    nodes = {}
+    for i in range(depth):
+        p = rng.uniform(0.01, 0.1)
+        nxt = f"n{i + 1}" if i + 1 < depth else "end"
+        nodes[f"n{i}"] = {"kind": "chance", "children": [[p, f"t{i}"], [1.0 - p, nxt]]}
+        nodes[f"t{i}"] = {"kind": "terminal", "payoff": rng.uniform(0, 100)}
+    nodes["end"] = {"kind": "decision", "children": [["stop", "e0"], ["go", "e1"]]}
+    nodes["e0"] = {"kind": "terminal", "payoff": 30}
+    nodes["e1"] = {"kind": "terminal", "payoff": 60}
+    return {
+        "prospects": {"x": MODEL["prospects"]["x"]},
+        "tree": {"root": "n0", "nodes": nodes},
+        "defaults": {"r": 0.01, "k": "1:4:3"},
+    }
+
+
+def test_tree_commands_past_recursion_limit(tmp_path, capsys):
+    depth = 5_000
+    assert depth > sys.getrecursionlimit()
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(_chain_model(depth)))
+    code, out, err = run(capsys, "rollback", "--model", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "choose: end=go"
+    code, out, err = run(capsys, "curve", "--model", str(path), "--ids", "n0,n4999,x")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 4
+    code, out, err = run(capsys, "policies", "--model", str(path))
+    assert (code, err) == (0, "")
+    assert [line.split(" choice=")[1].split(" ")[0] for line in out.splitlines()] == [
+        "[end=go]",
+        "[end=stop]",
+    ]
+
+
+_PAYOFF = st.one_of(
+    st.floats(-100, 100),
+    st.integers(-5, 5),
+    st.sampled_from([1e308, -1e308, -1.7976931348623157e308, 1e300, 10**400]),
+)
+
+_JUNK = st.one_of(
+    st.none(),
+    st.integers(-2, 2),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-1, 1), st.text(max_size=2), st.floats(allow_nan=True)), max_size=3),
+)
+
+
+@st.composite
+def tree_documents(draw):
+    """Tree models that are deep, wide, overflowing or malformed, as JSON text."""
+    shape = draw(st.sampled_from(["chain", "fan", "nested"]))
+    nodes = {}
+    if shape == "chain":
+        depth = draw(st.one_of(st.integers(1, 30), st.sampled_from([1_200, 3_000])))
+        p = draw(st.one_of(st.floats(0.01, 0.5), st.sampled_from([0.0, 1.0, -0.5])))
+        payoffs = draw(st.lists(_PAYOFF, min_size=1, max_size=4))
+        for i in range(depth):
+            nxt = f"n{i + 1}" if i + 1 < depth else "leaf"
+            nodes[f"n{i}"] = {"kind": "chance", "children": [[p, f"t{i}"], [1.0 - p, nxt]]}
+            nodes[f"t{i}"] = {"kind": "terminal", "payoff": payoffs[i % len(payoffs)]}
+        nodes["leaf"] = {"kind": "terminal", "payoff": draw(_PAYOFF)}
+    elif shape == "fan":
+        width = draw(st.integers(1, 40))
+        kind = draw(st.sampled_from(["chance", "decision"]))
+        nodes["n0"] = {
+            "kind": kind,
+            "children": [[1.0 / width if kind == "chance" else f"l{i}", f"t{i}"] for i in range(width)],
+        }
+        for i in range(width):
+            nodes[f"t{i}"] = {"kind": "terminal", "payoff": draw(_PAYOFF)}
+    else:
+        for i in range(draw(st.integers(1, 12))):
+            nodes[f"n{i}"] = {
+                "kind": "decision",
+                "children": [["a", f"n{i}c"], ["b", f"n{i + 1}"]],
+            }
+            nodes[f"n{i}c"] = {"kind": "chance", "children": [[0.5, f"n{i}x"], [0.5, f"n{i}y"]]}
+            nodes[f"n{i}x"] = {"kind": "terminal", "payoff": draw(_PAYOFF)}
+            nodes[f"n{i}y"] = {"kind": "terminal", "payoff": draw(_PAYOFF)}
+            last = i + 1
+        nodes[f"n{last}"] = {"kind": "terminal", "payoff": draw(_PAYOFF)}
+    if draw(st.integers(0, 2)) == 0:
+        # Break one node: junk children, a junk child pair, a dangling or
+        # repeated reference, or a junk payoff.
+        nid = draw(st.sampled_from(sorted(nodes)))
+        node = nodes[nid]
+        if node["kind"] == "terminal":
+            node["payoff"] = draw(_JUNK)
+        else:
+            fault = draw(st.sampled_from(["children", "pair", "dangling", "repeat"]))
+            index = draw(st.integers(0, len(node["children"]) - 1))
+            if fault == "children":
+                node["children"] = draw(_JUNK)
+            elif fault == "pair":
+                node["children"][index] = draw(_JUNK)
+            else:
+                target = "ghost" if fault == "dangling" else draw(st.sampled_from(sorted(nodes)))
+                node["children"][index] = [node["children"][index][0], target]
+    doc = {"prospects": {"x": MODEL["prospects"]["x"]}, "tree": {"root": "n0", "nodes": nodes}}
+    return json.dumps(doc)
+
+
+_DEEP_CHAIN = json.dumps(_chain_model(1_500))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@example(text=_DEEP_CHAIN, command="rollback", r="0.01")
+@example(text=_DEEP_CHAIN, command="curve", r="0.01")
+@example(text=_DEEP_CHAIN, command="policies", r="40")
+@given(
+    text=tree_documents(),
+    command=st.sampled_from(["rollback", "curve", "policies"]),
+    r=st.sampled_from(["0", "0.01", "0.5", "40", "-1", "1e-320"]),
+)
+def test_tree_command_contract(text, command, r):
+    """Generated tree models get a documented exit code, never a traceback."""
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "model.json"
+        path.write_text(text)
+        argv = [command, "--model", str(path), "--r", r]
+        if command == "curve":
+            argv += ["--ids", "n0,x", "--k", "1:50:4"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    assert (code == 0) == (err.getvalue() == "")

@@ -166,3 +166,68 @@ class TestEmitModel:
         assert parse_model(emit_model(doc)) == doc
         raw = json.loads(emit_model(doc))
         assert set(raw) == {"prospects"}
+
+
+def _set(path, value):
+    """Mutation of a model document: put value at a key path (None deletes)."""
+
+    def apply(raw):
+        *parents, last = path
+        for key in parents:
+            raw = raw[key]
+        if value is None:
+            del raw[last]
+        else:
+            raw[last] = value
+
+    return apply
+
+
+# Every message a tree block can produce through parse_model, pinned byte
+# for byte: one case per message, each with a single fault.
+TREE_ERRORS = [
+    ("not_object", _set(["tree"], []), "tree: expected an object"),
+    ("root_missing", _set(["tree", "root"], None), "tree.root: expected a node id"),
+    ("root_not_string", _set(["tree", "root"], 7), "tree.root: expected a node id"),
+    ("nodes_empty", _set(["tree", "nodes"], {}), "tree.nodes: expected a nonempty object"),
+    ("node_not_object", _set(["tree", "nodes", "t"], 5), "tree.nodes.t: expected an object"),
+    ("payoff_string", _set(["tree", "nodes", "t", "payoff"], "x"), "tree.nodes.t.payoff: expected a number"),
+    ("payoff_bool", _set(["tree", "nodes", "t", "payoff"], True), "tree.nodes.t.payoff: expected a number"),
+    ("payoff_missing", _set(["tree", "nodes", "t", "payoff"], None), "tree.nodes.t.payoff: expected a number"),
+    ("payoff_infinite", _set(["tree", "nodes", "t", "payoff"], math.inf), "tree.nodes.t.payoff: number must be finite"),
+    ("kind_unknown", _set(["tree", "nodes", "t", "kind"], "leaf"), "tree.nodes.t.kind: unknown node kind 'leaf'"),
+    ("kind_missing", _set(["tree", "nodes", "t", "kind"], None), "tree.nodes.t.kind: unknown node kind None"),
+    ("decision_no_children", _set(["tree", "nodes", "root", "children"], []), "tree.nodes.root.children: expected a nonempty list"),
+    ("chance_children_string", _set(["tree", "nodes", "c", "children"], "lo"), "tree.nodes.c.children: expected a nonempty list"),
+    ("decision_short_pair", _set(["tree", "nodes", "root", "children", 1], ["risk"]), "tree.nodes.root.children[1]: expected a [label, node-id] pair"),
+    ("decision_numeric_label", _set(["tree", "nodes", "root", "children", 0], [1, "t"]), "tree.nodes.root.children[0]: expected a [label, node-id] pair"),
+    ("chance_short_pair", _set(["tree", "nodes", "c", "children", 1], [0.5]), "tree.nodes.c.children[1]: expected a [probability, node-id] pair"),
+    ("chance_numeric_id", _set(["tree", "nodes", "c", "children", 0], [0.5, 3]), "tree.nodes.c.children[0]: expected a [probability, node-id] pair"),
+    ("probability_string", _set(["tree", "nodes", "c", "children", 0], ["0.5", "lo"]), "tree.nodes.c.children[0][0]: expected a number"),
+    ("probability_nan", _set(["tree", "nodes", "c", "children", 1], [math.nan, "hi"]), "tree.nodes.c.children[1][0]: number must be finite"),
+    ("root_unknown", _set(["tree", "root"], "zz"), "tree: root node 'zz' not in node map"),
+    ("duplicate_labels", _set(["tree", "nodes", "root", "children", 1], ["sure", "c"]), "tree: duplicate child labels at decision node 'root'"),
+    ("probability_zero", _set(["tree", "nodes", "c", "children"], [[0.0, "lo"], [1.0, "hi"]]), "tree: nonpositive probability at chance node 'c'"),
+    ("probability_sum", _set(["tree", "nodes", "c", "children"], [[0.5, "lo"], [0.4, "hi"]]), "tree: probabilities at chance node 'c' sum to 0.9, expected 1"),
+    ("unknown_child", _set(["tree", "nodes", "c", "children", 1], [0.5, "gone"]), "tree: node 'c' references unknown child 'gone'"),
+    ("root_has_parent", _set(["tree", "nodes", "c", "children", 1], [0.5, "root"]), "tree: root node 'root' has a parent"),
+    ("shared_child", _set(["tree", "nodes", "c", "children", 1], [0.5, "t"]), "tree: node 't' has 2 parents, expected exactly 1"),
+    ("orphan", _set(["tree", "nodes", "extra"], {"kind": "terminal", "payoff": 1}), "tree: node 'extra' has 0 parents, expected exactly 1"),
+    (
+        "detached_cycle",
+        lambda raw: raw["tree"]["nodes"].update(
+            p={"kind": "decision", "children": [["k", "q"]]},
+            q={"kind": "decision", "children": [["k", "p"]]},
+        ),
+        "tree: node 'p' is unreachable from the root",
+    ),
+]
+
+
+@pytest.mark.parametrize("mutate,message", [c[1:] for c in TREE_ERRORS], ids=[c[0] for c in TREE_ERRORS])
+def test_tree_error_message(mutate, message):
+    raw = json.loads(json.dumps(FULL_MODEL))
+    mutate(raw)
+    with pytest.raises(ModelError) as caught:
+        parse_model(json.dumps(raw))
+    assert str(caught.value) == message
