@@ -253,27 +253,45 @@ def _logsumexp(ts: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.nd
 
     Each row is shifted by its largest exponent; the weight at that maximum
     is kept out of the sum and added back through log1p, which keeps full
-    precision when one term dominates.  Rows are processed in blocks of at
-    most ``_LSE_BLOCK_ELEMENTS`` elements.  Raises OverflowError when any
-    exponent t*value, or any result, is not finite.
+    precision when one term dominates.  Rounding is monotone, so the largest
+    exponent t*value sits at the smallest value when t < 0 and at the
+    largest otherwise: the peak is read from those two columns, not found
+    by a max pass.  When every row of a block has a single top element, its
+    weight is that column's and only that column is left out of the sum;
+    a block with a tied peak (repeated values, rounding ties, t = 0) masks
+    every element equal to its row's peak.  Both give the bits of a max
+    pass and a full mask, so a row's result does not depend on the block
+    it falls in.  Rows are processed in blocks of at most
+    ``_LSE_BLOCK_ELEMENTS`` elements, in one buffer.  Raises OverflowError
+    when any exponent t*value, or any result, is not finite.
     """
-    # Rounding is monotone, so some t*value overflows exactly when the
-    # product of the two largest magnitudes does.
-    reach = float(np.abs(ts).max()) * float(np.abs(values).max())
+    low, high = int(values.argmin()), int(values.argmax())
+    # Some t*value overflows exactly when the product of the two largest
+    # magnitudes does.
+    reach = float(np.abs(ts).max()) * max(abs(float(values[low])), abs(float(values[high])))
     if not math.isfinite(reach):
         raise OverflowError(f"log-MGF overflow: |t*value| reaches {reach!r}")
+    columns = np.where(ts < 0.0, low, high)
+    peaks = ts * values[columns]
     out = np.empty(len(ts))
     rows = max(1, _LSE_BLOCK_ELEMENTS // len(values))
-    for lo in range(0, len(ts), rows):
-        block = np.multiply.outer(ts[lo : lo + rows], values)
-        peak = block.max(axis=1, keepdims=True)
-        top = block == peak
-        at_peak = (weights * top).sum(axis=1)
-        block -= peak
-        np.exp(block, out=block)
-        block *= weights
-        block[top] = 0.0
-        with np.errstate(divide="ignore", over="ignore"):
+    buffer = np.empty((min(rows, len(ts)), len(values)))
+    # A shifted exponent more than the float range below its peak is -inf,
+    # whose exp is the 0 it stands for.
+    with np.errstate(divide="ignore", over="ignore"):
+        for lo in range(0, len(ts), rows):
+            column, peak = columns[lo : lo + rows], peaks[lo : lo + rows, None]
+            block = np.multiply.outer(ts[lo : lo + rows], values, out=buffer[: len(column)])
+            top = block == peak
+            if np.count_nonzero(top) == len(column):
+                at_peak = weights[column]
+                top = (np.arange(len(column)), column)
+            else:
+                at_peak = (weights * top).sum(axis=1)
+            block -= peak
+            np.exp(block, out=block)
+            block *= weights
+            block[top] = 0.0
             rest = np.log1p(block.sum(axis=1) / at_peak)
             out[lo : lo + rows] = rest + np.log(at_peak) + peak[:, 0]
     if not np.isfinite(out).all():
@@ -318,7 +336,13 @@ def stats(prospect: Prospect) -> ProspectStats:
     if isinstance(prospect, Discrete):
         v, m = prospect._arrays
         mean = float(np.dot(m, v))
-        variance = float(np.dot(m, (v - mean) ** 2))
+        # Deviations are scaled by 2**-e, with 2**e above the largest of them
+        # (found from halves, which cannot overflow), before squaring: only
+        # a variance out of range overflows, and the scaling is exact.
+        e = math.frexp(max(0.5 * v[-1] - 0.5 * mean, 0.5 * mean - 0.5 * v[0]))[1] + 1
+        deviations = np.ldexp(v, -e) - math.ldexp(mean, -e)
+        with np.errstate(over="ignore"):
+            variance = float(np.ldexp(np.dot(m, deviations * deviations), 2 * e))
         return ProspectStats(mean, variance, prospect.values[0])
     if isinstance(prospect, Gaussian):
         worst = prospect.mean if prospect.variance == 0.0 else -math.inf

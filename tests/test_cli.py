@@ -237,6 +237,37 @@ def test_cli_import_leaves_scipy_out():
     assert done.stdout.strip() == "[]"
 
 
+def test_extreme_payoffs_leave_stderr_empty(tmp_path):
+    # The risk-neutral policy's variance overflows, and at r = 1 the term at
+    # 1e308 lies 2e308 below the peak; neither may print a numpy warning.
+    model = {
+        "prospects": {"big": {"kind": "discrete", "points": [[-1e308, 0.5], [1e308, 0.5]]}},
+        "tree": {
+            "root": "c",
+            "nodes": {
+                "c": {"kind": "chance", "children": [[0.5, "lo"], [0.5, "hi"]]},
+                "lo": {"kind": "terminal", "payoff": -1e308},
+                "hi": {"kind": "terminal", "payoff": 1e308},
+            },
+        },
+    }
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(model))
+    env = dict(os.environ, PYTHONPATH=str(Path(flexcurve.__file__).resolve().parents[1]))
+    for argv, stdout in (
+        (["policies", "--r", "0"], "policy 0: ce=0 choice=[] support=[-1e+308:0.5;1e+308:0.5]\n"),
+        (["ce", "--id", "big", "--r", "1"], "-1e+308\n"),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "flexcurve.cli", *argv, "--model", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", stdout)
+
+
 class TestParserReuse:
     def test_usage_error_then_valid_call(self, model_path, capsys, monkeypatch):
         code, out, err = run(capsys, "rollback", "--model", model_path, "--bogus")

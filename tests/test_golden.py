@@ -1,4 +1,4 @@
-"""Byte-for-byte stdout of the tree subcommands on the golden corpus."""
+"""Byte-for-byte stdout of the CLI subcommands on the golden corpus."""
 
 import contextlib
 import io

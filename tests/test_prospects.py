@@ -1,4 +1,6 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from flexcurve import (
     shift,
     stats,
 )
+from flexcurve import prospects
 from flexcurve.prospects import _LSE_BLOCK_ELEMENTS, _logsumexp
 
 from conftest import random_discrete
@@ -207,6 +210,147 @@ class TestLogSumExpKernel:
             _logsumexp(np.asarray([-1e10]), np.asarray([0.0, 1e300]), np.asarray([0.5, 0.5]))
 
 
+def frozen_logsumexp(ts, values, weights):
+    """The kernel as it was before it read the peak from the support's ends.
+
+    Kept, with its block size fixed at 2**16 elements, as the bit-for-bit
+    reference: a max pass for the peak and a mask of the elements equal to
+    it in every block.
+    """
+    reach = float(np.abs(ts).max()) * float(np.abs(values).max())
+    if not math.isfinite(reach):
+        raise OverflowError(f"log-MGF overflow: |t*value| reaches {reach!r}")
+    out = np.empty(len(ts))
+    rows = max(1, (1 << 16) // len(values))
+    for lo in range(0, len(ts), rows):
+        block = np.multiply.outer(ts[lo : lo + rows], values)
+        peak = block.max(axis=1, keepdims=True)
+        top = block == peak
+        at_peak = (weights * top).sum(axis=1)
+        block -= peak
+        np.exp(block, out=block)
+        block *= weights
+        block[top] = 0.0
+        with np.errstate(divide="ignore", over="ignore"):
+            rest = np.log1p(block.sum(axis=1) / at_peak)
+            out[lo : lo + rows] = rest + np.log(at_peak) + peak[:, 0]
+    if not np.isfinite(out).all():
+        raise OverflowError("log-MGF overflow: result out of floating-point range")
+    return out
+
+
+def assert_same_bits(ts, values, weights, block=_LSE_BLOCK_ELEMENTS):
+    """The kernel, run in blocks of ``block`` elements, equals the frozen one bit for bit."""
+    ts, values, weights = (np.asarray(a, dtype=float) for a in (ts, values, weights))
+    with mock.patch.object(prospects, "_LSE_BLOCK_ELEMENTS", block):
+        got = _logsumexp(ts, values, weights)
+    assert got.tolist() == frozen_logsumexp(ts, values, weights).tolist()
+
+
+kernel_values = st.floats(min_value=-1e3, max_value=1e3)
+# Moderate t, both signs of zero, and t small enough that t*value is
+# subnormal, where neighbouring values round to one exponent.
+kernel_ts = st.lists(
+    st.one_of(
+        st.floats(min_value=-5, max_value=5),
+        st.sampled_from([0.0, -0.0]),
+        st.floats(min_value=-1e-300, max_value=1e-300),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@st.composite
+def weights_for(draw, values):
+    return draw(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=len(values), max_size=len(values)))
+
+
+@st.composite
+def sorted_supports(draw, max_size=40):
+    values = sorted(draw(st.lists(kernel_values, min_size=1, max_size=max_size, unique=True)))
+    return values, draw(weights_for(values))
+
+
+@st.composite
+def ulp_run_supports(draw):
+    """Runs of neighbouring floats at both ends, so the peak can tie by rounding."""
+    low = draw(kernel_values)
+    high = low + draw(st.floats(min_value=2.0, max_value=100.0))
+    bottom, top = [low], [high]
+    for run, direction in ((bottom, math.inf), (top, -math.inf)):
+        for _ in range(draw(st.integers(0, 3))):
+            run.append(math.nextafter(run[-1], direction))
+    middle = draw(st.lists(st.floats(min_value=low + 0.5, max_value=high - 0.5), max_size=6))
+    values = sorted(set(bottom + middle + top))
+    return values, draw(weights_for(values))
+
+
+@st.composite
+def repeated_supports(draw):
+    """Unsorted values, each present twice, as a chance node's child CEs can be."""
+    pairs = draw(st.lists(st.tuples(kernel_values, st.floats(min_value=1e-6, max_value=1.0)), min_size=1, max_size=12))
+    shuffled = draw(st.permutations(pairs + pairs))
+    return [v for v, _ in shuffled], [w for _, w in shuffled]
+
+
+class TestKernelMatchesFrozen:
+    """The kernel equals the frozen reference bit for bit on every input."""
+
+    @given(sorted_supports(), kernel_ts)
+    @settings(max_examples=150, deadline=None)
+    def test_sorted_distinct(self, support, ts):
+        assert_same_bits(ts, *support)
+
+    @given(ulp_run_supports(), kernel_ts)
+    @settings(max_examples=150, deadline=None)
+    def test_rounding_ties_at_the_peak(self, support, ts):
+        assert_same_bits(ts, *support)
+
+    @given(repeated_supports(), kernel_ts)
+    @settings(max_examples=150, deadline=None)
+    def test_unsorted_repeated_values(self, support, ts):
+        assert_same_bits(ts, *support)
+
+    @given(kernel_values, st.floats(min_value=1e-6, max_value=1.0), kernel_ts)
+    @settings(max_examples=100, deadline=None)
+    def test_one_point_support(self, value, weight, ts):
+        assert_same_bits(ts, [value], [weight])
+
+    @given(st.one_of(sorted_supports(12), ulp_run_supports(), repeated_supports()), kernel_ts, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_of_any_size(self, support, ts, data):
+        # a block of 1 to 3 rows of elements, so a call spans several blocks
+        block = data.draw(st.integers(min_value=1, max_value=3 * len(support[0])))
+        assert_same_bits(ts, *support, block=block)
+
+    def test_mixed_signs_and_zero_in_one_call(self):
+        values = [-40.0, -2.5, 0.0, 13.0, 99.0]
+        assert_same_bits([-2.0, 0.0, 1.5, -0.0, -1e-310, 3e-320, 0.7], values, [0.1, 0.2, 0.3, 0.15, 0.25])
+
+    def test_terms_past_the_float_range_below_the_peak(self):
+        # at t = -1 the term at 1e308 lies 2e308 below the peak: exp gives 0, with no warning
+        ts, values, weights = np.asarray([-1.0, 1.0]), np.asarray([-1e308, 1e308]), np.asarray([0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp(ts, values, weights)
+        with np.errstate(over="ignore"):
+            assert got.tolist() == frozen_logsumexp(ts, values, weights).tolist()
+
+    def test_tied_and_single_peaks_across_a_block_boundary(self):
+        # 21,845 points make blocks of 3 rows, and the support's two lowest
+        # values are neighbouring floats: some t round them to one exponent
+        # and some do not, so tied and single-peak blocks alternate.
+        values = np.linspace(7.9, 60.5, 21_845)
+        values[1] = math.nextafter(7.9, math.inf)
+        weights = np.linspace(1.0, 2.0, len(values))
+        ts = -0.012 * np.geomspace(1.0, 40.0, 60)
+        exponents = ts[:, None] * values[:2]
+        tied = exponents[:, 0] == exponents[:, 1]
+        assert 0 < tied.sum() < len(ts) and _LSE_BLOCK_ELEMENTS // len(values) == 3
+        assert_same_bits(ts, values, weights)
+
+
 class TestComposition:
     def test_independence_factorization(self, rng):
         for _ in range(50):
@@ -258,6 +402,26 @@ class TestStats:
             derivative = (log_mgf(x, h) - log_mgf(x, -h)) / (2 * h)
             mean = stats(x).mean
             assert derivative == pytest.approx(mean, rel=1e-6, abs=1e-6)
+
+    def test_variance_past_the_square_root_of_the_float_range(self):
+        # (1e155)**2 overflows, the variance 1e-10 * (1e155)**2 does not
+        s = stats(make_discrete([(0, 1 - 1e-10), (1e155, 1e-10)]))
+        assert s.variance == pytest.approx(1e300, rel=1e-9)
+
+    @pytest.mark.parametrize("masses", [(0.5, 0.5), (0.9, 0.1)])
+    def test_overflowing_variance_is_inf_without_warning(self, masses):
+        # with masses 0.9 / 0.1 the deviation 1e308 - mean is itself past the float range
+        x = make_discrete([(-1e308, masses[0]), (1e308, masses[1])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stats(x).variance == math.inf
+
+    def test_scaled_variance_keeps_the_plain_bits(self, rng):
+        for _ in range(200):
+            x = scale(random_discrete(rng, n_max=40), 10.0 ** rng.uniform(-30, 30))
+            v, m = x._arrays
+            mean = float(np.dot(m, v))
+            assert stats(x).variance == float(np.dot(m, (v - mean) ** 2))
 
     def test_independent_sum_worst_case(self):
         out = add_independent(make_gaussian(0, 1), make_discrete([(3, 1.0)]))
