@@ -7,9 +7,13 @@ supported algebra the difference curve is a finite exponential sum
 ordering can be certified in closed form: beyond a computable k the
 leading term of the exponential sum, or the flatter line, provably wins.
 Crossings below that certificate are isolated on a geometric grid and
-refined to ROOT_REL_TOL by a safeguarded secant that brackets every root
-of one call at once, which turns the for-all-k definition into a finite,
-checkable procedure.
+refined to ROOT_REL_TOL, which turns the for-all-k definition into a
+finite, checkable procedure.  Every bracket of one call is refined
+together: the first estimate interpolates the grid samples around the
+bracket (inverse quintic in log k), later ones take a secant step from
+the previous round's two points, and a geometric midpoint keeps the
+bracket shrinking whatever the function; on smooth curves one round of
+CE evaluations closes nearly every bracket.
 """
 
 from __future__ import annotations
@@ -233,11 +237,77 @@ def tail_order(x: Prospect, y: Prospect, r: float) -> TailVerdict:
 
 
 def _geometric_grid(k_lo: float, k_hi: float) -> np.ndarray:
+    """``GRID_POINTS_PER_DECADE`` points a decade from k_lo to k_hi.
+
+    The arithmetic of ``np.geomspace`` (numpy's log10 of both ends, an
+    evenly spaced exponent, the ends pinned), without its general-purpose
+    set-up, so the points are the same to the bit.
+    """
     if k_hi <= k_lo:
         return np.asarray([k_lo])
     decades = math.log10(k_hi / k_lo)
     n = max(2, int(math.ceil(GRID_POINTS_PER_DECADE * decades)) + 1)
-    return np.geomspace(k_lo, k_hi, n)
+    a, b = np.log10(k_lo), np.log10(k_hi)
+    exponents = np.arange(n, dtype=float)
+    exponents *= (b - a) / (n - 1)
+    exponents += a
+    exponents[-1] = b
+    ks = np.power(10.0, exponents)
+    ks[0], ks[-1] = k_lo, k_hi
+    return ks
+
+
+# Grid offsets, from a bracket's left end, of the samples its first
+# estimate interpolates: three on either side, the bracket's ends among them.
+_STENCIL = np.arange(-2, 4)
+_LEFT = -int(_STENCIL[0])
+_SAMPLE = np.arange(len(_STENCIL))
+
+
+def _first_estimates(
+    ks: np.ndarray, lo: np.ndarray, hi: np.ndarray, sample: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """A first estimate of the root in each bracket [ks[lo], ks[hi]], or NaN.
+
+    ``sample(cols)`` returns, for an (n, 6) array of grid columns, bracket
+    i's samples at ``cols[i]``.  A bracket of one grid step with three
+    samples on either side (its ends among them) gets inverse quintic
+    interpolation in log k: log k as the polynomial in g through those six
+    samples, read at g = 0.  Its error shrinks as the sixth power of the
+    grid step, so on smooth curves the estimate lands well within the
+    quarter tolerance that lets ``_refine`` close the bracket in one round.
+    The estimate is NaN, and ``_refine`` starts from the end-point secant
+    root, when the bracket spans several steps or lies within two steps of
+    an end of the grid, when the six samples are not strictly monotone (the
+    inverse is then not a function), or when the estimate falls outside
+    the bracket.
+    """
+    # Columns past the left end wrap around; those brackets are not used.
+    cols = np.minimum(lo[:, None] + _STENCIL, len(ks) - 1)
+    g = sample(cols)
+    steps = g[:, 1:] - g[:, :-1]
+    usable = (
+        (hi == lo + 1)
+        & (lo + _STENCIL[0] >= 0)
+        & (lo + _STENCIL[-1] < len(ks))
+        & ((steps > 0.0).all(axis=1) | (steps < 0.0).all(axis=1))
+    )
+    g, cols = g[usable], cols[usable]
+    # Lagrange weights at g = 0: prod_{m != j} g_m / (g_m - g_j), each
+    # diagonal factor (m = j) set to 1.  A product that leaves the float
+    # range gives an estimate that is not inside the bracket.
+    numerators = np.repeat(g[:, None, :], len(_STENCIL), axis=1)
+    denominators = g[:, None, :] - g[:, :, None]
+    numerators[:, _SAMPLE, _SAMPLE] = denominators[:, _SAMPLE, _SAMPLE] = 1.0
+    with np.errstate(all="ignore"):
+        weights = numerators.prod(axis=2) / denominators.prod(axis=2)
+        x = np.log(ks[cols])
+        step = ((x - x[:, _LEFT, None]) * weights).sum(axis=1)
+        estimate = ks[lo[usable]] * np.exp(step)
+    inside = (estimate > ks[lo[usable]]) & (estimate < ks[hi[usable]])
+    out = np.full(len(lo), np.nan)
+    out[usable.nonzero()[0][inside]] = estimate[inside]
+    return out
 
 
 def _refine(
@@ -246,54 +316,73 @@ def _refine(
     hi: np.ndarray,
     g_lo: np.ndarray,
     g_hi: np.ndarray,
+    first: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """A root of each bracket's function in [lo, hi], all brackets refined together.
 
     ``diff(rows, ks)`` evaluates the function of bracket ``rows[i]`` at
     ``ks[i]``; ``g_lo`` and ``g_hi`` are its nonzero, opposite-signed values
     at the ends.  Each round evaluates two points a quarter of
-    ROOT_REL_TOL * b either side of the bracket's secant root, or of its
-    geometric midpoint when the previous round did not halve the bracket
-    (in log k), and keeps the first sub-bracket whose sign flips from the
-    left end.  Once the secant root lands within a quarter tolerance of a
-    root, the two points straddle it and the bracket closes; whatever the
-    function, the log width at least halves every second round.  A bracket
-    stops at b - a <= ROOT_REL_TOL * b and yields its midpoint, or the point
-    where the function is exactly zero.  Each round makes one ``diff`` call
-    with two points per open bracket.
+    ROOT_REL_TOL * b either side of a centre: ``first`` in the first round
+    (the end-point secant root where it is not given or NaN), and later
+    the secant root of the previous round's two points, which lie within
+    half a tolerance of each other, so it is a Newton step with a
+    difference slope.  A round that follows one that did not halve the bracket (in
+    log k) adds its geometric midpoint as a third point.  The bracket kept
+    is the first sub-bracket whose sign flips from the left end.  Once a
+    centre lands within a quarter tolerance of a root, the two points
+    straddle it and the bracket closes; whatever the function, the log
+    width at least halves every second round.  A bracket stops at
+    b - a <= ROOT_REL_TOL * b and yields the secant root of its two ends,
+    or the point where the function is exactly zero.  Each round makes one
+    ``diff`` call with two or three points per open bracket.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     ga, gb = np.array(g_lo, dtype=float), np.array(g_hi, dtype=float)
-    roots = 0.5 * (a + b)
-    secant = np.ones(len(a), dtype=bool)
+    roots = a + ga * (b - a) / (ga - gb)
     active = np.flatnonzero(b - a > ROOT_REL_TOL * b)
+    centre = roots.copy() if first is None else np.where(np.isnan(first), roots, first)
+    halved = np.ones(len(a), dtype=bool)
     while active.size:
         a0, b0, ga0, gb0 = a[active], b[active], ga[active], gb[active]
         half = 0.25 * ROOT_REL_TOL * b0
-        centre = np.where(
-            secant[active], a0 + ga0 * (b0 - a0) / (ga0 - gb0), np.sqrt(a0 * b0)
-        )
         # Width > 4 * half, so both points lie strictly inside the bracket.
-        centre = np.clip(centre, a0 + 2.0 * half, b0 - 2.0 * half)
-        p1, p2 = centre - half, centre + half
-        g = diff(np.repeat(active, 2), np.stack([p1, p2], axis=1).ravel())
-        g1, g2 = g[0::2], g[1::2]
+        c = np.minimum(np.maximum(centre[active], a0 + 2.0 * half), b0 - 2.0 * half)
+        p1, p2 = c - half, c + half
+        stalled = np.flatnonzero(~halved[active])
+        mids = np.sqrt(a0[stalled] * b0[stalled])
+        g = diff(np.concatenate([active, active, active[stalled]]), np.concatenate([p1, p2, mids]))
+        n = len(active)
+        g1, g2 = g[:n], g[n : 2 * n]
+        # Each row: left end, the round's points in ascending order, right end.
+        # A bracket without a midpoint repeats p2, which cannot be kept
+        # as a bracket of zero width.
+        points = np.array([a0, p1, p2, p2, b0]).T
+        values = np.array([ga0, g1, g2, g2, gb0]).T
+        if stalled.size:
+            points[stalled, 3], values[stalled, 3] = mids, g[2 * n :]
+            order = np.argsort(points[stalled, 1:4], axis=1) + 1
+            points[stalled, 1:4] = np.take_along_axis(points[stalled], order, axis=1)
+            values[stalled, 1:4] = np.take_along_axis(values[stalled], order, axis=1)
+        hit = (values == 0.0) | ((values > 0.0) != (ga0 > 0.0)[:, None])
+        j = hit.argmax(axis=1)
+        rows = np.arange(n)
+        a1, b1 = points[rows, j - 1], points[rows, j]
+        ga1, gb1 = values[rows, j - 1], values[rows, j]
+        zero = gb1 == 0.0
+        a[active], b[active], ga[active], gb[active] = a1, b1, ga1, gb1
+        halved[active] = np.square(b1 / a1) <= b0 / a0
 
-        left_positive = ga0 > 0.0
-        zero1 = g1 == 0.0
-        flip1 = ~zero1 & ((g1 > 0.0) != left_positive)
-        past1 = ~zero1 & ~flip1
-        zero2 = past1 & (g2 == 0.0)
-        flip2 = past1 & ~zero2 & ((g2 > 0.0) != left_positive)
-        a1 = np.where(flip1, a0, np.where(flip2, p1, p2))
-        b1 = np.where(flip1, p1, np.where(flip2, p2, b0))
-        a[active], b[active] = a1, b1
-        ga[active] = np.where(flip1, ga0, np.where(flip2, g1, g2))
-        gb[active] = np.where(flip1, g1, np.where(flip2, g2, gb0))
-        secant[active] = 2.0 * np.log(b1 / a1) <= np.log(b0 / a0)
-
-        roots[active] = np.where(zero1, p1, np.where(zero2, p2, 0.5 * (a1 + b1)))
-        active = active[~(zero1 | zero2 | (b1 - a1 <= ROOT_REL_TOL * b1))]
+        # Next centre: the secant root through (p1, g1) and (p2, g2), or the
+        # new bracket's end-point secant root where that one does not lie
+        # inside the bracket.  Where g1 = g2 it is taken as p1, an end of
+        # the new bracket or outside it.
+        ends = a1 + ga1 * (b1 - a1) / (ga1 - gb1)
+        slope = np.where(g1 != g2, g1 - g2, np.inf)
+        newton = p1 + g1 * (p2 - p1) / slope
+        centre[active] = np.where((newton > a1) & (newton < b1), newton, ends)
+        roots[active] = np.where(zero, b1, ends)
+        active = active[~(zero | (b1 - a1 <= ROOT_REL_TOL * b1))]
     return roots
 
 
@@ -334,7 +423,10 @@ def _scan_difference(
             # Certificate guarantees g >= 0 beyond the scan window.
             threshold = float(ks[-1])
 
-    roots = _refine(g, ks[lo], ks[hi], gs[lo], gs[hi]).tolist()
+    roots = []
+    if len(lo):
+        guess = _first_estimates(ks, lo, hi, lambda cols: gs[cols])
+        roots = _refine(g, ks[lo], ks[hi], gs[lo], gs[hi], guess).tolist()
     if len(roots) > crossing_count:
         threshold = roots[-1]
     return threshold, tuple(roots[:crossing_count]), ks, gs, tols
@@ -494,9 +586,12 @@ def _grid_envelope(
             g[used] += np.where(left[used] == p, ce, -ce)
         return g
 
-    cuts[crossing] = _refine(
-        diff, ks[t[crossing]], ks[t[crossing] + 1], g_lo[crossing], g_hi[crossing]
-    )
+    if first.size:
+        lo, g_lo, g_hi = t[crossing], g_lo[crossing], g_hi[crossing]
+        guess = _first_estimates(
+            ks, lo, lo + 1, lambda cols: ces[first[:, None], cols] - ces[second[:, None], cols]
+        )
+        cuts[crossing] = _refine(diff, ks[lo], ks[lo + 1], g_lo, g_hi, guess)
     bounds = [k_lo, *cuts.tolist(), k_hi]
     spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 

@@ -12,6 +12,7 @@ ln E{exp(t*X)} and its exact mean / variance / worst case.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Tuple, Union
@@ -51,6 +52,9 @@ CONVOLUTION_SUPPORT_CAP = 1_000_000
 # (512 KB of float64): a long k grid over a wide support is evaluated in
 # row blocks, so its working set stays that of a single wide evaluation.
 _LSE_BLOCK_ELEMENTS = 1 << 16
+
+_HALF_FLOAT_MAX = 0.5 * float(np.finfo(float).max)
+_TINY_PEAK_WEIGHT = 2.0**-960
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -256,51 +260,83 @@ def _logsumexp(ts: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.nd
     precision when one term dominates.  Rounding is monotone, so the largest
     exponent t*value sits at the smallest value when t < 0 and at the
     largest otherwise: the peak is read from those two columns, not found
-    by a max pass.  When every row of a block has a single top element, its
+    by a max pass, and when every t has one sign it is one column for the
+    whole call.  When every row of a block has a single top element, its
     weight is that column's and only that column is left out of the sum;
     a block with a tied peak (repeated values, rounding ties, t = 0) masks
     every element equal to its row's peak.  Both give the bits of a max
     pass and a full mask, so a row's result does not depend on the block
     it falls in.  Rows are processed in blocks of at most
-    ``_LSE_BLOCK_ELEMENTS`` elements, in one buffer.  Raises OverflowError
-    when any exponent t*value, or any result, is not finite.
+    ``_LSE_BLOCK_ELEMENTS`` elements; a call of several blocks reuses one
+    buffer.  Raises OverflowError when any exponent t*value, or any result,
+    is not finite.
     """
     low, high = int(values.argmin()), int(values.argmax())
+    t_lo, t_hi = float(ts.min()), float(ts.max())
     # Some t*value overflows exactly when the product of the two largest
     # magnitudes does.
-    reach = float(np.abs(ts).max()) * max(abs(float(values[low])), abs(float(values[high])))
+    reach = max(abs(t_lo), abs(t_hi)) * max(abs(float(values[low])), abs(float(values[high])))
     if not math.isfinite(reach):
         raise OverflowError(f"log-MGF overflow: |t*value| reaches {reach!r}")
-    columns = np.where(ts < 0.0, low, high)
+    if t_hi < 0.0:
+        columns: Union[int, np.ndarray] = low
+    elif t_lo >= 0.0:
+        columns = high
+    else:
+        columns = np.where(ts < 0.0, low, high)
     peaks = ts * values[columns]
-    out = np.empty(len(ts))
     rows = max(1, _LSE_BLOCK_ELEMENTS // len(values))
-    buffer = np.empty((min(rows, len(ts)), len(values)))
     # A shifted exponent more than the float range below its peak is -inf,
-    # whose exp is the 0 it stands for.
-    with np.errstate(divide="ignore", over="ignore"):
-        for lo in range(0, len(ts), rows):
-            column, peak = columns[lo : lo + rows], peaks[lo : lo + rows, None]
-            block = np.multiply.outer(ts[lo : lo + rows], values, out=buffer[: len(column)])
-            top = block == peak
-            if np.count_nonzero(top) == len(column):
-                at_peak = weights[column]
-                top = (np.arange(len(column)), column)
-            else:
-                at_peak = (weights * top).sum(axis=1)
-            block -= peak
-            np.exp(block, out=block)
-            block *= weights
-            block[top] = 0.0
-            rest = np.log1p(block.sum(axis=1) / at_peak)
-            out[lo : lo + rows] = rest + np.log(at_peak) + peak[:, 0]
+    # whose exp is the 0 it stands for, and a row's sum divided by a tiny
+    # peak weight can overflow (the result is then out of range).  Neither
+    # can happen when every |t*value| is below half the float range and the
+    # peak weights are at least 2**-960 of weights summing to under 1e19:
+    # the weights are a Discrete's masses, which its constructor checks sum
+    # to 1.
+    noisy = reach > _HALF_FLOAT_MAX or min(weights[low], weights[high]) < _TINY_PEAK_WEIGHT
+    with np.errstate(divide="ignore", over="ignore") if noisy else nullcontext():
+        if len(ts) <= rows:
+            out = _lse_block(np.multiply.outer(ts, values), peaks, columns, weights)
+        else:
+            out = np.empty(len(ts))
+            buffer = np.empty((rows, len(values)))
+            for lo in range(0, len(ts), rows):
+                part = ts[lo : lo + rows]
+                block = np.multiply.outer(part, values, out=buffer[: len(part)])
+                column = columns if isinstance(columns, int) else columns[lo : lo + rows]
+                out[lo : lo + rows] = _lse_block(block, peaks[lo : lo + rows], column, weights)
     if not np.isfinite(out).all():
         raise OverflowError("log-MGF overflow: result out of floating-point range")
     return out
 
 
+def _lse_block(
+    block: np.ndarray, peaks: np.ndarray, column: Union[int, np.ndarray], weights: np.ndarray
+) -> np.ndarray:
+    """The log-sum-exp of each row of ``block`` (t*value, overwritten) given its peak."""
+    peak = peaks[:, None]
+    top = block == peak
+    if np.count_nonzero(top) == len(block):
+        at_peak = weights[column]
+        top = (slice(None), column) if isinstance(column, int) else (np.arange(len(block)), column)
+    else:
+        at_peak = (weights * top).sum(axis=1)
+    block -= peak
+    np.exp(block, out=block)
+    block *= weights
+    block[top] = 0.0
+    return np.log1p(block.sum(axis=1) / at_peak) + np.log(at_peak) + peaks
+
+
 def _log_mgf_grid(prospect: Prospect, ts: np.ndarray) -> np.ndarray:
-    """ln E{exp(t*X)} for every t in a 1-D float array."""
+    """ln E{exp(t*X)} for every t in a 1-D float array.
+
+    An IndependentSum adds its terms' columns in term order, one rounding
+    per addition: with two terms that is the correctly rounded sum, bit for
+    bit what ``math.fsum`` gives; with n >= 3 terms the sum is within
+    (n - 1) * u / (1 - (n - 1) * u) * sum |term| of the exact sum of the
+    term values, u = 2**-53 (the bound of recursive summation).
+    """
     if isinstance(prospect, Discrete):
         return _logsumexp(ts, *prospect._arrays)
     if isinstance(prospect, Gaussian):
@@ -316,8 +352,14 @@ def _log_mgf_grid(prospect: Prospect, ts: np.ndarray) -> np.ndarray:
     if isinstance(prospect, Affine):
         return _log_mgf_grid(prospect.base, prospect.scale * ts) + prospect.offset * ts
     if isinstance(prospect, IndependentSum):
-        parts = [_log_mgf_grid(term, ts) for term in prospect.terms]
-        return np.asarray([math.fsum(column) for column in zip(*parts)])
+        terms = iter(prospect.terms)
+        out = _log_mgf_grid(next(terms), ts)
+        with np.errstate(over="ignore"):
+            for term in terms:
+                out += _log_mgf_grid(term, ts)
+        if not np.isfinite(out).all():
+            raise OverflowError("log-MGF overflow: sum of terms out of floating-point range")
+        return out
     raise TypeError(f"not a prospect: {prospect!r}")
 
 

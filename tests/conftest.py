@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from flexcurve import (
+    Affine,
     ChanceNode,
     DecisionNode,
     DecisionTree,
+    Gaussian,
+    IndependentSum,
     TerminalNode,
     make_discrete,
     money_of_utility,
@@ -46,6 +49,39 @@ def expected_utility_ce(prospect, r):
         m * utility_of_money(v, r) for v, m in zip(prospect.values, prospect.masses)
     )
     return money_of_utility(eu, r)
+
+
+def mp_certain_equivalent(prospect, rho):
+    """CE(X|rho) in mpmath at its working precision, from the prospect's float data.
+
+    Discrete, Gaussian, Affine and IndependentSum prospects; the caller
+    imports mpmath (``pytest.importorskip``) and sets the precision.
+    """
+    import mpmath as mp
+
+    if isinstance(prospect, Gaussian):
+        return mp.mpf(prospect.mean) - mp.mpf(prospect.variance) * rho / 2
+    if isinstance(prospect, Affine):
+        s = mp.mpf(prospect.scale)
+        return s * mp_certain_equivalent(prospect.base, s * rho) + mp.mpf(prospect.offset)
+    if isinstance(prospect, IndependentSum):
+        return mp.fsum(mp_certain_equivalent(term, rho) for term in prospect.terms)
+    total = mp.fsum(mp.mpf(m) * mp.exp(-rho * mp.mpf(v)) for v, m in zip(prospect.values, prospect.masses))
+    return -mp.log(total) / rho
+
+
+def mp_crossing(x, y, r, near, rel=1e-6):
+    """The root of CE(X|kr) - CE(Y|kr) within ``rel`` of ``near``, to 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        r = mp.mpf(r)
+
+        def g(k):
+            return mp_certain_equivalent(x, k * r) - mp_certain_equivalent(y, k * r)
+
+        bracket = (mp.mpf(near) * (1 - rel), mp.mpf(near) * (1 + rel))
+        return float(mp.findroot(g, bracket, solver="anderson"))
 
 
 def random_tree(rng, depth=4, payoff_span=30.0, branching=(2, 3)):

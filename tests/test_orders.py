@@ -20,9 +20,18 @@ from flexcurve import (
     tail_order,
     upper_envelope,
 )
-from flexcurve.orders import _TIE_EPS, ROOT_REL_TOL, _discrete_tail, _refine
+from flexcurve import orders
+from flexcurve.orders import (
+    _TIE_EPS,
+    GRID_POINTS_PER_DECADE,
+    ROOT_REL_TOL,
+    _discrete_tail,
+    _first_estimates,
+    _geometric_grid,
+    _refine,
+)
 
-from conftest import expected_utility_ce, random_discrete
+from conftest import expected_utility_ce, mp_crossing, random_discrete
 
 
 def bisect_threshold_oracle(x, y, r, lo, hi, tol=1e-10):
@@ -405,6 +414,167 @@ class TestRefine:
         roots = _refine(diff, np.array([2.0]), np.array([2.0 * (1.0 + ROOT_REL_TOL)]), np.array([-1.0]), np.array([1.0]))
         assert roots[0] == pytest.approx(2.0, rel=ROOT_REL_TOL)
         assert calls == []
+
+
+def crossing_pairs(rng, count=40, r=0.1):
+    """Random discrete pairs moved so that their CE curves meet at a drawn k*."""
+    pairs = []
+    for _ in range(count):
+        x, y = random_discrete(rng), random_discrete(rng)
+        k_star = float(10 ** rng.uniform(0.1, 1.2))
+        pairs.append((x, shift(y, certain_equivalent(x, k_star * r) - certain_equivalent(y, k_star * r))))
+    return pairs
+
+
+def sampled_brackets(g, ks):
+    """One-step brackets of g's sign changes on the grid, and g's samples there."""
+    gs = g(ks)
+    lo = np.flatnonzero((gs[:-1] > 0.0) != (gs[1:] > 0.0))
+    return gs, lo, lo + 1
+
+
+class TestFirstEstimates:
+    """The scan's own samples seed each bracket, so smooth crossings close in one round."""
+
+    def test_scan_brackets_close_in_one_round(self, rng, monkeypatch):
+        calls_per_bracket = []
+        refine = orders._refine
+
+        def counting(diff, lo, hi, g_lo, g_hi, first=None):
+            seen = []
+
+            def recorded(rows, ks):
+                seen.append(set(rows.tolist()))
+                return diff(rows, ks)
+
+            roots = refine(recorded, lo, hi, g_lo, g_hi, first)
+            calls_per_bracket.extend(sum(i in rows for rows in seen) for i in range(len(lo)))
+            return roots
+
+        monkeypatch.setattr(orders, "_refine", counting)
+        for x, y in crossing_pairs(rng):
+            compare(x, y, 0.1)
+            find_threshold(x, y, 0.1)
+        assert len(calls_per_bracket) >= 40
+        assert sum(n <= 1 for n in calls_per_bracket) >= 0.9 * len(calls_per_bracket)
+        assert max(calls_per_bracket) <= 3
+
+    def test_crossings_match_an_independent_root(self, rng):
+        pytest.importorskip("mpmath")
+        checked = 0
+        for x, y in crossing_pairs(rng):
+            for c in compare(x, y, 0.1).crossings:
+                root = mp_crossing(x, y, 0.1, c)
+                assert abs(c - root) <= 1e-11 * root
+                checked += 1
+        assert checked >= 40
+
+    def closes(self, g, ks, lo, hi, gs, first):
+        diff, calls = counted(lambda rows, k: g(k))
+        roots = _refine(diff, ks[lo], ks[hi], gs[lo], gs[hi], first)
+        assert len(calls) <= round_bound(ks[lo], ks[hi])
+        return roots
+
+    def test_smooth_crossing_estimate_is_within_a_quarter_tolerance(self):
+        ks = _geometric_grid(1.0, 10.0)
+
+        def g(k):
+            return np.log(k) ** 2 - 1.3
+
+        gs, lo, hi = sampled_brackets(g, ks)
+        first = _first_estimates(ks, lo, hi, lambda cols: gs[cols])
+        root = math.exp(math.sqrt(1.3))
+        assert abs(first[0] - root) <= 0.25 * ROOT_REL_TOL * root
+        diff, calls = counted(lambda rows, k: g(k))
+        refined = _refine(diff, ks[lo], ks[hi], gs[lo], gs[hi], first)
+        assert len(calls) == 1
+        assert abs(refined[0] - root) <= 1e-14 * root
+
+    def test_non_monotone_samples_fall_back(self):
+        ks = _geometric_grid(1.0, 10.0)
+        i = 300
+        k0 = 0.5 * (ks[i] + ks[i + 1])
+        k1 = 0.5 * (ks[i - 2] + ks[i - 1])  # a second root two steps to the left
+
+        def g(k):
+            return (k - k0) * (k - k1)
+
+        gs, lo, hi = sampled_brackets(g, ks)
+        assert lo.tolist() == [i - 2, i]
+        first = _first_estimates(ks, lo, hi, lambda cols: gs[cols])
+        assert np.isnan(first).all()
+        roots = self.closes(g, ks, lo, hi, gs, first)
+        assert np.allclose(roots, [k1, k0], rtol=ROOT_REL_TOL, atol=0.0)
+
+    def test_brackets_at_the_grid_ends_fall_back(self):
+        ks = _geometric_grid(1.0, 10.0)
+        k0, k1 = 0.5 * (ks[0] + ks[1]), 0.5 * (ks[-2] + ks[-1])
+
+        def g(k):
+            return (k - k0) * (k1 - k)
+
+        gs, lo, hi = sampled_brackets(g, ks)
+        assert lo.tolist() == [0, len(ks) - 2]
+        first = _first_estimates(ks, lo, hi, lambda cols: gs[cols])
+        assert np.isnan(first).all()
+        roots = self.closes(g, ks, lo, hi, gs, first)
+        assert np.allclose(roots, [k0, k1], rtol=ROOT_REL_TOL, atol=0.0)
+
+    def test_multi_step_bracket_falls_back(self):
+        # a threshold bracket skips samples within the tie tolerance
+        ks = _geometric_grid(1.0, 10.0)
+        k0 = 0.5 * (ks[200] + ks[201])
+
+        def g(k):
+            return np.log(k / k0)
+
+        gs = g(ks)
+        lo, hi = np.array([199]), np.array([203])
+        first = _first_estimates(ks, lo, hi, lambda cols: gs[cols])
+        assert np.isnan(first).all()
+        roots = self.closes(g, ks, lo, hi, gs, first)
+        assert abs(roots[0] - k0) <= ROOT_REL_TOL * k0
+
+    def test_estimate_outside_the_bracket_falls_back(self):
+        # arctan of a steep line: strictly monotone samples, but nearly flat
+        # away from the root, so the interpolating polynomial overshoots
+        ks = _geometric_grid(1.0, 10.0)
+        k0 = ks[250] + 0.1 * (ks[251] - ks[250])
+
+        def g(k):
+            return np.arctan(1e3 * (k - k0))
+
+        gs, lo, hi = sampled_brackets(g, ks)
+        assert lo.tolist() == [250]
+        steps = np.diff(gs[lo[0] - 2 : lo[0] + 4])
+        assert np.all(steps > 0.0)
+        first = _first_estimates(ks, lo, hi, lambda cols: gs[cols])
+        assert np.isnan(first).all()
+        roots = self.closes(g, ks, lo, hi, gs, first)
+        assert abs(roots[0] - k0) <= ROOT_REL_TOL * k0
+
+    def test_no_brackets_cost_nothing(self):
+        diff, calls = counted(lambda rows, ks: ks)
+        empty = np.empty(0)
+        assert _refine(diff, empty, empty, empty, empty).size == 0
+        assert calls == []
+
+
+class TestGeometricGrid:
+    def test_matches_geomspace_bit_for_bit(self, rng):
+        for _ in range(2_000):
+            k_lo = float(10 ** rng.uniform(-3.0, 3.0))
+            k_hi = k_lo * float(10 ** rng.uniform(1e-4, 3.0))
+            n = max(2, int(math.ceil(GRID_POINTS_PER_DECADE * math.log10(k_hi / k_lo))) + 1)
+            assert _geometric_grid(k_lo, k_hi).tolist() == np.geomspace(k_lo, k_hi, n).tolist()
+
+    def test_long_scan_and_degenerate_ranges(self):
+        grid = _geometric_grid(1.0, 1.82575004811e17)
+        n = len(grid)
+        assert grid.tolist() == np.geomspace(1.0, 1.82575004811e17, n).tolist()
+        assert _geometric_grid(2.0, 2.0).tolist() == [2.0]
+        tiny = _geometric_grid(1.0, math.nextafter(1.0, 2.0))
+        assert tiny.tolist() == [1.0, math.nextafter(1.0, 2.0)]
 
 
 class TestBatchedEvaluation:

@@ -21,7 +21,7 @@ from flexcurve import (
     stats,
 )
 from flexcurve import prospects
-from flexcurve.prospects import _LSE_BLOCK_ELEMENTS, _logsumexp
+from flexcurve.prospects import _LSE_BLOCK_ELEMENTS, _log_mgf_grid, _logsumexp
 
 from conftest import random_discrete
 
@@ -210,6 +210,16 @@ class TestLogSumExpKernel:
             _logsumexp(np.asarray([-1e10]), np.asarray([0.0, 1e300]), np.asarray([0.5, 0.5]))
 
 
+    def test_tiny_peak_weight_raises_without_a_warning(self):
+        # the rest of the row over a peak weight of 1e-310 leaves the float
+        # range: the kernel reports an overflow, and numpy prints nothing
+        ts, values, weights = np.asarray([-1.0]), np.asarray([0.0, 1.0]), np.asarray([1e-310, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="out of floating-point range"):
+                _logsumexp(ts, values, weights)
+
+
 def frozen_logsumexp(ts, values, weights):
     """The kernel as it was before it read the peak from the support's ends.
 
@@ -377,6 +387,45 @@ class TestComposition:
         explicit = shift(scale(x, 2.0), -10.0)
         for t in (-0.05, 0.02):
             assert log_mgf(lazy, t) == pytest.approx(log_mgf(explicit, t), abs=1e-12)
+
+
+class TestLazySumColumns:
+    """An IndependentSum adds its terms' log-MGF columns in term order."""
+
+    def terms(self, rng, count):
+        kinds = [
+            lambda: random_discrete(rng),
+            lambda: make_gaussian(float(rng.uniform(-20, 20)), float(rng.uniform(0.0, 300.0))),
+            lambda: Affine(random_discrete(rng), float(rng.uniform(0.5, 3.0)), float(rng.uniform(-9, 9))),
+        ]
+        return tuple(kinds[int(rng.integers(len(kinds)))]() for _ in range(count))
+
+    def test_two_terms_equal_fsum(self, rng):
+        ts = -np.geomspace(1e-3, 2.0, 300)
+        for _ in range(40):
+            terms = self.terms(rng, 2)
+            columns = [_log_mgf_grid(term, ts) for term in terms]
+            want = [math.fsum(pair) for pair in zip(*columns)]
+            assert _log_mgf_grid(IndependentSum(terms), ts).tolist() == want
+
+    def test_more_terms_within_the_stated_bound(self, rng):
+        ts = np.concatenate([-np.geomspace(1e-3, 2.0, 200), np.geomspace(1e-3, 0.5, 50)])
+        u = 2.0**-53
+        for count in (3, 4, 7):
+            for _ in range(15):
+                terms = self.terms(rng, count)
+                columns = np.asarray([_log_mgf_grid(term, ts) for term in terms])
+                got = _log_mgf_grid(IndependentSum(terms), ts)
+                exact = np.asarray([math.fsum(column) for column in columns.T])
+                gamma = (count - 1) * u / (1.0 - (count - 1) * u)
+                assert np.all(np.abs(got - exact) <= gamma * np.abs(columns).sum(axis=0))
+
+    def test_sum_out_of_range_raises(self):
+        big = make_gaussian(0.0, 1e300)  # each term 1.1e308 at t = 1.5e4, their sum past the range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="log-MGF overflow"):
+                _log_mgf_grid(IndependentSum((big, big)), np.asarray([1.5e4]))
 
 
 class TestStats:
