@@ -7,13 +7,25 @@ independent prospects.  Everything downstream (certain equivalents,
 flexibility curves, orderings) is driven by the log moment generating
 function, so each representation only has to know how to evaluate
 ln E{exp(t*X)} and its exact mean / variance / worst case.
+
+Under constant risk aversion the log-MGF adds over independent parts, so
+a sum costs the sum of its parts, not the product of their supports.  A
+Discrete built by ``add_independent`` as an exact convolution therefore
+remembers its factors: the independent discrete parts it was convolved
+from, flattened and in term order.  Its log-MGF, mean and variance are
+read from the factors whenever they hold fewer points than its merged
+support (lazily, as an IndependentSum of them); otherwise, and for every
+other Discrete, from the support.  The support is still built in full,
+and everything that needs the distribution itself (tail certificates,
+the worst case, further convolutions, printing) reads it.  The factors
+take no part in equality, hashing or repr.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Tuple, Union
 
@@ -70,6 +82,9 @@ class Discrete:
 
     values: Tuple[float, ...]
     masses: Tuple[float, ...]
+    # The independent discrete parts this is the exact convolution of, in
+    # term order; () unless built by a convolution (see add_independent).
+    _factors: Tuple["Discrete", ...] = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.values:
@@ -95,6 +110,14 @@ class Discrete:
         for a in arrays:
             a.flags.writeable = False
         return arrays
+
+    @cached_property
+    def _factored(self) -> "IndependentSum | None":
+        """The lazy sum of the factors, when they hold fewer points than the support."""
+        factors = self._factors
+        if factors and sum(len(f.values) for f in factors) < len(self.values):
+            return IndependentSum(factors)
+        return None
 
 
 @dataclass(frozen=True)
@@ -187,7 +210,10 @@ def scale(prospect: Prospect, k: float) -> Prospect:
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"scale factor must be positive and finite, got {k!r}")
     if isinstance(prospect, Discrete):
-        return Discrete(tuple(v * k for v in prospect.values), prospect.masses)
+        return _with_factors(
+            Discrete(tuple(v * k for v in prospect.values), prospect.masses),
+            (scale(f, k) for f in prospect._factors),
+        )
     if isinstance(prospect, Gaussian):
         return Gaussian(prospect.mean * k, prospect.variance * k * k)
     if isinstance(prospect, Affine):
@@ -201,7 +227,10 @@ def shift(prospect: Prospect, c: float) -> Prospect:
     """Prospect distributed as X + c."""
     c = _require_finite(c, "shift amount")
     if isinstance(prospect, Discrete):
-        return Discrete(tuple(v + c for v in prospect.values), prospect.masses)
+        return _with_factors(
+            Discrete(tuple(v + c for v in prospect.values), prospect.masses),
+            (shift(f, c) if i == 0 else f for i, f in enumerate(prospect._factors)),
+        )
     if isinstance(prospect, Gaussian):
         return Gaussian(prospect.mean + c, prospect.variance)
     if isinstance(prospect, Affine):
@@ -230,6 +259,21 @@ def convolve_supports(
     return tuple(uniq.tolist()), tuple((agg / total).tolist())
 
 
+def _with_factors(prospect: Discrete, factors: Iterable[Discrete]) -> Discrete:
+    """``prospect``, remembering the given factors.
+
+    A scale or a shift can make a factor's values collide or overflow where
+    the support's do not, and building that factor raises ValueError; the
+    factors are then dropped, and the support, which is exact, is read.
+    """
+    try:
+        kept = tuple(factors)
+    except ValueError:
+        kept = ()
+    object.__setattr__(prospect, "_factors", kept)
+    return prospect
+
+
 def _sum_terms(prospect: Prospect) -> Tuple[Prospect, ...]:
     if isinstance(prospect, IndependentSum):
         return prospect.terms
@@ -242,11 +286,19 @@ def add_independent(x: Prospect, z: Prospect) -> Prospect:
     Discrete + Discrete gives the exact convolution (unless the support cap
     is hit), Gaussian + Gaussian stays Gaussian, everything else is a lazy
     IndependentSum evaluated through the MGF.
+
+    The convolution remembers its factors: x's and z's own factors (or x
+    and z themselves, when they were not built by a convolution), in that
+    order.  Its log-MGF, mean and variance are read from them whenever they
+    hold fewer points than its merged support, for instance 3 factors of 10
+    points against 1,000; ten {0, 1} coins, 20 points against 11, are read
+    from the support.  Its values, masses and worst case are always the
+    support's.
     """
     if isinstance(x, Discrete) and isinstance(z, Discrete):
         merged = convolve_supports(x, z)
         if merged is not None:
-            return Discrete(*merged)
+            return _with_factors(Discrete(*merged), (x._factors or (x,)) + (z._factors or (z,)))
     if isinstance(x, Gaussian) and isinstance(z, Gaussian):
         return Gaussian(x.mean + z.mean, x.variance + z.variance)
     return IndependentSum(_sum_terms(x) + _sum_terms(z))
@@ -288,15 +340,15 @@ def _logsumexp(ts: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.nd
     rows = max(1, _LSE_BLOCK_ELEMENTS // len(values))
     # A shifted exponent more than the float range below its peak is -inf,
     # whose exp is the 0 it stands for, and a row's sum divided by a tiny
-    # peak weight can overflow (the result is then out of range).  Neither
-    # can happen when every |t*value| is below half the float range and the
-    # peak weights are at least 2**-960 of weights summing to under 1e19:
-    # the weights are a Discrete's masses, which its constructor checks sum
-    # to 1.
+    # peak weight can overflow (_lse_block then sums the row with its peak
+    # weight instead).  Neither can happen when every |t*value| is below
+    # half the float range and the peak weights are at least 2**-960 of
+    # weights summing to under 1e19: the weights are a Discrete's masses,
+    # which its constructor checks sum to 1.
     noisy = reach > _HALF_FLOAT_MAX or min(weights[low], weights[high]) < _TINY_PEAK_WEIGHT
     with np.errstate(divide="ignore", over="ignore") if noisy else nullcontext():
         if len(ts) <= rows:
-            out = _lse_block(np.multiply.outer(ts, values), peaks, columns, weights)
+            out = _lse_block(np.multiply.outer(ts, values), peaks, columns, weights, noisy)
         else:
             out = np.empty(len(ts))
             buffer = np.empty((rows, len(values)))
@@ -304,16 +356,24 @@ def _logsumexp(ts: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.nd
                 part = ts[lo : lo + rows]
                 block = np.multiply.outer(part, values, out=buffer[: len(part)])
                 column = columns if isinstance(columns, int) else columns[lo : lo + rows]
-                out[lo : lo + rows] = _lse_block(block, peaks[lo : lo + rows], column, weights)
+                out[lo : lo + rows] = _lse_block(block, peaks[lo : lo + rows], column, weights, noisy)
     if not np.isfinite(out).all():
         raise OverflowError("log-MGF overflow: result out of floating-point range")
     return out
 
 
 def _lse_block(
-    block: np.ndarray, peaks: np.ndarray, column: Union[int, np.ndarray], weights: np.ndarray
+    block: np.ndarray,
+    peaks: np.ndarray,
+    column: Union[int, np.ndarray],
+    weights: np.ndarray,
+    noisy: bool,
 ) -> np.ndarray:
-    """The log-sum-exp of each row of ``block`` (t*value, overwritten) given its peak."""
+    """The log-sum-exp of each row of ``block`` (t*value, overwritten) given its peak.
+
+    When ``noisy``, a row whose sum over its peak weight overflows is
+    log(sum + peak weight) + peak instead; every other row keeps its bits.
+    """
     peak = peaks[:, None]
     top = block == peak
     if np.count_nonzero(top) == len(block):
@@ -325,7 +385,13 @@ def _lse_block(
     np.exp(block, out=block)
     block *= weights
     block[top] = 0.0
-    return np.log1p(block.sum(axis=1) / at_peak) + np.log(at_peak) + peaks
+    rest = block.sum(axis=1)
+    ratio = rest / at_peak
+    out = np.log1p(ratio) + np.log(at_peak) + peaks
+    if noisy:
+        over = np.isinf(ratio)
+        out[over] = (np.log(rest + at_peak) + peaks)[over]
+    return out
 
 
 def _log_mgf_grid(prospect: Prospect, ts: np.ndarray) -> np.ndarray:
@@ -338,6 +404,8 @@ def _log_mgf_grid(prospect: Prospect, ts: np.ndarray) -> np.ndarray:
     term values, u = 2**-53 (the bound of recursive summation).
     """
     if isinstance(prospect, Discrete):
+        if prospect._factored is not None:
+            return _log_mgf_grid(prospect._factored, ts)
         return _logsumexp(ts, *prospect._arrays)
     if isinstance(prospect, Gaussian):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -376,6 +444,9 @@ def log_mgf(prospect: Prospect, t: float) -> float:
 def stats(prospect: Prospect) -> ProspectStats:
     """Exact mean, variance and worst case, composed by independence."""
     if isinstance(prospect, Discrete):
+        if prospect._factored is not None:
+            s = stats(prospect._factored)
+            return ProspectStats(s.mean, s.variance, prospect.values[0])
         v, m = prospect._arrays
         mean = float(np.dot(m, v))
         # Deviations are scaled by 2**-e, with 2**e above the largest of them

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from .prospects import Discrete, make_discrete
+from .prospects import MASS_SUM_TOLERANCE, Discrete, make_discrete
 from .trees import ChanceNode, DecisionNode, DecisionTree, TerminalNode
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "adaptive_template",
     "stigler_scenario",
 ]
-
-_PROB_SUM_TOL = 1e-9
 
 ObservationTable = Union[
     Sequence[Tuple[str, float]],
@@ -92,7 +90,7 @@ class AdaptiveSpec:
             if any(not (p > 0.0) for _, p in obs):
                 raise ValueError(f"nonpositive observation probability under {label!r}")
             total = math.fsum(p for _, p in obs)
-            if abs(total - 1.0) > _PROB_SUM_TOL:
+            if abs(total - 1.0) > MASS_SUM_TOLERANCE:
                 raise ValueError(
                     f"observation probabilities under {label!r} sum to {total!r}"
                 )
@@ -166,7 +164,7 @@ class StiglerSpec:
         if any(not (p > 0.0) for _, p in grid):
             raise ValueError("quantity probabilities must be positive")
         total = math.fsum(p for _, p in grid)
-        if abs(total - 1.0) > _PROB_SUM_TOL:
+        if abs(total - 1.0) > MASS_SUM_TOLERANCE:
             raise ValueError(f"quantity probabilities sum to {total!r}, expected 1")
         cost_one = {float(q): float(c) for q, c in dict(self.cost_one).items()}
         cost_two = {float(q): float(c) for q, c in dict(self.cost_two).items()}

@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, U
 
 import numpy as np
 
-from .prospects import Discrete, make_discrete
+from .prospects import MASS_SUM_TOLERANCE, Discrete, make_discrete
 from .valuation import FlexibilityCurve, _check_k_grid, check_risk_aversion
 
 __all__ = [
@@ -46,7 +46,8 @@ __all__ = [
     "POLICY_COUNT_CAP",
 ]
 
-PROBABILITY_SUM_TOLERANCE = 1e-9
+# Chance-node probabilities get the same slack as a discrete prospect's masses.
+PROBABILITY_SUM_TOLERANCE = MASS_SUM_TOLERANCE
 POLICY_COUNT_CAP = 1_000_000
 
 
