@@ -76,7 +76,7 @@ def _column(doc: ModelDocument, pid: str, r: float, ks: Tuple[float, ...]) -> Li
     if pid in doc.prospects:
         curve = valuation.flexibility_curve(doc.prospects[pid], r, ks, pid)
         return list(curve.ces)
-    if doc.tree is not None and pid in doc.tree.nodes:
+    if doc.tree is not None and pid in doc.tree._table:
         return list(trees.node_curve(doc.tree, pid, r, ks).ces)
     raise ValueError(f"unknown prospect or tree node id {pid!r}")
 

@@ -11,22 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-import numpy as np
-
-from .prospects import (
-    Affine,
-    Discrete,
-    Gaussian,
-    IndependentSum,
-    Prospect,
-    make_discrete,
-    make_gaussian,
-)
+from .prospects import Affine, IndependentSum, Prospect, make_discrete, make_gaussian
 from .scenarios import AdaptiveSpec, Commitment, StiglerSpec
-from .trees import ChanceNode, DecisionNode, DecisionTree, TerminalNode
+from .trees import ChanceNode, DecisionNode, DecisionTree, Node, TerminalNode, _Table
+from .valuation import _geometric_points
 
 __all__ = [
     "ModelError",
@@ -43,6 +35,11 @@ class ModelError(ValueError):
 
 def parse_k_grid(text: str) -> Tuple[float, ...]:
     """Parse ``lo:hi:steps`` into a geometric grid including both endpoints."""
+    lo, hi, steps = _k_grid_bounds(text)
+    return (lo,) if steps == 1 else tuple(_geometric_points(lo, hi, steps).tolist())
+
+
+def _k_grid_bounds(text: str) -> Tuple[float, float, int]:
     parts = str(text).split(":")
     if len(parts) != 3:
         raise ModelError(f"k grid must be lo:hi:steps, got {text!r}")
@@ -55,9 +52,7 @@ def parse_k_grid(text: str) -> Tuple[float, ...]:
         raise ModelError(f"k grid bounds must satisfy 0 < lo <= hi, got {text!r}")
     if steps < 1 or (steps == 1 and lo != hi):
         raise ModelError(f"k grid needs at least 2 steps when lo < hi, got {text!r}")
-    if steps == 1:
-        return (lo,)
-    return tuple(float(k) for k in np.geomspace(lo, hi, steps))
+    return lo, hi, steps
 
 
 @dataclass(frozen=True)
@@ -82,22 +77,13 @@ def _expect(condition: bool, path: str, reason: str) -> None:
         raise ModelError(f"{path}: {reason}")
 
 
-def _number(raw: Any, path: str, *index: int) -> float:
-    """raw as a finite float; an error names path, then each index in brackets.
-
-    Passing list indices apart from the path leaves the path unformatted
-    unless the check fails, which matters in a loop over thousands of
-    tree children.
-    """
-    # Exact floats, the common case, skip the isinstance checks.
-    if type(raw) is float or (isinstance(raw, (int, float)) and not isinstance(raw, bool)):
+def _number(raw: Any, path: str) -> float:
+    """raw as a finite float; an error names the path."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         value = float(raw)
-        if math.isfinite(value):
-            return value
-        reason = "number must be finite"
-    else:
-        reason = "expected a number"
-    raise ModelError(path + "".join(f"[{i}]" for i in index) + f": {reason}")
+        _expect(math.isfinite(value), path, "number must be finite")
+        return value
+    raise ModelError(f"{path}: expected a number")
 
 
 def _pairs(raw: Any, path: str) -> Tuple[Tuple[float, float], ...]:
@@ -175,11 +161,38 @@ def _resolve_prospects(specs: Mapping[str, Dict[str, Any]]) -> Dict[str, Prospec
     return resolved
 
 
-def _canonical_discrete_spec(prospect: Discrete) -> Dict[str, Any]:
-    return {
-        "kind": "discrete",
-        "points": tuple(zip(prospect.values, prospect.masses)),
-    }
+def _check_children(items: Any, path: str, nid: str, chance: bool) -> None:
+    """A node's children must be [label or probability, node id] pairs; paths format on error only."""
+    if not (isinstance(items, list) and items):
+        raise ModelError(f"{path}.nodes.{nid}.children: expected a nonempty list")
+    for i, item in enumerate(items):
+        if type(item) is not list or len(item) != 2:
+            break
+        tag, cid = item
+        if type(cid) is not str:
+            break
+        if not chance:
+            if type(tag) is not str:
+                break
+        elif type(tag) is not float or not math.isfinite(tag):
+            _number(tag, f"{path}.nodes.{nid}.children[{i}][0]")
+    else:
+        return
+    pair = "[probability, node-id]" if chance else "[label, node-id]"
+    raise ModelError(f"{path}.nodes.{nid}.children[{i}]: expected a {pair} pair")
+
+
+def _tree_nodes(raw_nodes: Dict[str, Any]) -> Dict[str, Node]:
+    """The node objects of a tree block whose nodes passed the shape checks."""
+    nodes: Dict[str, Node] = {}
+    for nid, node in raw_nodes.items():
+        if node["kind"] == "terminal":
+            nodes[nid] = TerminalNode(float(node["payoff"]))
+        elif node["kind"] == "decision":
+            nodes[nid] = DecisionNode(tuple(map(tuple, node["children"])))
+        else:
+            nodes[nid] = ChanceNode(tuple((float(p), cid) for p, cid in node["children"]))
+    return nodes
 
 
 def _parse_tree(raw: Any, path: str) -> DecisionTree:
@@ -188,37 +201,29 @@ def _parse_tree(raw: Any, path: str) -> DecisionTree:
     _expect(isinstance(root, str), f"{path}.root", "expected a node id")
     raw_nodes = raw.get("nodes")
     _expect(isinstance(raw_nodes, dict) and raw_nodes, f"{path}.nodes", "expected a nonempty object")
-    nodes: Dict[str, Any] = {}
+    # One loop checks each node's shape and adds it to the tree's table; a
+    # content fault waits for the loop's end, as any shape fault comes first.
+    table = _Table()
     for nid, node in raw_nodes.items():
-        npath = f"{path}.nodes.{nid}"
-        _expect(isinstance(node, dict), npath, "expected an object")
+        if not isinstance(node, dict):
+            raise ModelError(f"{path}.nodes.{nid}: expected an object")
         kind = node.get("kind")
         if kind == "terminal":
-            nodes[nid] = TerminalNode(_number(node.get("payoff"), f"{npath}.payoff"))
-        elif kind == "decision":
-            children = node.get("children")
-            cpath = f"{npath}.children"
-            _expect(isinstance(children, list) and children, cpath, "expected a nonempty list")
-            out = []
-            for i, item in enumerate(children):
-                if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str) and isinstance(item[1], str)):
-                    raise ModelError(f"{cpath}[{i}]: expected a [label, node-id] pair")
-                out.append((item[0], item[1]))
-            nodes[nid] = DecisionNode(tuple(out))
-        elif kind == "chance":
-            children = node.get("children")
-            cpath = f"{npath}.children"
-            _expect(isinstance(children, list) and children, cpath, "expected a nonempty list")
-            out = []
-            for i, item in enumerate(children):
-                if not (isinstance(item, list) and len(item) == 2 and isinstance(item[1], str)):
-                    raise ModelError(f"{cpath}[{i}]: expected a [probability, node-id] pair")
-                out.append((_number(item[0], cpath, i, 0), item[1]))
-            nodes[nid] = ChanceNode(tuple(out))
-        else:
-            raise ModelError(f"{npath}.kind: unknown node kind {kind!r}")
+            payoff = node.get("payoff")
+            if type(payoff) is not float or not math.isfinite(payoff):
+                payoff = _number(payoff, f"{path}.nodes.{nid}.payoff")
+            table.terminal(nid, payoff)
+            continue
+        if kind != "decision" and kind != "chance":
+            raise ModelError(f"{path}.nodes.{nid}.kind: unknown node kind {kind!r}")
+        children = node.get("children")
+        _check_children(children, path, nid, kind == "chance")
+        try:
+            (table.chance if kind == "chance" else table.decision)(nid, children)
+        except ValueError:
+            table.faulty = True
     try:
-        return DecisionTree(nodes, root)
+        return DecisionTree._of(table, raw_nodes, root, partial(_tree_nodes, raw_nodes))
     except ValueError as exc:
         raise ModelError(f"{path}: {exc}") from None
 
@@ -236,17 +241,11 @@ def _parse_adaptive(raw: Any, path: str) -> AdaptiveSpec:
         allows = item.get("allows_reaction")
         _expect(isinstance(allows, bool), f"{cpath}.allows_reaction", "expected a boolean")
         locked = item.get("locked_action")
-        _expect(
-            locked is None or isinstance(locked, str), f"{cpath}.locked_action", "expected a string"
-        )
-        commitments.append(
-            Commitment(label, _number(item.get("cost"), f"{cpath}.cost"), allows, locked)
-        )
+        _expect(locked is None or isinstance(locked, str), f"{cpath}.locked_action", "expected a string")
+        commitments.append(Commitment(label, _number(item.get("cost"), f"{cpath}.cost"), allows, locked))
     raw_obs = raw.get("observations")
     if isinstance(raw_obs, dict):
-        observations: Any = {
-            c: _obs_pairs(v, f"{path}.observations.{c}") for c, v in raw_obs.items()
-        }
+        observations: Any = {c: _obs_pairs(v, f"{path}.observations.{c}") for c, v in raw_obs.items()}
     elif isinstance(raw_obs, list):
         observations = _obs_pairs(raw_obs, f"{path}.observations")
     else:
@@ -272,11 +271,8 @@ def _obs_pairs(raw: Any, path: str) -> Tuple[Tuple[str, float], ...]:
     _expect(isinstance(raw, list) and raw, path, "expected a nonempty list")
     out = []
     for i, item in enumerate(raw):
-        _expect(
-            isinstance(item, list) and len(item) == 2 and isinstance(item[0], str),
-            f"{path}[{i}]",
-            "expected a [label, probability] pair",
-        )
+        pair = isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)
+        _expect(pair, f"{path}[{i}]", "expected a [label, probability] pair")
         out.append((item[0], _number(item[1], f"{path}[{i}][1]")))
     return tuple(out)
 
@@ -302,27 +298,20 @@ def parse_model(text: str | bytes) -> ModelDocument:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ModelError(
-            f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+        raise ModelError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     _expect(isinstance(raw, dict), "document", "top level must be an object")
 
     raw_prospects = raw.get("prospects", {})
     _expect(isinstance(raw_prospects, dict), "prospects", "expected an object")
-    specs = {
-        pid: _normalize_prospect_spec(pid, spec, f"prospects.{pid}")
-        for pid, spec in raw_prospects.items()
-    }
+    specs = {pid: _normalize_prospect_spec(pid, spec, f"prospects.{pid}") for pid, spec in raw_prospects.items()}
     prospects = _resolve_prospects(specs)
     # Canonicalize discrete specs to the merged / sorted / renormalized form
     # so emission is stable under re-parsing.
     for pid, prospect in prospects.items():
         if specs[pid]["kind"] == "discrete":
-            specs[pid] = _canonical_discrete_spec(prospect)
+            specs[pid] = {"kind": "discrete", "points": tuple(zip(prospect.values, prospect.masses))}
 
-    tree = None
-    if "tree" in raw:
-        tree = _parse_tree(raw["tree"], "tree")
+    tree = _parse_tree(raw["tree"], "tree") if "tree" in raw else None
 
     adaptive = stigler = None
     if "scenarios" in raw:
@@ -333,8 +322,7 @@ def parse_model(text: str | bytes) -> ModelDocument:
         if "stigler" in scen:
             stigler = _parse_stigler(scen["stigler"], "scenarios.stigler")
 
-    default_r = None
-    default_k = None
+    default_r = default_k = None
     if "defaults" in raw:
         defaults = raw["defaults"]
         _expect(isinstance(defaults, dict), "defaults", "expected an object")
@@ -343,7 +331,7 @@ def parse_model(text: str | bytes) -> ModelDocument:
             _expect(default_r >= 0.0, "defaults.r", "risk aversion must be nonnegative")
         if "k" in defaults:
             _expect(isinstance(defaults["k"], str), "defaults.k", "expected a lo:hi:steps string")
-            parse_k_grid(defaults["k"])
+            _k_grid_bounds(defaults["k"])  # checked here, built where it is used
             default_k = defaults["k"]
 
     return ModelDocument(specs, prospects, tree, adaptive, stigler, default_r, default_k)
@@ -362,16 +350,9 @@ def _tree_to_json(tree: DecisionTree) -> Dict[str, Any]:
     for nid, node in tree.nodes.items():
         if isinstance(node, TerminalNode):
             nodes[nid] = {"kind": "terminal", "payoff": node.payoff}
-        elif isinstance(node, DecisionNode):
-            nodes[nid] = {
-                "kind": "decision",
-                "children": [[label, cid] for label, cid in node.children],
-            }
         else:
-            nodes[nid] = {
-                "kind": "chance",
-                "children": [[p, cid] for p, cid in node.children],
-            }
+            kind = "decision" if isinstance(node, DecisionNode) else "chance"
+            nodes[nid] = {"kind": kind, "children": [list(pair) for pair in node.children]}
     return {"root": tree.root, "nodes": nodes}
 
 
@@ -381,17 +362,11 @@ def _adaptive_to_json(spec: AdaptiveSpec) -> Dict[str, Any]:
         payoffs.setdefault(c, {}).setdefault(o, {})[a] = v
     return {
         "commitments": [
-            {
-                "label": c.label,
-                "cost": c.cost,
-                "allows_reaction": c.allows_reaction,
-                **({} if c.locked_action is None else {"locked_action": c.locked_action}),
-            }
+            {"label": c.label, "cost": c.cost, "allows_reaction": c.allows_reaction}
+            | ({} if c.locked_action is None else {"locked_action": c.locked_action})
             for c in spec.commitments
         ],
-        "observations": {
-            c: [[o, p] for o, p in obs] for c, obs in spec.observations.items()
-        },
+        "observations": {c: [[o, p] for o, p in obs] for c, obs in spec.observations.items()},
         "reactions": list(spec.reactions),
         "payoffs": payoffs,
     }

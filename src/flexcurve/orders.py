@@ -31,9 +31,10 @@ from .prospects import (
     Gaussian,
     IndependentSum,
     Prospect,
+    _merge_ties,
     convolve_supports,
 )
-from .valuation import _certain_equivalents, check_risk_aversion
+from .valuation import _certain_equivalents, _geometric_points, check_risk_aversion
 
 __all__ = [
     "TailRelation",
@@ -118,17 +119,9 @@ def _decompose(prospect: Prospect) -> Tuple[Tuple[float, ...], Tuple[float, ...]
     if isinstance(prospect, Affine):
         values, masses, gm, gv = _decompose(prospect.base)
         k, c = prospect.scale, prospect.offset
-        scaled = tuple(v * k + c for v in values)
         # k > 0 preserves order; merge any values that collide after rounding.
-        out_v: List[float] = []
-        out_m: List[float] = []
-        for v, m in zip(scaled, masses):
-            if out_v and v == out_v[-1]:
-                out_m[-1] += m
-            else:
-                out_v.append(v)
-                out_m.append(m)
-        return tuple(out_v), tuple(out_m), gm * k, gv * k * k
+        values, masses = _merge_ties(tuple(v * k + c for v in values), masses)
+        return values, masses, gm * k, gv * k * k
     if isinstance(prospect, IndependentSum):
         values: Tuple[float, ...] = (0.0,)
         masses: Tuple[float, ...] = (1.0,)
@@ -237,24 +230,11 @@ def tail_order(x: Prospect, y: Prospect, r: float) -> TailVerdict:
 
 
 def _geometric_grid(k_lo: float, k_hi: float) -> np.ndarray:
-    """``GRID_POINTS_PER_DECADE`` points a decade from k_lo to k_hi.
-
-    The arithmetic of ``np.geomspace`` (numpy's log10 of both ends, an
-    evenly spaced exponent, the ends pinned), without its general-purpose
-    set-up, so the points are the same to the bit.
-    """
+    """``GRID_POINTS_PER_DECADE`` points a decade from k_lo to k_hi, as ``np.geomspace`` spaces them."""
     if k_hi <= k_lo:
         return np.asarray([k_lo])
     decades = math.log10(k_hi / k_lo)
-    n = max(2, int(math.ceil(GRID_POINTS_PER_DECADE * decades)) + 1)
-    a, b = np.log10(k_lo), np.log10(k_hi)
-    exponents = np.arange(n, dtype=float)
-    exponents *= (b - a) / (n - 1)
-    exponents += a
-    exponents[-1] = b
-    ks = np.power(10.0, exponents)
-    ks[0], ks[-1] = k_lo, k_hi
-    return ks
+    return _geometric_points(k_lo, k_hi, max(2, int(math.ceil(GRID_POINTS_PER_DECADE * decades)) + 1))
 
 
 # Grid offsets, from a bracket's left end, of the samples its first

@@ -27,7 +27,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -204,6 +204,33 @@ def make_gaussian(mean: float, variance: float) -> Gaussian:
     return Gaussian(_require_finite(mean, "mean"), _require_finite(variance, "variance"))
 
 
+def _merge_ties(values: Sequence[float], masses: Sequence[float]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """A nondecreasing support with equal neighbours merged and their masses summed."""
+    out_v: List[float] = []
+    out_m: List[float] = []
+    for v, m in zip(values, masses):
+        if out_v and v == out_v[-1]:
+            out_m[-1] += m
+        else:
+            out_v.append(v)
+            out_m.append(m)
+    return tuple(out_v), tuple(out_m)
+
+
+def _moved(prospect: Discrete, values: Tuple[float, ...]) -> Discrete:
+    """``prospect`` carried onto ``values`` by an increasing map of its support.
+
+    Values that the map rounds together are merged and their masses summed,
+    as for an ``Affine`` in ``orders._decompose``; a value that overflows
+    raises ValueError.
+    """
+    try:
+        return Discrete(values, prospect.masses)
+    except ValueError:
+        pass  # values that round together are merged below; an overflow raises again
+    return Discrete(*_merge_ties(values, prospect.masses))
+
+
 def scale(prospect: Prospect, k: float) -> Prospect:
     """Prospect distributed as k * X for k > 0."""
     k = float(k)
@@ -211,7 +238,7 @@ def scale(prospect: Prospect, k: float) -> Prospect:
         raise ValueError(f"scale factor must be positive and finite, got {k!r}")
     if isinstance(prospect, Discrete):
         return _with_factors(
-            Discrete(tuple(v * k for v in prospect.values), prospect.masses),
+            _moved(prospect, tuple(v * k for v in prospect.values)),
             (scale(f, k) for f in prospect._factors),
         )
     if isinstance(prospect, Gaussian):
@@ -228,7 +255,7 @@ def shift(prospect: Prospect, c: float) -> Prospect:
     c = _require_finite(c, "shift amount")
     if isinstance(prospect, Discrete):
         return _with_factors(
-            Discrete(tuple(v + c for v in prospect.values), prospect.masses),
+            _moved(prospect, tuple(v + c for v in prospect.values)),
             (shift(f, c) if i == 0 else f for i, f in enumerate(prospect._factors)),
         )
     if isinstance(prospect, Gaussian):
@@ -262,9 +289,9 @@ def convolve_supports(
 def _with_factors(prospect: Discrete, factors: Iterable[Discrete]) -> Discrete:
     """``prospect``, remembering the given factors.
 
-    A scale or a shift can make a factor's values collide or overflow where
-    the support's do not, and building that factor raises ValueError; the
-    factors are then dropped, and the support, which is exact, is read.
+    A shift can make a factor's values overflow where the support's do
+    not, and building that factor raises ValueError; the factors are then
+    dropped, and the support, which is exact, is read.
     """
     try:
         kept = tuple(factors)

@@ -5,26 +5,32 @@ max over children, chance nodes aggregate child certain equivalents with a
 log-sum-exp, which is the numerically stable equivalent of propagating
 expected exponential utility and inverting at the end.
 
-Nothing here recurses, so tree depth is bounded by memory, not by the
-interpreter's recursion limit.  ``DecisionTree`` validates itself in one
-iterative walk from the root and records the post-order, with children in
-the order rollback visits them (label-sorted at decisions); policy
-counting and enumeration read it.  Each rollback or curve compiles the
-post-order of its subtree into levels (inner nodes of one kind and
-height), then makes one pass over the levels for a whole vector of
-aversions: the chance nodes of a level get one segmented log-sum-exp over
-a (children x k) block, the decision nodes one segmented max.  Each
-node's arithmetic is that of the one-node kernel, so results do not
-depend on the batching.  Plans are built by the call that needs them,
-not by ``DecisionTree``, so building a tree costs no more than validating
-it.
+A tree's internal form is one validated table in post-order, root last
+(``_Table``): each node's row, kind, and payoff or (label or probability,
+child) pairs in the order rollback visits them, label-sorted at
+decisions.  A subtree is the run of rows that ends at its node.  The
+table is the one validator of trees: it takes nodes one at a time, as
+node objects (``DecisionTree``) or as a model file is read
+(``model_io``), then checks the links in the one walk from the root that
+puts them in post-order.  Nothing here recurses, so tree depth is bounded
+by memory, not by the interpreter's recursion limit.
+
+A rollback or curve reads its subtree's rows into arrays, groups the inner
+rows into levels (one kind at one depth), then makes one pass over the
+levels, deepest first, for a whole vector of aversions: the chance nodes
+of a level get one segmented log-sum-exp over a (children x k) block, the
+decision nodes one segmented max.  Each node's arithmetic is that of the
+one-node kernel, so results do not depend on the batching.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,53 +78,110 @@ class TerminalNode:
 
 Node = Union[DecisionNode, ChanceNode, TerminalNode]
 
-
-def _ordered_children(node: Union[DecisionNode, ChanceNode]) -> Sequence[tuple]:
-    """Child pairs in the order rollback visits them: label-sorted at decisions."""
-    return sorted(node.children) if isinstance(node, DecisionNode) else node.children
+# Node kinds in the table.
+_TERMINAL, _DECISION, _CHANCE = 0, 1, 2
 
 
-def _child_ids(nid: str, node: Node) -> List[str]:
-    """Validate one node's contents; its child ids in rollback order."""
-    if isinstance(node, TerminalNode):
-        if not math.isfinite(node.payoff):
+class _Table:
+    """A tree's nodes, validated and in post-order: the one validator of trees.
+
+    ``terminal``, ``decision`` and ``chance`` check one node's contents,
+    raising ValueError, and record its payoff or its kind and (tag, child
+    id) pairs in rollback order.  A caller that has to read on (a model
+    file, whose shape faults come first) sets ``faulty`` instead.  ``walk``
+    then checks the links and fills ``order``, root last.
+    """
+
+    def __init__(self) -> None:
+        self.faulty = False
+        self.payoffs: Dict[str, float] = {}
+        # Inner nodes only.
+        self.kinds: Dict[str, int] = {}
+        self.pairs: Dict[str, Sequence[tuple]] = {}
+        self.order: List[str] = []
+
+    def __contains__(self, nid: object) -> bool:
+        return nid in self.payoffs or nid in self.pairs
+
+    def terminal(self, nid: str, payoff: float) -> None:
+        if not math.isfinite(payoff):
             raise ValueError(f"non-finite payoff at node {nid!r}")
-        return []
-    if isinstance(node, DecisionNode):
-        if not node.children:
+        self.payoffs[nid] = payoff
+
+    def decision(self, nid: str, children: Sequence[tuple]) -> None:
+        if not children:
             raise ValueError(f"node {nid!r} has no children")
-        if len({label for label, _ in node.children}) != len(node.children):
+        if len(dict(children)) != len(children):
             raise ValueError(f"duplicate child labels at decision node {nid!r}")
-        return [cid for _, cid in _ordered_children(node)]
-    if isinstance(node, ChanceNode):
-        if not node.children:
+        self.kinds[nid] = _DECISION
+        self.pairs[nid] = sorted(children)
+
+    def chance(self, nid: str, children: Sequence[tuple]) -> None:
+        if not children:
             raise ValueError(f"node {nid!r} has no children")
-        probs = [p for p, _ in node.children]
-        for p in probs:
+        for p, _ in children:
             if not p > 0.0:
                 raise ValueError(f"nonpositive probability at chance node {nid!r}")
-        total = math.fsum(probs)
+        total = math.fsum([p for p, _ in children])
         if abs(total - 1.0) > PROBABILITY_SUM_TOLERANCE:
-            raise ValueError(
-                f"probabilities at chance node {nid!r} sum to {total!r}, expected 1"
-            )
-        return [cid for _, cid in node.children]
-    raise TypeError(f"not a tree node: {node!r}")
+            raise ValueError(f"probabilities at chance node {nid!r} sum to {total!r}, expected 1")
+        self.kinds[nid] = _CHANCE
+        self.pairs[nid] = children
+
+    def add(self, nid: str, node: Node) -> None:
+        """Add a node object: the one place that dispatches on node type."""
+        if isinstance(node, TerminalNode):
+            self.terminal(nid, node.payoff)
+        elif isinstance(node, DecisionNode):
+            self.decision(nid, node.children)
+        elif isinstance(node, ChanceNode):
+            self.chance(nid, node.children)
+        else:
+            raise TypeError(f"not a tree node: {node!r}")
+
+    def walk(self, nodes: Mapping[str, object], root: str, objects: Callable[[], Mapping[str, Node]]) -> None:
+        """Check the links between the nodes added, which are those of ``nodes``.
+
+        They make one tree when a walk from the root that pushes every child
+        it meets, stopped after as many visits as the map has nodes, visits
+        each node once.  It visits a node before its children, the last
+        first; reversed, that is the post-order.  On a fault, raises the
+        error ``_first_fault`` picks from the node objects ``objects()``.
+        """
+        if root not in nodes:
+            raise ValueError(f"root node {root!r} not in node map")
+        if not self.faulty:
+            order: List[str] = []
+            stack = [(None, root)]
+            visit, pop, push, pairs = order.append, stack.pop, stack.extend, self.pairs.get
+            try:
+                for _ in range(len(nodes)):
+                    nid = pop()[1]
+                    visit(nid)
+                    push(pairs(nid, ()))
+            except IndexError:
+                pass  # the walk reached fewer nodes than the map holds
+            if not stack and len(order) == len(nodes) and nodes.keys() == set(order):
+                self.order = order[::-1]
+                return
+        raise _first_fault(objects(), root)
 
 
 def _first_fault(nodes: Mapping[str, Node], root: str) -> Exception:
     """The error for an invalid node map, checked in full in node-map order.
 
-    Node contents and child references come first, then parent counts, then
-    reachability, so a map with several faults always reports the same one.
+    Node by node, contents come before child references; then parent
+    counts, then reachability, so a map with several faults always reports
+    the same one.
     """
-    parents: Dict[str, int] = {nid: 0 for nid in nodes}
+    table = _Table()
+    parents = dict.fromkeys(nodes, 0)
     for nid, node in nodes.items():
         try:
-            child_ids = _child_ids(nid, node)
+            table.add(nid, node)
         except (TypeError, ValueError) as exc:
             return exc
-        for cid in child_ids:
+        for _, cid in table.pairs.get(nid, ()):
             if cid not in nodes:
                 return ValueError(f"node {nid!r} references unknown child {cid!r}")
             parents[cid] += 1
@@ -131,7 +194,7 @@ def _first_fault(nodes: Mapping[str, Node], root: str) -> Exception:
     # Parent counts alone admit a cycle disconnected from the root.
     reached, stack = {root}, [root]
     while stack:
-        for _, cid in getattr(nodes[stack.pop()], "children", ()):
+        for _, cid in table.pairs.get(stack.pop(), ()):
             if cid not in reached:
                 reached.add(cid)
                 stack.append(cid)
@@ -149,46 +212,28 @@ class DecisionTree:
     def __post_init__(self) -> None:
         nodes = dict(self.nodes)
         object.__setattr__(self, "nodes", nodes)
-        if self.root not in nodes:
-            raise ValueError(f"root node {self.root!r} not in node map")
-        # One walk checks every node it reaches, and finds any node reached
-        # twice (a second parent or a cycle) or never (a detached part); on
-        # any fault, _first_fault rechecks the whole map to pick the error.
-        # The walk visits each node before its children, the last child
-        # first; reversed, that is the post-order with children in rollback
-        # order.
-        order: List[str] = []
-        reached = {self.root}
-        stack = [self.root]
+        table = _Table()
         try:
-            while stack:
-                nid = stack.pop()
-                order.append(nid)
-                for cid in _child_ids(nid, nodes[nid]):
-                    if cid in reached or cid not in nodes:
-                        raise ValueError
-                    reached.add(cid)
-                    stack.append(cid)
-            if len(order) != len(nodes):
-                raise ValueError
+            for nid, node in nodes.items():
+                table.add(nid, node)
         except (TypeError, ValueError):
-            raise _first_fault(nodes, self.root) from None
-        order.reverse()
-        object.__setattr__(self, "_order", order)
+            table.faulty = True
+        table.walk(nodes, self.root, lambda: nodes)
+        object.__setattr__(self, "_table", table)
 
-    def _subtree(self, node_id: str) -> List[str]:
-        """Post-order of the subtree rooted at a node; the node comes last."""
-        if node_id == self.root:
-            return self._order
-        order, stack = [], [node_id]
-        while stack:
-            nid = stack.pop()
-            order.append(nid)
-            node = self.nodes[nid]
-            if not isinstance(node, TerminalNode):
-                stack.extend(cid for _, cid in _ordered_children(node))
-        order.reverse()
-        return order
+    @classmethod
+    def _of(cls, table: _Table, ids: Mapping[str, object], root: str, objects: Callable[[], Dict[str, Node]]) -> "DecisionTree":
+        """A tree whose nodes (ids in map order) went into ``table`` as a model file was read."""
+        table.walk(ids, root, objects)
+        tree = object.__new__(cls)
+        for name, value in (("root", root), ("_table", table), ("_objects", objects)):
+            object.__setattr__(tree, name, value)
+        return tree
+
+
+# A tree read from a model file builds its node objects on first use of ``nodes``.
+DecisionTree.nodes = cached_property(lambda tree: tree._objects())
+DecisionTree.nodes.__set_name__(DecisionTree, "nodes")
 
 
 @dataclass(frozen=True)
@@ -202,14 +247,13 @@ class Policy:
 
 
 class _Level(NamedTuple):
-    """Inner nodes of one kind and height, as rows of a subtree's value table.
+    """Inner rows of one kind and depth; their children are the segments of ``children``.
 
-    Each node's children are one segment of ``children``: ``starts`` holds
-    the segment offsets, ``segment`` the node index of every child.
-    ``weights`` (a column of probabilities) is set for chance levels,
-    ``labels`` for decision levels.  ``padded_rows`` and ``padded_starts``
-    place the children in a buffer with a zero row ahead of each segment
-    (see :func:`_segment_sums`).
+    ``starts`` holds the segment offsets, ``segment`` each child's row's
+    index in the level; ``weights`` (a column of probabilities) is set for
+    chance levels only.  ``padded_rows`` and ``padded_starts`` place the
+    children in a buffer with a zero row ahead of each segment (see
+    :func:`_segment_sums`).
     """
 
     rows: np.ndarray
@@ -217,91 +261,77 @@ class _Level(NamedTuple):
     starts: np.ndarray
     segment: np.ndarray
     weights: Optional[np.ndarray]
-    labels: Tuple[str, ...]
     padded_rows: np.ndarray
     padded_starts: np.ndarray
 
 
 class _Plan(NamedTuple):
-    """A subtree compiled for rollback: its rows in post-order, root last."""
+    """A subtree's ids in post-order, their rows, payoffs (NaN at inner rows) and levels."""
 
     ids: List[str]
-    terminal_rows: np.ndarray
+    rows: Dict[str, int]
     payoffs: np.ndarray
     levels: List[_Level]
 
 
-def _compile(tree: DecisionTree, node_id: str) -> _Plan:
-    ids = tree._subtree(node_id)
-    row_of = {nid: i for i, nid in enumerate(ids)}
-    height = [0] * len(ids)
-    terminal_rows: List[int] = []
-    payoffs: List[float] = []
-    # Inner nodes in post-order, with their children's rows node after node
-    # and each child's probability (chance) or label (decision).
-    inner: List[int] = []
-    is_chance: List[bool] = []
-    counts: List[int] = []
-    kids: List[int] = []
-    probs: List[float] = []
-    labels: List[str] = []
-    nodes = tree.nodes
-    for i, nid in enumerate(ids):
-        node = nodes[nid]
-        if isinstance(node, TerminalNode):
-            terminal_rows.append(i)
-            payoffs.append(node.payoff)
-            continue
-        chance = isinstance(node, ChanceNode)
-        pairs = _ordered_children(node)
-        rows = [row_of[cid] for _, cid in pairs]
-        height[i] = 1 + max([height[r] for r in rows])
-        tags = [tag for tag, _ in pairs]
-        inner.append(i)
-        is_chance.append(chance)
-        counts.append(len(rows))
-        kids += rows
-        if chance:
-            probs += tags
-            labels += [""] * len(tags)
-        else:
-            probs += [0.0] * len(tags)
-            labels += tags
-    # Order the inner nodes by (height, kind), keeping post-order within a
-    # level, and their children with them.
-    node_rows = np.array(inner, dtype=np.intp)
-    chance_of = np.array(is_chance)
-    key = np.array(height)[node_rows] * 2 + chance_of
-    order = np.argsort(key, kind="stable")
-    size = np.array(counts, dtype=np.intp)
-    first = (np.cumsum(size) - size)[order]
-    node_rows, chance_of, key, size = node_rows[order], chance_of[order], key[order], size[order]
-    offset = np.cumsum(size) - size
-    take = np.repeat(first - offset, size) + np.arange(len(kids))
-    children = np.array(kids, dtype=np.intp)[take]
-    weights = np.array(probs)[take]
-    segment = np.repeat(np.arange(len(node_rows)), size)
-    padded_rows = np.arange(len(kids)) + segment + 1
-    padded_starts = offset + np.arange(len(node_rows))
-    begins = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()] if inner else []
-    levels = []
-    for n0, n1 in zip(begins, begins[1:] + [len(node_rows)]):
-        c0 = int(offset[n0])
-        c1 = c0 + int(size[n0:n1].sum())
-        chance = bool(chance_of[n0])
-        levels.append(
-            _Level(
-                node_rows[n0:n1],
-                children[c0:c1],
-                offset[n0:n1] - c0,
-                segment[c0:c1] - n0,
-                weights[c0:c1, None] if chance else None,
-                () if chance else tuple(labels[t] for t in take[c0:c1].tolist()),
-                padded_rows[c0:c1] - (c0 + n0),
-                padded_starts[n0:n1] - (c0 + n0),
-            )
+def _compile(table: _Table, node_id: str) -> _Plan:
+    """The subtree at a node, read from the table into arrays and levels."""
+    pairs, ids = table.pairs, table.order
+    if node_id != ids[-1]:
+        first = node_id
+        while first in pairs:
+            first = pairs[first][0][1]  # the first child's subtree comes first
+        hi = ids.index(node_id) + 1
+        ids = ids[ids.index(first, 0, hi) : hi]
+    rows = dict(zip(ids, range(len(ids))))
+    segments = list(map(pairs.get, ids, repeat(())))
+    entries = list(chain.from_iterable(segments))
+    n, m = len(ids), len(entries)
+    kinds = np.fromiter(map(table.kinds.get, ids, repeat(_TERMINAL)), np.int8, n)
+    counts = np.fromiter(map(len, segments), np.intp, n)
+    bounds = np.concatenate(([0], counts.cumsum()))
+    local = np.fromiter(map(rows.__getitem__, map(itemgetter(1), entries)), np.intp, m)
+    tags = list(map(itemgetter(0), entries))
+    under_chance = (kinds == _CHANCE).repeat(counts)
+    weights = np.where(under_chance, np.array(tags, dtype=object), 0.0).astype(float)
+    # Depth below the node by pointer jumping: ``up`` is an ancestor
+    # ``depth`` links up, until every ``up`` is the node.
+    up = np.full(n, n - 1)
+    up[local] = np.arange(n).repeat(counts)
+    depth = (np.arange(n) < n - 1).astype(np.intp)
+    while up.min() < n - 1:
+        depth += depth[up]
+        up = up[up]
+    # Order the inner rows deepest first, then by kind, keeping post-order
+    # within a level, and their children with them.
+    inner = kinds.nonzero()[0]
+    chance_of = kinds[inner] == _CHANCE
+    key = (depth.max() - depth[inner]) * 2 + chance_of
+    order = key.argsort(kind="stable")
+    node_rows, chance_of, key = inner[order], chance_of[order], key[order]
+    size = counts[node_rows]
+    offset = size.cumsum() - size
+    take = (bounds[node_rows] - offset).repeat(size) + np.arange(m)
+    # Levels are runs of one key; each node's and child's place within its
+    # level follows from the level's lead node and its first child.
+    opens = np.ones(len(key), bool)
+    np.not_equal(key[1:], key[:-1], out=opens[1:])
+    begins = opens.nonzero()[0]
+    lead = begins[opens.cumsum() - 1]
+    rel_starts = offset - offset[lead]
+    rel_segment = (np.arange(len(key)) - lead).repeat(size)
+    padded_rows = np.arange(m) - offset[lead].repeat(size) + rel_segment + 1
+    padded_starts = rel_starts + np.arange(len(key)) - lead
+    children, weights = local[take], weights[take, None]
+    n0s, k0s = begins.tolist(), offset[begins].tolist()
+    levels = [
+        _Level(
+            node_rows[n0:n1], children[k0:k1], rel_starts[n0:n1], rel_segment[k0:k1],
+            weights[k0:k1] if chance else None, padded_rows[k0:k1], padded_starts[n0:n1],
         )
-    return _Plan(ids, np.array(terminal_rows, dtype=np.intp), np.array(payoffs), levels)
+        for n0, n1, k0, k1, chance in zip(n0s, n0s[1:] + [len(key)], k0s, k0s[1:] + [m], chance_of[begins].tolist())
+    ]
+    return _Plan(ids, rows, np.fromiter(map(table.payoffs.get, ids, repeat(math.nan)), float, n), levels)
 
 
 def _segment_sums(level: _Level, *parts: np.ndarray) -> np.ndarray:
@@ -367,22 +397,22 @@ def _chance_values(block: np.ndarray, level: _Level, t: np.ndarray) -> Tuple[np.
 
 def _evaluate(
     plan: _Plan, rho: np.ndarray, *, choose: bool = False, worst: bool = False
-) -> Tuple[np.ndarray, Dict[str, str], float]:
+) -> Tuple[np.ndarray, Optional[np.ndarray], float]:
     """One pass over a compiled subtree for every rho at once.
 
-    Returns the root's certain equivalents, the chosen label at every
-    decision node (for the first rho, when ``choose``) and the subtree's
-    maximin payoff (when ``worst``).  Raises OverflowError naming, at the
-    first rho where any chance node overflows, the first such node in
-    post-order: the node where recursive backward induction stops.
+    Returns the root's certain equivalents, the chosen child's place among
+    its siblings at every decision row (for the first rho, when ``choose``;
+    -1 at other rows) and the subtree's maximin payoff (when ``worst``).
+    Raises OverflowError naming, at the first rho where any chance node
+    overflows, the first such node in post-order: the node where recursive
+    backward induction stops.
     """
     t = -rho
     values = np.empty((len(plan.ids), len(rho)))
-    values[plan.terminal_rows] = plan.payoffs[:, None]
-    low = np.full(len(plan.ids), math.nan)
-    low[plan.terminal_rows] = plan.payoffs
+    values[:] = plan.payoffs[:, None]
+    low = plan.payoffs.copy()
     overflow: Optional[np.ndarray] = None
-    choices: Dict[str, str] = {}
+    picked = np.full(len(plan.ids), -1) if choose else None
     with np.errstate(all="ignore"):
         for level in plan.levels:
             block = values[level.children]
@@ -395,8 +425,7 @@ def _evaluate(
                     # A NaN maximum (from infinite expected values) hits no
                     # child; the segment's first child stands in.
                     firsts = np.where(firsts < len(hit), firsts, level.starts)
-                    for row, first in zip(level.rows.tolist(), firsts.tolist()):
-                        choices[plan.ids[row]] = level.labels[first]
+                    picked[level.rows] = firsts - level.starts
                 if worst:
                     low[level.rows] = np.maximum.reduceat(low[level.children], level.starts)
             else:
@@ -411,26 +440,22 @@ def _evaluate(
     if overflow is not None:
         column = overflow[:, overflow.any(axis=0).argmax()]
         raise OverflowError(f"rollback overflow at chance node {plan.ids[column.argmax()]!r}")
-    return values[-1], choices, float(low[-1])
+    return values[-1], picked, float(low[-1])
 
 
-def _reachable_choices(
-    tree: DecisionTree, choices: Mapping[str, str], start: str
-) -> Dict[str, str]:
-    pruned: Dict[str, str] = {}
-    stack = [start]
+def _reachable_choices(table: _Table, rows: Dict[str, int], picked: List[int]) -> Dict[str, str]:
+    """The picked label at every decision node that the picks reach from the root."""
+    choice: Dict[str, str] = {}
+    stack = [table.order[-1]]
     while stack:
         nid = stack.pop()
-        node = tree.nodes[nid]
-        if isinstance(node, TerminalNode):
-            continue
-        if isinstance(node, ChanceNode):
-            stack.extend(cid for _, cid in node.children)
-            continue
-        label = choices[nid]
-        pruned[nid] = label
-        stack.extend(cid for clabel, cid in node.children if clabel == label)
-    return pruned
+        place = picked[rows[nid]]
+        if place >= 0:
+            choice[nid], cid = table.pairs[nid][place]
+            stack.append(cid)
+        else:
+            stack.extend(cid for _, cid in table.pairs.get(nid, ()))
+    return choice
 
 
 def rollback(tree: DecisionTree, risk_aversion: float) -> Tuple[float, Policy]:
@@ -440,13 +465,12 @@ def rollback(tree: DecisionTree, risk_aversion: float) -> Tuple[float, Policy]:
     decision children go to the lexicographically smallest label.
     """
     rho = check_risk_aversion(risk_aversion, allow_zero=True)
-    values, choices, _ = _evaluate(_compile(tree, tree.root), np.array([rho]), choose=True)
-    return float(values[0]), Policy(_reachable_choices(tree, choices, tree.root))
+    plan = _compile(tree._table, tree.root)
+    values, picked, _ = _evaluate(plan, np.array([rho]), choose=True)
+    return float(values[0]), Policy(_reachable_choices(tree._table, plan.rows, picked.tolist()))
 
 
-def node_curve(
-    tree: DecisionTree, node_id: str, r: float, ks: Tuple[float, ...]
-) -> FlexibilityCurve:
+def node_curve(tree: DecisionTree, node_id: str, r: float, ks: Tuple[float, ...]) -> FlexibilityCurve:
     """Flexibility curve of the subtree rooted at a node.
 
     Every sample is a rollback at distorted aversion k*r, so the optimal
@@ -455,56 +479,53 @@ def node_curve(
     (max at decisions, min at chance nodes).
     """
     r = check_risk_aversion(r)
-    if node_id not in tree.nodes:
+    if node_id not in tree._table:
         raise ValueError(f"unknown node id {node_id!r}")
     grid = _check_k_grid(ks)
     rho = np.array([k * r for k in grid])
-    values, _, tail = _evaluate(_compile(tree, node_id), rho, worst=True)
+    values, _, tail = _evaluate(_compile(tree._table, node_id), rho, worst=True)
     return FlexibilityCurve(node_id, r, grid, tuple(values.tolist()), tail)
 
 
-def _policy_count(tree: DecisionTree) -> int:
+def _policy_count(table: _Table) -> int:
     """Number of policies; a chance node stops multiplying once past the cap."""
     count: Dict[str, int] = {}
-    for nid in tree._order:
-        node = tree.nodes[nid]
-        if isinstance(node, TerminalNode):
+    for nid in table.order:
+        kind = table.kinds.get(nid, _TERMINAL)
+        if kind == _TERMINAL:
             count[nid] = 1
-        elif isinstance(node, ChanceNode):
+        elif kind == _CHANCE:
             product = 1
-            for _, cid in node.children:
+            for _, cid in table.pairs[nid]:
                 product *= count[cid]
                 if product > POLICY_COUNT_CAP:
                     break
             count[nid] = product
         else:
-            count[nid] = sum(count[cid] for _, cid in node.children)
-    return count[tree.root]
+            count[nid] = sum([count[cid] for _, cid in table.pairs[nid]])
+    return count[table.order[-1]]
 
 
 def enumerate_policies(tree: DecisionTree) -> List[Policy]:
     """All reachability-pruned deterministic policies, depth-first, label-sorted."""
-    count = _policy_count(tree)
+    table = tree._table
+    count = _policy_count(table)
     if count > POLICY_COUNT_CAP:
         raise ValueError(f"policy count {count} exceeds cap {POLICY_COUNT_CAP}")
     # Each node's partial policies, built from its children's in post-order.
     partial: Dict[str, List[Dict[str, str]]] = {}
-    for nid in tree._order:
-        node = tree.nodes[nid]
-        if isinstance(node, TerminalNode):
+    for nid in table.order:
+        kind = table.kinds.get(nid, _TERMINAL)
+        if kind == _TERMINAL:
             partial[nid] = [{}]
-        elif isinstance(node, ChanceNode):
+        elif kind == _CHANCE:
             combined: List[Dict[str, str]] = [{}]
-            for _, cid in node.children:
+            for _, cid in table.pairs[nid]:
                 subs = partial.pop(cid)
                 combined = [{**acc, **sub} for acc in combined for sub in subs]
             partial[nid] = combined
         else:
-            partial[nid] = [
-                {nid: label, **sub}
-                for label, cid in _ordered_children(node)
-                for sub in partial.pop(cid)
-            ]
+            partial[nid] = [{nid: label, **sub} for label, cid in table.pairs[nid] for sub in partial.pop(cid)]
     return [Policy(c) for c in partial[tree.root]]
 
 
@@ -512,25 +533,29 @@ def policy_prospect(tree: DecisionTree, policy: Policy) -> Discrete:
     """Discrete prospect over terminal payoffs induced by a policy.
 
     Only the branches the policy takes are walked, depth-first in child
-    order, so payoffs reach ``make_discrete`` in a fixed order.
+    order, so payoffs reach ``make_discrete`` in a fixed order.  A path
+    whose mass, the product of its probabilities, underflows to 0 (below
+    2**-1074) is left out: a prospect holds positive masses only.
+    ``rollback`` keeps such a path, so at an aversion where its payoff
+    still moves the certain equivalent the two differ.
     """
+    table = tree._table
     pairs: List[Tuple[float, float]] = []
     stack = [(tree.root, 1.0)]
     while stack:
-        node_id, probability = stack.pop()
-        node = tree.nodes[node_id]
-        if isinstance(node, TerminalNode):
-            pairs.append((node.payoff, probability))
-        elif isinstance(node, ChanceNode):
-            stack.extend((cid, probability * p) for p, cid in reversed(node.children))
+        nid, mass = stack.pop()
+        kind = table.kinds.get(nid, _TERMINAL)
+        if kind == _TERMINAL:
+            if mass > 0.0:
+                pairs.append((table.payoffs[nid], mass))
+        elif kind == _CHANCE:
+            stack.extend((cid, mass * p) for p, cid in reversed(table.pairs[nid]))
         else:
-            label = policy.choice.get(node_id)
+            label = policy.choice.get(nid)
             if label is None:
-                raise ValueError(f"policy missing a choice at decision node {node_id!r}")
-            for clabel, cid in node.children:
-                if clabel == label:
-                    stack.append((cid, probability))
-                    break
-            else:
-                raise ValueError(f"policy selects unknown label {label!r} at node {node_id!r}")
+                raise ValueError(f"policy missing a choice at decision node {nid!r}")
+            cid = dict(table.pairs[nid]).get(label)
+            if cid is None:
+                raise ValueError(f"policy selects unknown label {label!r} at node {nid!r}")
+            stack.append((cid, mass))
     return make_discrete(pairs)

@@ -41,6 +41,22 @@ def check_risk_aversion(r: float, *, allow_zero: bool = False) -> float:
     return r
 
 
+def _geometric_points(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.geomspace(lo, hi, n)`` for 0 < lo <= hi and n >= 2, to the bit.
+
+    The same arithmetic (numpy's log10 of both ends, an evenly spaced
+    exponent, the ends pinned) without its general-purpose set-up.
+    """
+    a, b = np.log10(lo), np.log10(hi)
+    exponents = np.arange(n, dtype=float)
+    exponents *= (b - a) / (n - 1)
+    exponents += a
+    exponents[-1] = b
+    points = np.power(10.0, exponents)
+    points[0], points[-1] = lo, hi
+    return points
+
+
 def _check_k_grid(ks: Sequence[float]) -> Tuple[float, ...]:
     """Validate a k grid: nonempty, positive and strictly ascending."""
     grid = tuple(float(k) for k in ks)

@@ -289,11 +289,11 @@ class TestParserReuse:
         assert first.parse_args(["rollback", "--model", "m.json"]).func is cli.cmd_rollback
 
 
-def _chain_model(depth):
+def _chain_model(depth, leave=(0.01, 0.1)):
     rng = random.Random(depth)
     nodes = {}
     for i in range(depth):
-        p = rng.uniform(0.01, 0.1)
+        p = rng.uniform(*leave)
         nxt = f"n{i + 1}" if i + 1 < depth else "end"
         nodes[f"n{i}"] = {"kind": "chance", "children": [[p, f"t{i}"], [1.0 - p, nxt]]}
         nodes[f"t{i}"] = {"kind": "terminal", "payoff": rng.uniform(0, 100)}
@@ -324,6 +324,20 @@ def test_tree_commands_past_recursion_limit(tmp_path, capsys):
         "[end=go]",
         "[end=stop]",
     ]
+
+
+def test_policies_on_a_chain_whose_tail_mass_underflows(tmp_path, capsys):
+    # Leaving the chain with probability 0.05-0.3 a link, the masses of the
+    # leaves past a few thousand links underflow to 0.
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(_chain_model(5_000, leave=(0.05, 0.3))))
+    code, out, err = run(capsys, "rollback", "--model", str(path))
+    assert (code, err) == (0, "")
+    rolled = float(out.splitlines()[0].removeprefix("ce: "))
+    code, out, err = run(capsys, "policies", "--model", str(path))
+    assert (code, err) == (0, "")
+    ces = [float(line.split(" ce=")[1].split(" ")[0]) for line in out.splitlines()]
+    assert max(ces) == pytest.approx(rolled, rel=1e-9)
 
 
 _PAYOFF = st.one_of(

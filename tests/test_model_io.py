@@ -1,7 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexcurve import (
     Discrete,
@@ -64,6 +67,12 @@ class TestParseKGrid:
 
     def test_degenerate_single_point(self):
         assert parse_k_grid("3:3:1") == (3.0,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(1e-8, 1e8), decades=st.floats(0.0, 6.0), steps=st.integers(2, 300))
+    def test_same_points_as_geomspace(self, lo, decades, steps):
+        hi = lo * 10.0**decades
+        assert parse_k_grid(f"{lo!r}:{hi!r}:{steps}") == tuple(np.geomspace(lo, hi, steps).tolist())
 
     @pytest.mark.parametrize("text", ["1:100", "a:2:3", "0:10:5", "5:1:3", "1:10:1"])
     def test_rejects(self, text):

@@ -308,16 +308,18 @@ class TestPolicies:
             policy_prospect(simple_tree(), Policy({}))
 
 
-def deep_chain(depth, seed=3):
+def deep_chain(depth, seed=3, leave=(0.01, 0.1)):
     """Chance chain of the given depth that ends in a decision between two leaves.
 
-    Each link leaves the chain with probability 0.01-0.1, so the mass that
-    reaches the end stays above the smallest normal float at depth 5,000.
+    Each link leaves the chain with a probability drawn from ``leave``.  At
+    0.01-0.1 the mass that reaches the end stays above the smallest normal
+    float at depth 5,000; at 0.05-0.3 the leaves' masses underflow to 0
+    long before.
     """
     rng = np.random.default_rng(seed)
     nodes = {}
     for i in range(depth):
-        p = float(rng.uniform(0.01, 0.1))
+        p = float(rng.uniform(*leave))
         nxt = f"c{i + 1}" if i + 1 < depth else "end"
         nodes[f"c{i}"] = ChanceNode(((p, f"t{i}"), (1.0 - p, nxt)))
         nodes[f"t{i}"] = TerminalNode(float(rng.uniform(0, 100)))
@@ -350,6 +352,15 @@ class TestDeepTrees:
         assert [p.choice for p in policies] == [{"end": "go"}, {"end": "stop"}]
         best = certain_equivalent(policy_prospect(tree, policies[0]), r)
         assert best == pytest.approx(ce, rel=1e-9)
+
+    def test_paths_whose_mass_underflows_are_left_out(self):
+        tree = deep_chain(self.DEPTH, seed=5, leave=(0.05, 0.3))
+        r = 0.01
+        ce, policy = rollback(tree, r)
+        prospect = policy_prospect(tree, policy)
+        # past about 3,800 links, a leaf's mass underflows to 0
+        assert len(prospect.values) < self.DEPTH
+        assert certain_equivalent(prospect, r) == pytest.approx(ce, rel=1e-9)
 
 
 def scalar_rollback(tree, node_id, rho):
