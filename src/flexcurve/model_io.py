@@ -126,38 +126,42 @@ def _normalize_prospect_spec(pid: str, raw: Any, path: str) -> Dict[str, Any]:
 
 
 def _resolve_prospects(specs: Mapping[str, Dict[str, Any]]) -> Dict[str, Prospect]:
+    """Build every prospect after the ids it references, depth first from each id in order.
+
+    A fault is reported where a recursive walk would meet it first: an unknown or
+    circular reference at the path naming it, a bad value once its references are built.
+    """
     resolved: Dict[str, Prospect] = {}
-    resolving: set[str] = set()
-
-    def resolve(pid: str, path: str) -> Prospect:
-        if pid in resolved:
-            return resolved[pid]
-        _expect(pid in specs, path, f"unknown prospect id {pid!r}")
-        _expect(pid not in resolving, path, f"circular reference through {pid!r}")
-        resolving.add(pid)
-        spec = specs[pid]
-        where = f"prospects.{pid}"
-        try:
-            if spec["kind"] == "discrete":
-                prospect: Prospect = make_discrete(spec["points"])
-            elif spec["kind"] == "gaussian":
-                prospect = make_gaussian(spec["mean"], spec["variance"])
-            elif spec["kind"] == "affine":
-                prospect = Affine(resolve(spec["base"], f"{where}.base"), spec["scale"], spec["offset"])
-            else:
-                prospect = IndependentSum(
-                    tuple(resolve(t, f"{where}.terms") for t in spec["terms"])
-                )
-        except ModelError:
-            raise
-        except ValueError as exc:
-            raise ModelError(f"{where}: {exc}") from None
-        resolving.discard(pid)
-        resolved[pid] = prospect
-        return prospect
-
-    for pid in specs:
-        resolve(pid, f"prospects.{pid}")
+    for first in specs:
+        active = {first: 0}  # ids being resolved, innermost last, each with its next reference
+        while first not in resolved:
+            pid = next(reversed(active))
+            spec = specs[pid]
+            kind, i = spec["kind"], active[pid]
+            refs = spec["terms"] if kind == "sum" else (spec["base"],) if kind == "affine" else ()
+            while i < len(refs) and refs[i] in resolved:
+                i += 1
+            if i < len(refs):
+                ref, path = refs[i], f"prospects.{pid}.{'terms' if kind == 'sum' else 'base'}"
+                _expect(ref in specs, path, f"unknown prospect id {ref!r}")
+                _expect(ref not in active, path, f"circular reference through {ref!r}")
+                active[pid], active[ref] = i, 0
+                continue
+            try:
+                if kind == "discrete":
+                    prospect: Prospect = make_discrete(spec["points"])
+                    # the merged / sorted / renormalized points, so emission is stable under re-parsing
+                    spec["points"] = tuple(zip(prospect.values, prospect.masses))
+                elif kind == "gaussian":
+                    prospect = make_gaussian(spec["mean"], spec["variance"])
+                elif kind == "affine":
+                    prospect = Affine(resolved[refs[0]], spec["scale"], spec["offset"])
+                else:
+                    prospect = IndependentSum(tuple(resolved[t] for t in refs))
+            except ValueError as exc:
+                raise ModelError(f"prospects.{pid}: {exc}") from None
+            resolved[pid] = prospect
+            del active[pid]
     return resolved
 
 
@@ -305,11 +309,6 @@ def parse_model(text: str | bytes) -> ModelDocument:
     _expect(isinstance(raw_prospects, dict), "prospects", "expected an object")
     specs = {pid: _normalize_prospect_spec(pid, spec, f"prospects.{pid}") for pid, spec in raw_prospects.items()}
     prospects = _resolve_prospects(specs)
-    # Canonicalize discrete specs to the merged / sorted / renormalized form
-    # so emission is stable under re-parsing.
-    for pid, prospect in prospects.items():
-        if specs[pid]["kind"] == "discrete":
-            specs[pid] = {"kind": "discrete", "points": tuple(zip(prospect.values, prospect.masses))}
 
     tree = _parse_tree(raw["tree"], "tree") if "tree" in raw else None
 

@@ -25,15 +25,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .prospects import (
-    Affine,
-    Discrete,
-    Gaussian,
-    IndependentSum,
-    Prospect,
-    _merge_ties,
-    convolve_supports,
-)
+from .prospects import Prospect, _convolve, _merge_ties, stats
 from .valuation import _certain_equivalents, _geometric_points, check_risk_aversion
 
 __all__ = [
@@ -104,40 +96,37 @@ class FlexibilityVerdict:
 
 
 def _decompose(prospect: Prospect) -> Tuple[Tuple[float, ...], Tuple[float, ...], float, float]:
-    """Reduce a prospect to an independent discrete part plus Gaussian(m, v).
+    """Reduce a prospect's normal form to an independent discrete part plus Gaussian(m, v).
 
-    Returns (values, masses, gaussian_mean, gaussian_variance).  Raises
-    UnsupportedProspectError when an exact reduction would blow the
-    convolution support cap.
+    Returns (values, masses, gaussian_mean, gaussian_variance).  A prospect
+    with a support of its own (a Discrete) is read as it stands, whatever its
+    form; otherwise the moved discrete parts are convolved, and shifted by the
+    Gaussians' offsets, and by their means when no variance is left.
+    Raises UnsupportedProspectError past the convolution support cap.
     """
-    if isinstance(prospect, Discrete):
+    if getattr(prospect, "values", None) is not None:
         return prospect.values, prospect.masses, 0.0, 0.0
-    if isinstance(prospect, Gaussian):
-        if prospect.variance == 0.0:
-            return (prospect.mean,), (1.0,), 0.0, 0.0
-        return (0.0,), (1.0,), prospect.mean, prospect.variance
-    if isinstance(prospect, Affine):
-        values, masses, gm, gv = _decompose(prospect.base)
-        k, c = prospect.scale, prospect.offset
-        # k > 0 preserves order; merge any values that collide after rounding.
-        values, masses = _merge_ties(tuple(v * k + c for v in values), masses)
-        return values, masses, gm * k, gv * k * k
-    if isinstance(prospect, IndependentSum):
-        values: Tuple[float, ...] = (0.0,)
-        masses: Tuple[float, ...] = (1.0,)
-        gm = gv = 0.0
-        for term in prospect.terms:
-            tv, tm, tgm, tgv = _decompose(term)
-            merged = convolve_supports(Discrete(values, masses), Discrete(tv, tm))
-            if merged is None:
-                raise UnsupportedProspectError(
-                    "independent sum exceeds the exact-convolution support cap"
-                )
-            values, masses = merged
-            gm += tgm
-            gv += tgv
-        return values, masses, gm, gv
-    raise TypeError(f"not a prospect: {prospect!r}")
+    discrete = []
+    point = gm = gv = 0.0
+    for part_values, part_masses, mean, variance, s, c in prospect._form:
+        if part_values is None:
+            point, gm, gv = point + c, gm + mean * s, gv + variance * s * s
+        else:  # s > 0 preserves order; merge any values that collide after rounding
+            discrete.append(_merge_ties(part_values * s + c, part_masses) if s != 1.0 or c else (part_values, part_masses))
+    # Pairwise: many equal parts reach the cap in log2(n) rounds, not n - 1 convolutions.
+    while len(discrete) > 1:
+        merged = [_convolve(*a, *b) for a, b in zip(discrete[::2], discrete[1::2])]
+        if any(m is None for m in merged):
+            raise UnsupportedProspectError("independent sum exceeds the exact-convolution support cap")
+        discrete = merged + discrete[2 * len(merged) :]
+    if gv == 0.0:
+        point, gm = point + gm, 0.0
+    if not discrete:
+        return (point,), (1.0,), gm, gv
+    values, masses = discrete[0]
+    if point:
+        values, masses = _merge_ties(values + point, masses)
+    return tuple(values.tolist()), tuple(masses.tolist()), gm, gv
 
 
 def _discrete_tail(
@@ -173,7 +162,8 @@ def _discrete_tail(
         k0 = 1.0
     else:
         gap = merged[istar + 1] - merged[istar]
-        k0 = math.log(residual / abs(cstar)) / (r * gap)
+        # a divisor that underflows to 0 stands as the least float: the certificate is out of range
+        k0 = math.log(residual / abs(cstar)) / (r * gap or math.ulp(0.0))
     certified = max(1.0, k0 * (1.0 + 1e-9) + 1e-6)
     if istar == 0 and (px.get(merged[0], 0.0) == 0.0 or py.get(merged[0], 0.0) == 0.0):
         rationale = "worst-case gap"
@@ -194,7 +184,7 @@ def _gaussian_tail(
         return TailVerdict(relation, 1.0, "Gaussian slope")
     # Lines mean - var*k*r/2: the flatter slope is eventually above.
     relation = TailRelation.X_ABOVE if x_var < y_var else TailRelation.Y_ABOVE
-    crossing = 2.0 * (x_mean - y_mean) / (r * (x_var - y_var))
+    crossing = 2.0 * (x_mean - y_mean) / (r * (x_var - y_var) or math.ulp(0.0))
     certified = max(1.0, crossing * (1.0 + 1e-9) + 1e-6)
     return TailVerdict(relation, certified, "Gaussian slope")
 
@@ -224,7 +214,7 @@ def tail_order(x: Prospect, y: Prospect, r: float) -> TailVerdict:
         gvar = ygv
         bounded_worst = min(xv) + xgm
     # CE_unbounded(k) <= upper - gvar*k*r/2 while CE_bounded(k) >= its worst case.
-    k0 = 2.0 * (upper - bounded_worst) / (gvar * r)
+    k0 = 2.0 * (upper - bounded_worst) / (gvar * r or math.ulp(0.0))
     certified = max(1.0, k0 * (1.0 + 1e-9) + 1e-6)
     return TailVerdict(relation, certified, "worst-case gap")
 
@@ -483,8 +473,9 @@ def upper_envelope(
 ) -> List[EnvelopeSegment]:
     """Partition [k_lo, k_hi] by which prospect's CE curve is maximal.
 
-    All-Gaussian inputs use the exact line-envelope construction; mixed
-    inputs fall back to a geometric grid whose breakpoints are all refined
+    Inputs whose normal forms hold no discrete part (Gaussians, their
+    affine maps and sums) use the exact line-envelope construction; others
+    fall back to a geometric grid whose breakpoints are all refined
     together to ROOT_REL_TOL.  Prospects absent from the output are optimal
     for no k in range.
     """
@@ -495,19 +486,19 @@ def upper_envelope(
     k_lo, k_hi = (float(k_range[0]), float(k_range[1]))
     if not (0.0 < k_lo < k_hi):
         raise ValueError(f"invalid k range {k_range!r}")
-    if all(isinstance(p, Gaussian) for _, p in items):
-        return _gaussian_envelope(items, r, k_lo, k_hi)
+    if all(part.values is None for _, p in items for part in p._form):
+        return _line_envelope(items, r, k_lo, k_hi)
     return _grid_envelope(items, r, k_lo, k_hi)
 
 
-def _gaussian_envelope(
-    items: Sequence[Tuple[str, Gaussian]], r: float, k_lo: float, k_hi: float
+def _line_envelope(
+    items: Sequence[Tuple[str, Prospect]], r: float, k_lo: float, k_hi: float
 ) -> List[EnvelopeSegment]:
     # Each curve is the line mean - (variance*r/2) * k.
     groups: dict[Tuple[float, float], List[str]] = {}
     for pid, p in items:
-        key = (-0.5 * p.variance * r, p.mean)
-        groups.setdefault(key, []).append(pid)
+        s = stats(p)
+        groups.setdefault((-0.5 * s.variance * r, s.mean), []).append(pid)
 
     # For equal slopes only the highest intercept can ever be on top.
     by_slope: dict[float, Tuple[float, float]] = {}

@@ -1,33 +1,31 @@
 """Uncertain monetary prospects and the distortion algebra over them.
 
-A prospect is a probability distribution over a single monetary attribute.
-Four representations are supported: finite discrete distributions,
-Gaussians, affine transforms k*X + c with k > 0, and sums of mutually
-independent prospects.  Everything downstream (certain equivalents,
-flexibility curves, orderings) is driven by the log moment generating
-function, so each representation only has to know how to evaluate
-ln E{exp(t*X)} and its exact mean / variance / worst case.
+A prospect is a finite discrete distribution, a Gaussian, an affine map
+k*X + c with k > 0, or a sum of independent prospects.  Under constant risk
+aversion the log-MGF ln E{exp(t*X)} adds over independent parts, so every
+prospect reduces to one normal form, an ordered tuple of parts s * Y + c
+with Y a discrete factor or a Gaussian, and everything downstream reads the
+form.  One iterative builder, the only code that tells the four classes
+apart, builds it on a prospect's first evaluation and caches it there.  A
+sum concatenates its terms' parts; an Affine scales every part below it and
+folds its offset into a lone part, or follows several with a line part
+Gaussian(c, 0).  A form past ``FORM_PART_CAP`` parts is refused unbuilt.
 
-Under constant risk aversion the log-MGF adds over independent parts, so
-a sum costs the sum of its parts, not the product of their supports.  A
-Discrete built by ``add_independent`` as an exact convolution therefore
-remembers its factors: the independent discrete parts it was convolved
-from, flattened and in term order.  Its log-MGF, mean and variance are
-read from the factors whenever they hold fewer points than its merged
-support (lazily, as an IndependentSum of them); otherwise, and for every
-other Discrete, from the support.  The support is still built in full,
-and everything that needs the distribution itself (tail certificates,
-the worst case, further convolutions, printing) reads it.  The factors
-take no part in equality, hashing or repr.
+A Discrete is its own one-part form, unless ``add_independent``, ``scale``
+or ``shift`` derived it from factored inputs: its form is then seeded with
+the parts derived from theirs whenever those hold fewer points than its
+support (3 factors of 10 points against 1,000; ten {0, 1} coins, 20 points
+against 11, keep the support).  Equality, hashing and repr read only the
+support, which is still built in full.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,6 +45,7 @@ __all__ = [
     "stats",
     "MASS_SUM_TOLERANCE",
     "CONVOLUTION_SUPPORT_CAP",
+    "FORM_PART_CAP",
 ]
 
 # Hand-authored mass lists may carry rounding; within this slack they are
@@ -59,6 +58,9 @@ _MASS_SUM_EXACT = 1e-12
 # Exact convolution is abandoned in favor of a lazy IndependentSum once the
 # product support would exceed this many points.
 CONVOLUTION_SUPPORT_CAP = 1_000_000
+
+# Most parts a normal form may hold (a sum listing one term twice, 16 deep).
+FORM_PART_CAP = 1 << 16
 
 # Largest (t x support) block the log-sum-exp kernel materialises at once
 # (512 KB of float64): a long k grid over a wide support is evaluated in
@@ -76,15 +78,23 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
+class _Part(NamedTuple):
+    """A part scale * Y + offset: Y is a discrete factor (read-only arrays) or, with values None, a Gaussian."""
+
+    values: Optional[np.ndarray]
+    masses: Optional[np.ndarray]
+    mean: float
+    variance: float
+    scale: float
+    offset: float
+
+
 @dataclass(frozen=True)
 class Discrete:
     """Finite distribution over distinct, strictly ascending money values."""
 
     values: Tuple[float, ...]
     masses: Tuple[float, ...]
-    # The independent discrete parts this is the exact convolution of, in
-    # term order; () unless built by a convolution (see add_independent).
-    _factors: Tuple["Discrete", ...] = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.values:
@@ -112,12 +122,9 @@ class Discrete:
         return arrays
 
     @cached_property
-    def _factored(self) -> "IndependentSum | None":
-        """The lazy sum of the factors, when they hold fewer points than the support."""
-        factors = self._factors
-        if factors and sum(len(f.values) for f in factors) < len(self.values):
-            return IndependentSum(factors)
-        return None
+    def _form(self) -> Tuple[_Part, ...]:
+        """The support as the one part, unless ``_seeded`` gave factors."""
+        return (_Part(*self._arrays, 0.0, 0.0, 1.0, 0.0),)
 
 
 @dataclass(frozen=True)
@@ -126,6 +133,7 @@ class Gaussian:
 
     mean: float
     variance: float
+    _form = cached_property(lambda self: _build_form(self))
 
     def __post_init__(self) -> None:
         _require_finite(self.mean, "mean")
@@ -141,6 +149,7 @@ class Affine:
     base: "Prospect"
     scale: float
     offset: float
+    _form = cached_property(lambda self: _build_form(self))
 
     def __post_init__(self) -> None:
         _require_finite(self.offset, "offset")
@@ -154,6 +163,7 @@ class IndependentSum:
     """Sum of mutually independent prospects, evaluated lazily via the MGF."""
 
     terms: Tuple["Prospect", ...]
+    _form = cached_property(lambda self: _build_form(self))
 
     def __post_init__(self) -> None:
         if not self.terms:
@@ -170,6 +180,72 @@ class ProspectStats:
     mean: float
     variance: float
     worst_case: float
+
+
+def _moved_form(parts: Tuple[_Part, ...], k: float, c: float) -> Tuple[_Part, ...]:
+    """The form of k * X + c from the form of X: c folds into a lone part and follows several as a line part."""
+    moved = tuple(_Part(v, m, mean, variance, s * k, o * k) for v, m, mean, variance, s, o in parts)
+    if len(moved) == 1:
+        return (moved[0]._replace(offset=moved[0].offset + c),)
+    return moved + (_Part(None, None, c, 0.0, 1.0, 0.0),) if c else moved
+
+
+def _build_form(root: Prospect) -> Tuple[_Part, ...]:
+    """The normal form of ``root``: the one place that tells the prospect classes apart.
+
+    Pass 1 visits each distinct node once, below it first: it counts the
+    node's parts, and collapses an Affine or one-term sum onto the node
+    ending its chain, composing the scales and offsets, so that expanding a
+    shared node costs its parts, not its depth.  A form past
+    ``FORM_PART_CAP`` parts is refused before pass 2 expands the root from
+    the top, in term order; no sub-prospect's form is built but a Discrete's.
+    """
+    seen: Dict[int, Tuple[int, Prospect, float, float]] = {}  # parts; chain end, scale, offset
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in seen:
+            stack.pop()
+            continue
+        if isinstance(node, Affine):
+            below, k, c = (node.base,), node.scale, node.offset
+        elif isinstance(node, IndependentSum):
+            below, k, c = node.terms, 1.0, 0.0
+        elif isinstance(node, (Discrete, Gaussian)):
+            below = ()
+        else:
+            raise TypeError(f"not a prospect: {node!r}")
+        todo = [b for b in below if id(b) not in seen]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if len(below) == 1:
+            _, end, inner_k, inner_c = seen[id(below[0])]
+            n, c = seen[id(end)][0], k * inner_c + c
+            seen[id(node)] = (n + 1 if c and n > 1 else n, end, k * inner_k, c)
+        else:
+            n = len(node._form) if isinstance(node, Discrete) else sum(seen[id(b)][0] for b in below) or 1
+            seen[id(node)] = (n, node, 1.0, 0.0)
+    if seen[id(root)][0] > FORM_PART_CAP:
+        raise ValueError(f"the normal form would hold {seen[id(root)][0]} parts, past the part cap FORM_PART_CAP = {FORM_PART_CAP}")
+    parts: List[_Part] = []
+    expand: List[Tuple[Prospect, float, float]] = [(root, 1.0, 0.0)]
+    while expand:
+        node, k, c = expand.pop()
+        _, node, inner_k, inner_c = seen.get(id(node), (1, node, 1.0, 0.0))
+        k, c = k * inner_k, k * inner_c + c
+        if not (math.isfinite(k) and math.isfinite(c)):
+            raise OverflowError(f"prospect scale {k!r} or offset {c!r} out of floating-point range")
+        if isinstance(node, IndependentSum):
+            if c:
+                expand.append((Gaussian(c, 0.0), 1.0, 0.0))
+            expand.extend((t, k, 0.0) for t in reversed(node.terms))
+        elif isinstance(node, Discrete):
+            parts.extend(_moved_form(node._form, k, c))
+        else:
+            parts.append(_Part(None, None, node.mean, node.variance, k, c))
+    return tuple(parts)
 
 
 def make_discrete(pairs: Iterable[Tuple[float, float]]) -> Discrete:
@@ -204,107 +280,67 @@ def make_gaussian(mean: float, variance: float) -> Gaussian:
     return Gaussian(_require_finite(mean, "mean"), _require_finite(variance, "variance"))
 
 
-def _merge_ties(values: Sequence[float], masses: Sequence[float]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+def _merge_ties(values: Sequence[float], masses: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     """A nondecreasing support with equal neighbours merged and their masses summed."""
-    out_v: List[float] = []
-    out_m: List[float] = []
-    for v, m in zip(values, masses):
-        if out_v and v == out_v[-1]:
-            out_m[-1] += m
-        else:
-            out_v.append(v)
-            out_m.append(m)
-    return tuple(out_v), tuple(out_m)
+    values, masses = np.asarray(values, dtype=float), np.asarray(masses, dtype=float)
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    return values[starts], np.add.reduceat(masses, starts)
 
 
-def _moved(prospect: Discrete, values: Tuple[float, ...]) -> Discrete:
-    """``prospect`` carried onto ``values`` by an increasing map of its support.
+def _seeded(prospect: Discrete, parts: Tuple[_Part, ...]) -> Discrete:
+    """``prospect``, its form seeded with ``parts`` when several hold fewer points than its support."""
+    if len(parts) > 1 and sum(len(p.values) for p in parts if p.values is not None) < len(prospect.values):
+        prospect.__dict__["_form"] = parts
+    return prospect
 
-    Values that the map rounds together are merged and their masses summed,
-    as for an ``Affine`` in ``orders._decompose``; a value that overflows
-    raises ValueError.
+
+def _mapped(prospect: Prospect, k: float, c: float) -> Prospect:
+    """k * X + c: a Discrete for a Discrete, a Gaussian for a Gaussian, else an Affine of X.
+
+    A Discrete's values that the map rounds together are merged and their
+    masses summed, as ``orders._decompose`` does; a value that overflows
+    raises ValueError.  Its form is seeded from X's (see ``_seeded``).
     """
-    try:
-        return Discrete(values, prospect.masses)
-    except ValueError:
-        pass  # values that round together are merged below; an overflow raises again
-    return Discrete(*_merge_ties(values, prospect.masses))
+    if isinstance(prospect, Discrete):
+        values = tuple(v * k + c for v in prospect.values)
+        try:
+            moved = Discrete(values, prospect.masses)
+        except ValueError:  # values that round together merge; an overflow raises again
+            moved = Discrete(*(tuple(a.tolist()) for a in _merge_ties(values, prospect.masses)))
+        return _seeded(moved, _moved_form(prospect.__dict__.get("_form", ()), k, c))
+    if isinstance(prospect, Gaussian):
+        return Gaussian(prospect.mean * k + c, prospect.variance * k * k)
+    return Affine(prospect, k, c)
 
 
 def scale(prospect: Prospect, k: float) -> Prospect:
-    """Prospect distributed as k * X for k > 0."""
+    """Prospect distributed as k * X for k > 0 (see ``_mapped``)."""
     k = float(k)
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"scale factor must be positive and finite, got {k!r}")
-    if isinstance(prospect, Discrete):
-        return _with_factors(
-            _moved(prospect, tuple(v * k for v in prospect.values)),
-            (scale(f, k) for f in prospect._factors),
-        )
-    if isinstance(prospect, Gaussian):
-        return Gaussian(prospect.mean * k, prospect.variance * k * k)
-    if isinstance(prospect, Affine):
-        return Affine(prospect.base, prospect.scale * k, prospect.offset * k)
-    if isinstance(prospect, IndependentSum):
-        return IndependentSum(tuple(scale(t, k) for t in prospect.terms))
-    raise TypeError(f"not a prospect: {prospect!r}")
+    return _mapped(prospect, k, 0.0)
 
 
 def shift(prospect: Prospect, c: float) -> Prospect:
-    """Prospect distributed as X + c."""
-    c = _require_finite(c, "shift amount")
-    if isinstance(prospect, Discrete):
-        return _with_factors(
-            _moved(prospect, tuple(v + c for v in prospect.values)),
-            (shift(f, c) if i == 0 else f for i, f in enumerate(prospect._factors)),
-        )
-    if isinstance(prospect, Gaussian):
-        return Gaussian(prospect.mean + c, prospect.variance)
-    if isinstance(prospect, Affine):
-        return Affine(prospect.base, prospect.scale, prospect.offset + c)
-    if isinstance(prospect, IndependentSum):
-        return Affine(prospect, 1.0, c)
-    raise TypeError(f"not a prospect: {prospect!r}")
+    """Prospect distributed as X + c (see ``_mapped``)."""
+    return _mapped(prospect, 1.0, _require_finite(c, "shift amount"))
 
 
-def convolve_supports(
-    x: Discrete, z: Discrete
-) -> Tuple[Tuple[float, ...], Tuple[float, ...]] | None:
-    """Exact convolution support of two discrete prospects.
+def _convolve(
+    xv: np.ndarray, xm: np.ndarray, zv: np.ndarray, zm: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray] | None:
+    """Exact convolution of two discrete distributions, as value and mass arrays.
 
     Returns None when the pairwise-sum support would exceed the cap.
     Values equal to the bit are merged; there is no epsilon merging.
     """
-    if len(x.values) * len(z.values) > CONVOLUTION_SUPPORT_CAP:
+    if len(xv) * len(zv) > CONVOLUTION_SUPPORT_CAP:
         return None
-    (xv, xm), (zv, zm) = x._arrays, z._arrays
     sums = np.add.outer(xv, zv).ravel()
     weights = np.multiply.outer(xm, zm).ravel()
     uniq, inverse = np.unique(sums, return_inverse=True)
     agg = np.bincount(inverse, weights=weights, minlength=len(uniq))
-    total = math.fsum(agg.tolist())
-    return tuple(uniq.tolist()), tuple((agg / total).tolist())
-
-
-def _with_factors(prospect: Discrete, factors: Iterable[Discrete]) -> Discrete:
-    """``prospect``, remembering the given factors.
-
-    A shift can make a factor's values overflow where the support's do
-    not, and building that factor raises ValueError; the factors are then
-    dropped, and the support, which is exact, is read.
-    """
-    try:
-        kept = tuple(factors)
-    except ValueError:
-        kept = ()
-    object.__setattr__(prospect, "_factors", kept)
-    return prospect
-
-
-def _sum_terms(prospect: Prospect) -> Tuple[Prospect, ...]:
-    if isinstance(prospect, IndependentSum):
-        return prospect.terms
-    return (prospect,)
+    return uniq, agg / math.fsum(agg.tolist())
 
 
 def add_independent(x: Prospect, z: Prospect) -> Prospect:
@@ -312,23 +348,18 @@ def add_independent(x: Prospect, z: Prospect) -> Prospect:
 
     Discrete + Discrete gives the exact convolution (unless the support cap
     is hit), Gaussian + Gaussian stays Gaussian, everything else is a lazy
-    IndependentSum evaluated through the MGF.
+    IndependentSum of the two, evaluated through the MGF.
 
-    The convolution remembers its factors: x's and z's own factors (or x
-    and z themselves, when they were not built by a convolution), in that
-    order.  Its log-MGF, mean and variance are read from them whenever they
-    hold fewer points than its merged support, for instance 3 factors of 10
-    points against 1,000; ten {0, 1} coins, 20 points against 11, are read
-    from the support.  Its values, masses and worst case are always the
-    support's.
+    The convolution's form is seeded with x's parts then z's (``_seeded``):
+    its log-MGF and moments are read from them when they hold fewer points.
     """
     if isinstance(x, Discrete) and isinstance(z, Discrete):
-        merged = convolve_supports(x, z)
+        merged = _convolve(*x._arrays, *z._arrays)
         if merged is not None:
-            return _with_factors(Discrete(*merged), (x._factors or (x,)) + (z._factors or (z,)))
+            return _seeded(Discrete(*(tuple(a.tolist()) for a in merged)), x._form + z._form)
     if isinstance(x, Gaussian) and isinstance(z, Gaussian):
         return Gaussian(x.mean + z.mean, x.variance + z.variance)
-    return IndependentSum(_sum_terms(x) + _sum_terms(z))
+    return IndependentSum((x, z))
 
 
 def _logsumexp(ts: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -424,78 +455,56 @@ def _lse_block(
 def _log_mgf_grid(prospect: Prospect, ts: np.ndarray) -> np.ndarray:
     """ln E{exp(t*X)} for every t in a 1-D float array.
 
-    An IndependentSum adds its terms' columns in term order, one rounding
-    per addition: with two terms that is the correctly rounded sum, bit for
-    bit what ``math.fsum`` gives; with n >= 3 terms the sum is within
-    (n - 1) * u / (1 - (n - 1) * u) * sum |term| of the exact sum of the
-    term values, u = 2**-53 (the bound of recursive summation).
+    A part s * Y + c adds Y's column at s * t plus c * t, in the form's
+    order with one rounding per addition: with two parts that is the
+    correctly rounded sum, bit for bit what ``math.fsum`` gives; with n >= 3
+    parts the sum is within (n - 1) * u / (1 - (n - 1) * u) * sum |column|
+    of the exact sum of the columns, u = 2**-53 (recursive summation).
     """
-    if isinstance(prospect, Discrete):
-        if prospect._factored is not None:
-            return _log_mgf_grid(prospect._factored, ts)
-        return _logsumexp(ts, *prospect._arrays)
-    if isinstance(prospect, Gaussian):
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = prospect.mean * ts + 0.5 * prospect.variance * ts * ts
-        finite = np.isfinite(out)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise OverflowError(
-                f"log-MGF overflow: Gaussian exponent {float(out[bad])!r} at t={float(ts[bad])!r}"
-            )
-        return out
-    if isinstance(prospect, Affine):
-        return _log_mgf_grid(prospect.base, prospect.scale * ts) + prospect.offset * ts
-    if isinstance(prospect, IndependentSum):
-        terms = iter(prospect.terms)
-        out = _log_mgf_grid(next(terms), ts)
-        with np.errstate(over="ignore"):
-            for term in terms:
-                out += _log_mgf_grid(term, ts)
-        if not np.isfinite(out).all():
-            raise OverflowError("log-MGF overflow: sum of terms out of floating-point range")
-        return out
-    raise TypeError(f"not a prospect: {prospect!r}")
+    form = prospect._form
+    out = None
+    with np.errstate(over="ignore") if len(form) > 1 else nullcontext():
+        for values, masses, mean, variance, s, c in form:
+            t = ts if s == 1.0 else s * ts
+            if values is not None:
+                column = _logsumexp(t, values, masses)
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    column = mean * t + 0.5 * variance * t * t
+                finite = np.isfinite(column)
+                if not finite.all():
+                    bad = int(np.argmin(finite))
+                    raise OverflowError(f"log-MGF overflow: Gaussian exponent {float(column[bad])!r} at t={float(t[bad])!r}")
+            if c:
+                column += c * ts
+            out = column if out is None else np.add(out, column, out=out)
+    if len(form) > 1 and not np.isfinite(out).all():
+        raise OverflowError("log-MGF overflow: sum of terms out of floating-point range")
+    return out
 
 
 def log_mgf(prospect: Prospect, t: float) -> float:
-    """Evaluate ln E{exp(t*X)}.
-
-    Discrete prospects use a max-shifted exponential sum; Affine and
-    IndependentSum nodes compose through the standard MGF identities.
-    """
+    """Evaluate ln E{exp(t*X)} from the normal form's parts."""
     t = _require_finite(t, "MGF argument t")
     return float(_log_mgf_grid(prospect, np.asarray([t]))[0])
 
 
 def stats(prospect: Prospect) -> ProspectStats:
-    """Exact mean, variance and worst case, composed by independence."""
-    if isinstance(prospect, Discrete):
-        if prospect._factored is not None:
-            s = stats(prospect._factored)
-            return ProspectStats(s.mean, s.variance, prospect.values[0])
-        v, m = prospect._arrays
-        mean = float(np.dot(m, v))
-        # Deviations are scaled by 2**-e, with 2**e above the largest of them
-        # (found from halves, which cannot overflow), before squaring: only
-        # a variance out of range overflows, and the scaling is exact.
-        e = math.frexp(max(0.5 * v[-1] - 0.5 * mean, 0.5 * mean - 0.5 * v[0]))[1] + 1
-        deviations = np.ldexp(v, -e) - math.ldexp(mean, -e)
-        with np.errstate(over="ignore"):
-            variance = float(np.ldexp(np.dot(m, deviations * deviations), 2 * e))
-        return ProspectStats(mean, variance, prospect.values[0])
-    if isinstance(prospect, Gaussian):
-        worst = prospect.mean if prospect.variance == 0.0 else -math.inf
-        return ProspectStats(prospect.mean, prospect.variance, worst)
-    if isinstance(prospect, Affine):
-        s = stats(prospect.base)
-        k, c = prospect.scale, prospect.offset
-        return ProspectStats(s.mean * k + c, s.variance * k * k, s.worst_case * k + c)
-    if isinstance(prospect, IndependentSum):
-        parts = [stats(term) for term in prospect.terms]
-        return ProspectStats(
-            math.fsum(p.mean for p in parts),
-            math.fsum(p.variance for p in parts),
-            sum(p.worst_case for p in parts),
-        )
-    raise TypeError(f"not a prospect: {prospect!r}")
+    """Exact mean, variance and worst case, summed over the normal form's parts."""
+    means, variances, worst = [], [], 0.0
+    for values, masses, mean, variance, s, c in prospect._form:
+        if values is None:
+            low = mean if variance == 0.0 else -math.inf
+        else:
+            mean, low = float(np.dot(masses, values)), float(values[0])
+            # Deviations are scaled by 2**-e, with 2**e above the largest of them
+            # (found from halves, which cannot overflow), before squaring: only
+            # a variance out of range overflows, and the scaling is exact.
+            e = math.frexp(max(0.5 * values[-1] - 0.5 * mean, 0.5 * mean - 0.5 * low))[1] + 1
+            deviations = np.ldexp(values, -e) - math.ldexp(mean, -e)
+            with np.errstate(over="ignore"):
+                variance = float(np.ldexp(np.dot(masses, deviations * deviations), 2 * e))
+        means.append(mean * s + c)
+        variances.append(variance * s * s)
+        worst += low * s + c
+    return ProspectStats(math.fsum(means), math.fsum(variances), worst)

@@ -70,6 +70,56 @@ def mp_certain_equivalent(prospect, rho):
     return -mp.log(total) / rho
 
 
+def flat_terms(prospect):
+    """The prospect as (leaves, offset): X = sum of scale * leaf over leaves, plus offset.
+
+    Each leaf is a Discrete or a Gaussian paired with its composed scale.
+    Iterative, so it also serves chains deeper than the recursion limit.
+    """
+    leaves, offset = [], 0.0
+    stack = [(prospect, 1.0)]
+    while stack:
+        node, k = stack.pop()
+        if isinstance(node, Affine):
+            offset += k * node.offset
+            stack.append((node.base, k * node.scale))
+        elif isinstance(node, IndependentSum):
+            stack.extend((term, k) for term in node.terms)
+        else:
+            leaves.append((node, k))
+    return leaves, offset
+
+
+def oracle_ce(prospect, rho):
+    """CE(X|rho) as the sum of its leaves' CEs, each through the utility pair or the Gaussian line."""
+    leaves, offset = flat_terms(prospect)
+    parts = [offset]
+    for leaf, k in leaves:
+        if isinstance(leaf, Gaussian):
+            parts.append(k * (leaf.mean - leaf.variance * k * rho / 2))
+        else:
+            parts.append(k * expected_utility_ce(leaf, k * rho))
+    return math.fsum(parts)
+
+
+def oracle_stats(prospect):
+    """(mean, variance, worst case) summed over the leaves."""
+    leaves, offset = flat_terms(prospect)
+    means, variances, worst = [offset], [], offset
+    for leaf, k in leaves:
+        if isinstance(leaf, Gaussian):
+            mean, variance = leaf.mean, leaf.variance
+            low = mean if variance == 0.0 else -math.inf
+        else:
+            mean = math.fsum(v * m for v, m in zip(leaf.values, leaf.masses))
+            variance = math.fsum(m * (v - mean) ** 2 for v, m in zip(leaf.values, leaf.masses))
+            low = leaf.values[0]
+        means.append(k * mean)
+        variances.append(k * k * variance)
+        worst += k * low
+    return math.fsum(means), math.fsum(variances), worst
+
+
 def mp_crossing(x, y, r, near, rel=1e-6):
     """The root of CE(X|kr) - CE(Y|kr) within ``rel`` of ``near``, to 40 digits."""
     import mpmath as mp

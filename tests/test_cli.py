@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 import flexcurve
 from flexcurve import certain_equivalent, cli, make_discrete
 from flexcurve.cli import main
+
+from conftest import oracle_ce
 
 
 MODEL = {
@@ -429,6 +432,130 @@ def test_tree_command_contract(text, command, r):
         argv = [command, "--model", str(path), "--r", r]
         if command == "curve":
             argv += ["--ids", "n0,x", "--k", "1:50:4"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    assert (code == 0) == (err.getvalue() == "")
+
+
+def _prospect_chain(kind, depth, top_first=False):
+    """A model whose prospect p{depth} sits atop a chain of affine maps or of sums."""
+    prospects = {
+        "p0": {"kind": "discrete", "points": [[0, 0.3], [40, 0.5], [100, 0.2]]},
+        "safe": {"kind": "discrete", "points": [[20, 0.5], [60, 0.5]]},
+        "g": {"kind": "gaussian", "mean": 0.01, "variance": 0.02},
+    }
+    for i in range(1, depth + 1):
+        if kind == "affine":
+            prospects[f"p{i}"] = {"kind": "affine", "base": f"p{i - 1}", "scale": 1.002 if i % 2 else 0.998, "offset": 0.01}
+        else:
+            prospects[f"p{i}"] = {"kind": "sum", "terms": [f"p{i - 1}", "g"] if i % 3 else ["g", f"p{i - 1}"]}
+    if top_first:
+        prospects = dict(reversed(list(prospects.items())))
+    return {"prospects": prospects, "defaults": {"r": 0.01, "k": "1:50:7"}}
+
+
+@pytest.mark.parametrize("top_first", [False, True], ids=["base_first", "top_first"])
+@pytest.mark.parametrize("kind", ["affine", "sum"])
+def test_prospect_commands_past_recursion_limit(tmp_path, capsys, kind, top_first):
+    depth = 5_000
+    assert depth > sys.getrecursionlimit()
+    path = str(tmp_path / "chain.json")
+    Path(path).write_text(json.dumps(_prospect_chain(kind, depth, top_first)))
+    top = f"p{depth}"
+    for argv, lines in (
+        (["ce", "--id", top], 1),
+        (["ce", "--id", "p0"], 1),
+        (["curve", "--ids", f"{top},safe"], 8),
+        (["compare", "--a", top, "--b", "safe"], 4),
+        (["envelope", "--ids", f"{top},safe,g"], None),
+    ):
+        code, out, err = run(capsys, argv[0], "--model", path, *argv[1:])
+        assert (code, err) == (0, "")
+        assert lines is None or len(out.splitlines()) == lines
+    doc = flexcurve.parse_model(Path(path).read_text())
+    code, out, _ = run(capsys, "ce", "--model", path, "--id", top)
+    assert float(out) == pytest.approx(oracle_ce(doc.prospects[top], 0.01), rel=1e-10)
+
+
+def _doubling_model(depth):
+    prospects = {"p0": {"kind": "discrete", "points": [[0, 0.5], [1, 0.5]]}}
+    for i in range(1, depth + 1):
+        prospects[f"p{i}"] = {"kind": "sum", "terms": [f"p{i - 1}", f"p{i - 1}"]}
+    return {"prospects": prospects, "defaults": {"r": 0.01}}
+
+
+def test_shared_terms_past_the_part_cap(tmp_path, capsys):
+    path = tmp_path / "doubling.json"
+    path.write_text(json.dumps(_doubling_model(40)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ce", "--model", str(path), "--id", "p40")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err == "error:domain: the normal form would hold 1099511627776 parts, past the part cap FORM_PART_CAP = 65536\n"
+    assert run(capsys, "ce", "--model", str(path), "--id", "p0") == (0, "0.498750005208\n", "")
+    path.write_text(json.dumps(_doubling_model(12)))
+    assert run(capsys, "ce", "--model", str(path), "--id", "p12") == (0, "2042.88002133\n", "")
+
+
+_PARAMETER = st.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0, 1e-300, 1e308, -1e308])
+
+
+@st.composite
+def prospect_documents(draw):
+    """Prospect models that are deep, shared, cyclic, dangling or overflowing, as JSON text."""
+    prospects = {"x": {"kind": "discrete", "points": [[0, 0.5], [100, 0.5]]}}
+    shape = draw(st.sampled_from(["affine", "sum", "doubling", "cycle"]))
+    # a doubling chain holds 2**depth parts: past the cap from depth 17 on
+    depth = draw(st.integers(1, 40) if shape == "doubling" else st.one_of(st.integers(1, 30), st.sampled_from([1_200, 3_000])))
+    leaf = draw(st.sampled_from(["discrete", "gaussian"]))
+    if leaf == "discrete":
+        prospects["p0"] = {"kind": "discrete", "points": [[draw(_PARAMETER), 0.5], [draw(_PARAMETER), 0.5]]}
+    else:
+        prospects["p0"] = {"kind": "gaussian", "mean": draw(_PARAMETER), "variance": draw(_PARAMETER)}
+    scale, offset = draw(_PARAMETER), draw(_PARAMETER)
+    for i in range(1, depth + 1):
+        below = f"p{i - 1}"
+        if shape == "affine" or (shape == "cycle" and i % 2):
+            prospects[f"p{i}"] = {"kind": "affine", "base": below, "scale": scale, "offset": offset}
+        else:
+            prospects[f"p{i}"] = {"kind": "sum", "terms": [below, below] if shape == "doubling" else [below, "x"]}
+    top = f"p{depth}"
+    if shape == "cycle":
+        prospects["p0"] = {"kind": "affine", "base": draw(st.sampled_from([top, "p0", "x"])), "scale": 1.0, "offset": 0.0}
+    if draw(st.integers(0, 3)) == 0:
+        victim = draw(st.sampled_from(sorted(prospects)))
+        prospects[victim] = {"kind": "affine", "base": "ghost", "scale": 1.0, "offset": 0.0}
+    if draw(st.booleans()):
+        prospects = dict(reversed(list(prospects.items())))
+    return json.dumps({"prospects": prospects}), top
+
+
+_DEEP_PROSPECTS = json.dumps(_prospect_chain("sum", 1_500, top_first=True))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@example(document=(_DEEP_PROSPECTS, "p1500"), command="compare", r="0.01")
+@example(document=(json.dumps(_doubling_model(40)), "p40"), command="envelope", r="0.01")
+@given(
+    document=prospect_documents(),
+    command=st.sampled_from(["ce", "curve", "compare", "envelope"]),
+    r=st.sampled_from(["0", "0.01", "0.5", "40", "-1", "1e-320"]),
+)
+def test_prospect_command_contract(document, command, r):
+    """Generated prospect models get a documented exit code, never a traceback."""
+    text, top = document
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "model.json"
+        path.write_text(text)
+        argv = [command, "--model", str(path), "--r", r]
+        argv += {
+            "ce": ["--id", top],
+            "curve": ["--ids", f"{top},x", "--k", "1:50:4"],
+            "compare": ["--a", top, "--b", "x"],
+            "envelope": ["--ids", f"{top},x", "--k", "1:50:4"],
+        }[command]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -240,3 +240,87 @@ def test_tree_error_message(mutate, message):
     with pytest.raises(ModelError) as caught:
         parse_model(json.dumps(raw))
     assert str(caught.value) == message
+
+
+def _affine(base, scale=2, offset=-10):
+    return {"kind": "affine", "base": base, "scale": scale, "offset": offset}
+
+
+def _sum(*terms):
+    return {"kind": "sum", "terms": list(terms)}
+
+
+_X = FULL_MODEL["prospects"]["x"]
+_BAD_MASSES = {"kind": "discrete", "points": [[0, 0.5], [100, 0.4]]}
+_NEGATIVE_MASS = {"kind": "discrete", "points": [[0, -0.5], [100, 1.5]]}
+_NEGATIVE_VARIANCE = {"kind": "gaussian", "mean": 10, "variance": -1}
+
+# Which fault a prospects block reports first, pinned byte for byte: ids are
+# resolved depth first from each id in document order, so an unknown or
+# circular reference is reported at the path that names it, and a bad value
+# at its prospect once everything it references is built.
+PROSPECT_ERRORS = [
+    ("unknown_base", {"x": _X, "a": _affine("ghost")}, "prospects.a.base: unknown prospect id 'ghost'"),
+    ("unknown_term", {"x": _X, "s": _sum("x", "ghost")}, "prospects.s.terms: unknown prospect id 'ghost'"),
+    ("unknown_first_term", {"s": _sum("ghost", "x"), "x": _X}, "prospects.s.terms: unknown prospect id 'ghost'"),
+    ("self_affine", {"x": _X, "a": _affine("a")}, "prospects.a.base: circular reference through 'a'"),
+    ("self_sum", {"x": _X, "s": _sum("x", "s")}, "prospects.s.terms: circular reference through 's'"),
+    ("cycle_affine", {"a": _affine("b"), "b": _affine("a")}, "prospects.b.base: circular reference through 'a'"),
+    ("cycle_affine_reversed", {"b": _affine("a"), "a": _affine("b")}, "prospects.a.base: circular reference through 'b'"),
+    ("cycle_sum_affine", {"x": _X, "s": _sum("x", "b"), "b": _affine("s")}, "prospects.b.base: circular reference through 's'"),
+    ("cycle_affine_sum", {"x": _X, "b": _affine("s"), "s": _sum("x", "b")}, "prospects.s.terms: circular reference through 'b'"),
+    (
+        "cycle_below_a_good_root",
+        {"x": _X, "top": _affine("s"), "s": _sum("x", "c"), "c": _affine("s")},
+        "prospects.c.base: circular reference through 's'",
+    ),
+    ("scale_zero", {"x": _X, "a": _affine("x", scale=0)}, "prospects.a: scale must be positive, got 0.0"),
+    ("scale_negative", {"x": _X, "a": _affine("x", scale=-1)}, "prospects.a: scale must be positive, got -1.0"),
+    (
+        "scale_zero_over_a_bad_base",
+        {"a": _affine("g", scale=0), "g": _NEGATIVE_VARIANCE},
+        "prospects.g: variance must be nonnegative, got -1.0",
+    ),
+    (
+        "scale_zero_over_a_bad_base_listed_first",
+        {"g": _NEGATIVE_VARIANCE, "a": _affine("g", scale=0)},
+        "prospects.g: variance must be nonnegative, got -1.0",
+    ),
+    ("scale_zero_over_an_unknown_base", {"a": _affine("ghost", scale=0)}, "prospects.a.base: unknown prospect id 'ghost'"),
+    ("scale_zero_over_a_cycle", {"a": _affine("b", scale=0), "b": _affine("a")}, "prospects.b.base: circular reference through 'a'"),
+    ("negative_variance", {"x": _X, "g": _NEGATIVE_VARIANCE}, "prospects.g: variance must be nonnegative, got -1.0"),
+    ("masses_sum", {"x": _BAD_MASSES}, "prospects.x: masses sum to 0.9, outside tolerance 1e-09 of 1"),
+    ("negative_mass", {"x": _NEGATIVE_MASS}, "prospects.x: mass must be positive and finite, got -0.5"),
+    ("bad_term_in_a_sum", {"x": _X, "s": _sum("x", "a"), "a": _affine("x", scale=0)}, "prospects.a: scale must be positive, got 0.0"),
+    (
+        "shared_bad_base",
+        {"a": _affine("q"), "b": _affine("q", scale=0), "q": _BAD_MASSES},
+        "prospects.q: masses sum to 0.9, outside tolerance 1e-09 of 1",
+    ),
+    (
+        "shared_good_base_bad_user",
+        {"q": _X, "a": _affine("q"), "s": _sum("q", "a", "q"), "b": _affine("s", scale=-2)},
+        "prospects.b: scale must be positive, got -2.0",
+    ),
+    ("shared_term_then_unknown", {"x": _X, "s": _sum("x", "x", "ghost")}, "prospects.s.terms: unknown prospect id 'ghost'"),
+    ("two_faults", {"x": _X, "a": _affine("x", scale=0), "s": _sum("x", "ghost")}, "prospects.a: scale must be positive, got 0.0"),
+    (
+        "two_faults_reversed",
+        {"x": _X, "s": _sum("x", "ghost"), "a": _affine("x", scale=0)},
+        "prospects.s.terms: unknown prospect id 'ghost'",
+    ),
+    ("value_fault_before_a_cycle", {"g": _NEGATIVE_VARIANCE, "a": _affine("a")}, "prospects.g: variance must be nonnegative, got -1.0"),
+    ("cycle_before_a_value_fault", {"a": _affine("a"), "g": _NEGATIVE_VARIANCE}, "prospects.a.base: circular reference through 'a'"),
+    (
+        "shape_fault_before_reference_faults",
+        {"a": _affine("ghost"), "b": {"kind": "affine", "base": "a", "scale": 1, "offset": "x"}},
+        "prospects.b.offset: expected a number",
+    ),
+]
+
+
+@pytest.mark.parametrize("prospects,message", [c[1:] for c in PROSPECT_ERRORS], ids=[c[0] for c in PROSPECT_ERRORS])
+def test_prospect_error_message(prospects, message):
+    with pytest.raises(ModelError) as caught:
+        parse_model(json.dumps({"prospects": prospects}))
+    assert str(caught.value) == message

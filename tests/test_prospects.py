@@ -543,7 +543,10 @@ class TestConvolutionFactors:
     @settings(max_examples=200, deadline=None)
     def test_factored_grid_matches_the_merged_support(self, factors, wrapper, k, c):
         conv = convolve(factors)
-        assert conv._factors == tuple(factors)
+        # the form is the support, or unmoved factors holding fewer points
+        parts = conv._form
+        assert all(p.values is not None and (p.scale, p.offset) == (1.0, 0.0) for p in parts)
+        assert len(parts) == 1 or sum(len(p.values) for p in parts) < len(conv.values)
         merged = Discrete(conv.values, conv.masses)
         # a scale that rounds two support values together merges them
         reference = WRAPPERS[wrapper](merged, k, c)
@@ -561,17 +564,21 @@ class TestConvolutionFactors:
     def test_association_gives_the_same_bits(self, a, b, c):
         left = add_independent(add_independent(a, b), c)
         right = add_independent(a, add_independent(b, c))
-        assert left._factors == right._factors == (a, b, c)
         # ties among the sums can leave a support with fewer points than its factors
-        assume(left._factored is not None and right._factored is not None)
+        assume(len(left._form) == len(right._form) == 3)
+        for form in (left._form, right._form):
+            assert [(p.values.tolist(), p.masses.tolist()) for p in form] == [(list(f.values), list(f.masses)) for f in (a, b, c)]
         assert ces(left, self.RHOS).tolist() == ces(right, self.RHOS).tolist()
 
     def test_factors_leave_equality_hash_and_repr_alone(self, rng):
+        factored = 0
         for _ in range(20):
             conv = convolve([random_discrete(rng) for _ in range(3)])
             merged = Discrete(conv.values, conv.masses)
-            assert conv._factors and not merged._factors
+            factored += len(conv._form) > 1
+            assert len(merged._form) == 1
             assert conv == merged and hash(conv) == hash(merged) and repr(conv) == repr(merged)
+        assert factored
 
     def test_factors_are_read_when_they_hold_fewer_points(self):
         factors = [make_discrete([(v * 10.0**i + 0.5, 0.1) for v in range(10)]) for i in range(3)]
@@ -588,18 +595,21 @@ class TestConvolutionFactors:
     def test_support_is_read_when_the_factors_hold_more_points(self):
         coin = make_discrete([(0.0, 0.5), (1.0, 0.5)])
         ten = convolve([coin] * 10)
-        assert len(ten.values) == 11 and len(ten._factors) == 10
+        assert len(ten.values) == 11 and len(ten._form) == 1
         got, sizes = kernel_sizes(ten, self.RHOS)
         assert sizes == [11]
         assert got.tolist() == ces(Discrete(ten.values, ten.masses), self.RHOS).tolist()
         assert stats(ten) == stats(Discrete(ten.values, ten.masses))
 
-    def test_factors_a_shift_pushes_out_of_range_are_dropped(self):
-        # the first factor's 1.7e308 + 5e307 overflows; every merged value stays finite
-        x = make_discrete([(0.0, 0.5), (1.7e308, 0.5)])
-        z = make_discrete([(-1e308, 0.5), (-5e307, 0.5)])
+    def test_shift_past_a_factor_range_keeps_the_factors(self):
+        # 1.7e308 + 5e307 would overflow in the first factor; every merged value stays
+        # finite, and the shift follows the factors as a line part
+        x = make_discrete([(0.0, 0.4), (1e307, 0.2), (1.7e308, 0.4)])
+        z = make_discrete([(-1e308, 0.4), (-7e307, 0.2), (-5e307, 0.4)])
         conv = add_independent(x, z)
         moved = shift(conv, 5e307)
-        assert moved._factors == ()
+        assert len(moved._form) == 3 and moved._form[-1].mean == 5e307
         assert moved.values == tuple(v + 5e307 for v in conv.values) and moved.masses == conv.masses
-        assert certain_equivalent(moved, 1e-310) == certain_equivalent(Discrete(moved.values, moved.masses), 1e-310)
+        rhos = np.asarray([1e-310, 1e-308, 1e-306])
+        got, want = ces(moved, rhos), ces(Discrete(moved.values, moved.masses), rhos)
+        assert np.all(np.abs(got - want) <= self.REL * (1.0 + max(abs(v) for v in moved.values)))
