@@ -157,10 +157,11 @@ def cmd_policies(args: argparse.Namespace) -> int:
     doc = _load_model(args.model)
     r = _resolve_r(args, doc)
     tree = _require_tree(doc)
+    policies = trees.enumerate_policies(tree)
+    prospects = [trees.policy_prospect(tree, policy) for policy in policies]
     lines = []
-    for index, policy in enumerate(trees.enumerate_policies(tree)):
-        prospect = trees.policy_prospect(tree, policy)
-        ce = valuation.certain_equivalent(prospect, r)
+    ces = valuation._certain_equivalents_at(prospects, r)
+    for index, (policy, prospect, ce) in enumerate(zip(policies, prospects, ces)):
         choice = ",".join(f"{nid}={policy.choice[nid]}" for nid in sorted(policy.choice))
         support = ";".join(
             f"{_fmt(v)}:{_fmt(m)}" for v, m in zip(prospect.values, prospect.masses)

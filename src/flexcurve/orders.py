@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .prospects import Prospect, _convolve, _merge_ties, stats
+from .prospects import Prospect, _convolve, _merge_ties, _pack, stats
 from .valuation import _certain_equivalents, _geometric_points, check_risk_aversion
 
 __all__ = [
@@ -102,7 +102,8 @@ def _decompose(prospect: Prospect) -> Tuple[Tuple[float, ...], Tuple[float, ...]
     with a support of its own (a Discrete) is read as it stands, whatever its
     form; otherwise the moved discrete parts are convolved, and shifted by the
     Gaussians' offsets, and by their means when no variance is left.
-    Raises UnsupportedProspectError past the convolution support cap.
+    Raises UnsupportedProspectError past the convolution support cap, and
+    OverflowError when a moved part's value leaves the float range.
     """
     if getattr(prospect, "values", None) is not None:
         return prospect.values, prospect.masses, 0.0, 0.0
@@ -111,8 +112,14 @@ def _decompose(prospect: Prospect) -> Tuple[Tuple[float, ...], Tuple[float, ...]
     for part_values, part_masses, mean, variance, s, c in prospect._form:
         if part_values is None:
             point, gm, gv = point + c, gm + mean * s, gv + variance * s * s
-        else:  # s > 0 preserves order; merge any values that collide after rounding
-            discrete.append(_merge_ties(part_values * s + c, part_masses) if s != 1.0 or c else (part_values, part_masses))
+        elif s != 1.0 or c:  # s > 0 preserves order; merge any values that collide after rounding
+            with np.errstate(over="ignore"):
+                moved = part_values * s + c
+            if not np.isfinite(moved).all():
+                raise OverflowError(f"prospect part out of floating-point range under scale {s!r} and offset {c!r}")
+            discrete.append(_merge_ties(moved, part_masses))
+        else:
+            discrete.append((part_values, part_masses))
     # Pairwise: many equal parts reach the cap in log2(n) rounds, not n - 1 convolutions.
     while len(discrete) > 1:
         merged = [_convolve(*a, *b) for a, b in zip(discrete[::2], discrete[1::2])]
@@ -125,7 +132,10 @@ def _decompose(prospect: Prospect) -> Tuple[Tuple[float, ...], Tuple[float, ...]
         return (point,), (1.0,), gm, gv
     values, masses = discrete[0]
     if point:
-        values, masses = _merge_ties(values + point, masses)
+        with np.errstate(over="ignore"):
+            values, masses = _merge_ties(values + point, masses)
+    if not np.isfinite(values).all():
+        raise OverflowError("independent sum's support out of floating-point range")
     return tuple(values.tolist()), tuple(masses.tolist()), gm, gv
 
 
@@ -217,6 +227,15 @@ def tail_order(x: Prospect, y: Prospect, r: float) -> TailVerdict:
     k0 = 2.0 * (upper - bounded_worst) / (gvar * r or math.ulp(0.0))
     certified = max(1.0, k0 * (1.0 + 1e-9) + 1e-6)
     return TailVerdict(relation, certified, "worst-case gap")
+
+
+def _geometric_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sqrt(a * b) for positive a and b; sqrt(a) * sqrt(b) where the product leaves the float range."""
+    with np.errstate(over="ignore"):
+        means = np.sqrt(a * b)
+    far = np.isinf(means)
+    means[far] = np.sqrt(a[far]) * np.sqrt(b[far])
+    return means
 
 
 def _geometric_grid(k_lo: float, k_hi: float) -> np.ndarray:
@@ -320,7 +339,7 @@ def _refine(
         c = np.minimum(np.maximum(centre[active], a0 + 2.0 * half), b0 - 2.0 * half)
         p1, p2 = c - half, c + half
         stalled = np.flatnonzero(~halved[active])
-        mids = np.sqrt(a0[stalled] * b0[stalled])
+        mids = _geometric_means(a0[stalled], b0[stalled])
         g = diff(np.concatenate([active, active, active[stalled]]), np.concatenate([p1, p2, mids]))
         n = len(active)
         g1, g2 = g[:n], g[n : 2 * n]
@@ -341,7 +360,8 @@ def _refine(
         ga1, gb1 = values[rows, j - 1], values[rows, j]
         zero = gb1 == 0.0
         a[active], b[active], ga[active], gb[active] = a1, b1, ga1, gb1
-        halved[active] = np.square(b1 / a1) <= b0 / a0
+        with np.errstate(over="ignore"):  # a square past the float range did not halve
+            halved[active] = np.square(b1 / a1) <= b0 / a0
 
         # Next centre: the secant root through (p1, g1) and (p2, g2), or the
         # new bracket's end-point secant root where that one does not lie
@@ -365,12 +385,14 @@ def _scan_difference(
     smallest value such that g >= 0 (up to ties) on [K, certified].
     """
 
+    pair = _pack((x, y))
+
     def g(_rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return _certain_equivalents(x, k * r) - _certain_equivalents(y, k * r)
+        ce_x, ce_y = _certain_equivalents(pair, k * r)
+        return ce_x - ce_y
 
     ks = _geometric_grid(1.0, max(1.0, certified))
-    ce_x = _certain_equivalents(x, ks * r)
-    ce_y = _certain_equivalents(y, ks * r)
+    ce_x, ce_y = _certain_equivalents(pair, ks * r)
     gs = ce_x - ce_y
     tols = _TIE_EPS * (1.0 + np.maximum(np.abs(ce_x), np.abs(ce_y)))
 
@@ -535,7 +557,8 @@ def _grid_envelope(
 ) -> List[EnvelopeSegment]:
     ks = _geometric_grid(k_lo, k_hi)
     ids = [pid for pid, _ in items]
-    ces = np.asarray([_certain_equivalents(p, ks * r) for _, p in items])
+    curves = _pack([p for _, p in items])
+    ces = _certain_equivalents(curves, ks * r)
     best = np.argmax(ces, axis=0)
 
     # Grid gaps where the top curve changes, from the one on top at the left
@@ -544,18 +567,16 @@ def _grid_envelope(
     above, below = best[t], best[t + 1]
     g_lo = ces[above, t] - ces[below, t]
     g_hi = ces[above, t + 1] - ces[below, t + 1]
-    cuts = np.sqrt(ks[t] * ks[t + 1])
-    crossing = g_lo * g_hi < 0.0
+    cuts = _geometric_means(ks[t], ks[t + 1])
+    with np.errstate(over="ignore"):  # a product past the float range keeps its sign
+        crossing = g_lo * g_hi < 0.0
     first, second = above[crossing], below[crossing]
 
     def diff(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-        left, right = first[rows], second[rows]
-        g = np.zeros(len(k))
-        for p in np.union1d(left, right):
-            used = (left == p) | (right == p)
-            ce = _certain_equivalents(items[p][1], k[used] * r)
-            g[used] += np.where(left[used] == p, ce, -ce)
-        return g
+        # Every curve at every point, in one kernel call; each point reads its bracket's two.
+        ce = _certain_equivalents(curves, k * r)
+        points = np.arange(len(k))
+        return ce[first[rows], points] - ce[second[rows], points]
 
     if first.size:
         lo, g_lo, g_hi = t[crossing], g_lo[crossing], g_hi[crossing]
@@ -566,8 +587,8 @@ def _grid_envelope(
     bounds = [k_lo, *cuts.tolist(), k_hi]
     spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
-    mids = np.sqrt(np.asarray(spans).prod(axis=1))
-    values = np.asarray([_certain_equivalents(p, mids * r) for _, p in items])
+    mids = _geometric_means(*np.asarray(spans).T)
+    values = _certain_equivalents(curves, mids * r)
     top = values.max(axis=0)
     on_top = values >= top - 1e-9 * (1.0 + np.abs(top))
 

@@ -17,6 +17,13 @@ the parts derived from theirs whenever those hold fewer points than its
 support (3 factors of 10 points against 1,000; ten {0, 1} coins, 20 points
 against 11, keep the support).  Equality, hashing and repr read only the
 support, which is still built in full.
+
+An evaluation pass reads the forms of all the prospects it needs at once:
+``_pack`` lays every discrete part of every form side by side as one
+segment of a log-sum-exp kernel, so the pass makes a single kernel call
+(``_lse_segments``), and the Gaussian parts, the offsets and the sum over
+each form's parts follow as whole-array arithmetic.  A prospect caches
+its own pack; every row is, bit for bit, what the prospect alone gives.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -69,6 +77,7 @@ _LSE_BLOCK_ELEMENTS = 1 << 16
 
 _HALF_FLOAT_MAX = 0.5 * float(np.finfo(float).max)
 _TINY_PEAK_WEIGHT = 2.0**-960
+_ZERO = np.zeros(1)
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -126,6 +135,8 @@ class Discrete:
         """The support as the one part, unless ``_seeded`` gave factors."""
         return (_Part(*self._arrays, 0.0, 0.0, 1.0, 0.0),)
 
+    _packed = cached_property(lambda self: _pack((self,)))
+
 
 @dataclass(frozen=True)
 class Gaussian:
@@ -134,6 +145,7 @@ class Gaussian:
     mean: float
     variance: float
     _form = cached_property(lambda self: _build_form(self))
+    _packed = cached_property(lambda self: _pack((self,)))
 
     def __post_init__(self) -> None:
         _require_finite(self.mean, "mean")
@@ -150,6 +162,7 @@ class Affine:
     scale: float
     offset: float
     _form = cached_property(lambda self: _build_form(self))
+    _packed = cached_property(lambda self: _pack((self,)))
 
     def __post_init__(self) -> None:
         _require_finite(self.offset, "offset")
@@ -164,6 +177,7 @@ class IndependentSum:
 
     terms: Tuple["Prospect", ...]
     _form = cached_property(lambda self: _build_form(self))
+    _packed = cached_property(lambda self: _pack((self,)))
 
     def __post_init__(self) -> None:
         if not self.terms:
@@ -336,7 +350,8 @@ def _convolve(
     """
     if len(xv) * len(zv) > CONVOLUTION_SUPPORT_CAP:
         return None
-    sums = np.add.outer(xv, zv).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range is refused by the caller
+        sums = np.add.outer(xv, zv).ravel()
     weights = np.multiply.outer(xm, zm).ravel()
     uniq, inverse = np.unique(sums, return_inverse=True)
     agg = np.bincount(inverse, weights=weights, minlength=len(uniq))
@@ -362,131 +377,370 @@ def add_independent(x: Prospect, z: Prospect) -> Prospect:
     return IndependentSum((x, z))
 
 
-def _logsumexp(ts: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """ln sum_j weights[j] * exp(ts[i] * values[j]) for every i.
+class _Side(NamedTuple):
+    """Segments as the kernel reads them for t of one sign: each segment's exponents peak at its zero column's value."""
 
-    Each row is shifted by its largest exponent; the weight at that maximum
-    is kept out of the sum and added back through log1p, which keeps full
-    precision when one term dominates.  Rounding is monotone, so the largest
-    exponent t*value sits at the smallest value when t < 0 and at the
-    largest otherwise: the peak is read from those two columns, not found
-    by a max pass, and when every t has one sign it is one column for the
-    whole call.  When every row of a block has a single top element, its
-    weight is that column's and only that column is left out of the sum;
-    a block with a tied peak (repeated values, rounding ties, t = 0) masks
-    every element equal to its row's peak.  Both give the bits of a max
-    pass and a full mask, so a row's result does not depend on the block
-    it falls in.  Rows are processed in blocks of at most
-    ``_LSE_BLOCK_ELEMENTS`` elements; a call of several blocks reuses one
-    buffer.  Raises OverflowError when any exponent t*value, or any result,
-    is not finite.
+    values: np.ndarray  # each segment's zero column, holding its peak value, then its values
+    zeroed: np.ndarray  # the weights, 0 at the zero and the peak columns
+    peak_weights: np.ndarray  # each segment's weight at its peak value
+    log_peak_weights: np.ndarray  # and its log
+
+
+class _Segments:
+    """Discrete supports side by side for one kernel call, a zero column ahead of each (see ``_lse_segments``).
+
+    ``low`` and ``high`` index each segment's smallest and largest value;
+    they default to the ends of each part's ascending support.
     """
-    low, high = int(values.argmin()), int(values.argmax())
-    t_lo, t_hi = float(ts.min()), float(ts.max())
-    # Some t*value overflows exactly when the product of the two largest
-    # magnitudes does.
-    reach = max(abs(t_lo), abs(t_hi)) * max(abs(float(values[low])), abs(float(values[high])))
+
+    def __init__(self, parts: Sequence[_Part], low: Optional[np.ndarray] = None, high: Optional[np.ndarray] = None) -> None:
+        sizes = [len(p.values) + 1 for p in parts]
+        bounds = np.fromiter(accumulate(sizes, initial=0), int, len(sizes) + 1)
+        self.starts = bounds[:-1]
+        self.segment = np.repeat(np.arange(len(parts)), sizes) if len(parts) > 1 else None
+        self.weights = np.concatenate([a for p in parts for a in (_ZERO, p.masses)])
+        # The low side's values: each zero column holds its segment's smallest value.
+        values = np.concatenate([a for p in parts for a in (p.values[:1], p.values)])
+        if low is None:
+            low = self.starts + 1
+        else:
+            values[self.starts] = values[low]
+        self._high = bounds[1:] - 1 if high is None else high
+        self.low = self._side(values, low)
+        scales = [p.scale for p in parts]
+        self.scales = None if all(s == 1.0 for s in scales) else np.asarray(scales)
+        self.largest = max(-float(values.min()), float(values.max()))
+        self.heavy = min(float(self.low.peak_weights.min()), float(self.weights[self._high].min())) < _TINY_PEAK_WEIGHT
+
+    def _side(self, values: np.ndarray, peak: np.ndarray) -> _Side:
+        zeroed = self.weights.copy()
+        zeroed[peak] = 0.0
+        peak_weights = self.weights[peak]
+        return _Side(values, zeroed, peak_weights, np.log(peak_weights))
+
+    @cached_property
+    def high(self) -> _Side:
+        """The segments for t >= 0, mirrored: (-t) * (-value) is t * value, bit for bit, and peaks at -(largest value)."""
+        values = -self.low.values
+        values[self.starts] = values[self._high]
+        return self._side(values, self._high)
+
+    def reaches(self, t_abs: float) -> np.ndarray:
+        """Each segment's largest |s*t*value| for |t| up to ``t_abs``."""
+        magnitude = np.maximum(np.abs(self.low.values[self.starts]), np.abs(self.low.values[self._high]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (t_abs if self.scales is None else self.scales * t_abs) * magnitude
+
+
+class _Packed(NamedTuple):
+    """The normal forms of a sequence of prospects, laid out for one kernel call (see ``_pack``)."""
+
+    forms: Tuple[Tuple[_Part, ...], ...]
+    segments: Optional[_Segments]  # the discrete parts in call order; None when there are none
+    discrete: Optional[np.ndarray]  # their places among the parts, when some parts are Gaussian
+    gaussian: Optional[np.ndarray]  # the Gaussian parts' places; None when there are none
+    lines: Optional[np.ndarray]  # their means, halved variances and scales, 3 x parts x 1
+    shifted: Optional[np.ndarray]  # the places of the parts with an offset; None when there are none
+    offsets: Optional[np.ndarray]  # those offsets, parts x 1
+    width: int  # most parts in one form
+    padded: Optional[np.ndarray]  # each part's place in a forms x width layout, when some form holds fewer
+
+    @property
+    def plain(self) -> bool:
+        """Every form is one discrete part without offset: the kernel's rows are the log-MGFs."""
+        return self.gaussian is None and self.shifted is None and self.width == 1
+
+
+def _pack(prospects: Sequence[Prospect]) -> _Packed:
+    """Lay out the normal forms of ``prospects``, in order, for ``_log_mgf_grid``."""
+    forms = tuple(p._form for p in prospects)
+    parts = [part for form in forms for part in form]
+    discrete = [i for i, p in enumerate(parts) if p.values is not None]
+    gaussian = [i for i, p in enumerate(parts) if p.values is None]
+    shifted = [i for i, p in enumerate(parts) if p.offset]
+    width = max(map(len, forms))
+    return _Packed(
+        forms,
+        _Segments([parts[i] for i in discrete]) if discrete else None,
+        np.array(discrete) if discrete and gaussian else None,
+        np.array(gaussian) if gaussian else None,
+        np.array([[parts[i].mean, 0.5 * parts[i].variance, parts[i].scale] for i in gaussian]).T[:, :, None] if gaussian else None,
+        np.array(shifted) if shifted else None,
+        np.array([parts[i].offset for i in shifted])[:, None] if shifted else None,
+        width,
+        None if all(len(f) == width for f in forms) else np.array([i * width + j for i, f in enumerate(forms) for j in range(len(f))]),
+    )
+
+
+def _lse_segments(ts: np.ndarray, seg: _Segments) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """ln sum_j w_j exp(s * t * v_j) over each segment's support (v, w) and factor s, at every t: a segments x t array.
+
+    Each segment's exponents are shifted by its largest; the weight at that
+    maximum is kept out of the sum and added back through log1p, which keeps
+    full precision when one term dominates.  Rounding is monotone, so the
+    largest exponent sits at a segment's smallest value when t < 0 and at
+    its largest otherwise: the peak is read from that end, not found by a
+    max pass, and the t of each sign are evaluated apart (the t >= 0 on the
+    mirrored segments).  A segment's zero column holds its peak value with
+    weight 0, so it ties with the peak.  When every (row, segment) of a
+    block has a single top element besides it, the weight at the peak is
+    that end's, left out of the sum by the side's zeroed weights; a block
+    with a tied peak (repeated values, rounding ties, t = 0) masks every
+    element equal to its segment's peak.  Both give the bits of a max pass
+    and a full mask.  Each segment is then summed by ``np.add.reduceat``
+    from its zero column, which holds 0 by then: started from 0, a
+    segment's sum is, bit for bit, the pairwise sum ``ndarray.sum`` gives
+    its part alone, so a segment's result depends neither on its
+    neighbours nor on the block it falls in.
+
+    Blocks hold at most ``_LSE_BLOCK_ELEMENTS`` elements, split over rows
+    and runs of whole segments; the blocks of one run reuse one buffer.
+    Raises nothing: when some segment's reach, its largest |s*t*value|, is
+    not finite, every segment's reach is returned with the array, and such
+    a segment's column is evaluated at t = 0 instead.
+    """
+    t_lo, t_hi = (float(ts[0]),) * 2 if len(ts) == 1 else (float(ts.min()), float(ts.max()))
+    t_abs = max(abs(t_lo), abs(t_hi))
+    # Some s*t*value overflows exactly when the product of the largest |s*t|
+    # and |value| does; without factors that is the widest segment's.
+    reach = t_abs * seg.largest if seg.scales is None else float(seg.reaches(t_abs).max())
+    scales, reaches = seg.scales, None
     if not math.isfinite(reach):
-        raise OverflowError(f"log-MGF overflow: |t*value| reaches {reach!r}")
-    if t_hi < 0.0:
-        columns: Union[int, np.ndarray] = low
-    elif t_lo >= 0.0:
-        columns = high
-    else:
-        columns = np.where(ts < 0.0, low, high)
-    peaks = ts * values[columns]
-    rows = max(1, _LSE_BLOCK_ELEMENTS // len(values))
+        reaches = seg.reaches(t_abs)
+        scales = np.where(np.isfinite(reaches), 1.0 if seg.scales is None else seg.scales, 0.0)
+    factors = None
+    if scales is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            factors = scales[:, None] * ts
+        # a segment out of reach is evaluated at t = 0 (0 * inf is nan)
+        factors[scales == 0.0] = 0.0
     # A shifted exponent more than the float range below its peak is -inf,
     # whose exp is the 0 it stands for, and a row's sum divided by a tiny
-    # peak weight can overflow (_lse_block then sums the row with its peak
-    # weight instead).  Neither can happen when every |t*value| is below
-    # half the float range and the peak weights are at least 2**-960 of
-    # weights summing to under 1e19: the weights are a Discrete's masses,
-    # which its constructor checks sum to 1.
-    noisy = reach > _HALF_FLOAT_MAX or min(weights[low], weights[high]) < _TINY_PEAK_WEIGHT
+    # peak weight can overflow (the row is then summed with its peak weight
+    # instead).  Neither can happen when every |s*t*value| is below half the
+    # float range and the peak weights are at least 2**-960 of weights
+    # summing to under 1e19: the weights are a Discrete's masses, which its
+    # constructor checks sum to 1.
+    noisy = not reach <= _HALF_FLOAT_MAX or seg.heavy
     with np.errstate(divide="ignore", over="ignore") if noisy else nullcontext():
-        if len(ts) <= rows:
-            out = _lse_block(np.multiply.outer(ts, values), peaks, columns, weights, noisy)
-        else:
-            out = np.empty(len(ts))
-            buffer = np.empty((rows, len(values)))
-            for lo in range(0, len(ts), rows):
-                part = ts[lo : lo + rows]
-                block = np.multiply.outer(part, values, out=buffer[: len(part)])
-                column = columns if isinstance(columns, int) else columns[lo : lo + rows]
-                out[lo : lo + rows] = _lse_block(block, peaks[lo : lo + rows], column, weights, noisy)
-    if not np.isfinite(out).all():
-        raise OverflowError("log-MGF overflow: result out of floating-point range")
+        if t_hi < 0.0:
+            return _lse_side(ts, factors, seg, seg.low, noisy), reaches
+        if t_lo >= 0.0:
+            return _lse_side(-ts, None if factors is None else -factors, seg, seg.high, noisy), reaches
+        out = np.empty((len(seg.starts), len(ts)))
+        low = ts < 0.0
+        out[:, low] = _lse_side(ts[low], None if factors is None else factors[:, low], seg, seg.low, noisy)
+        out[:, ~low] = _lse_side(-ts[~low], None if factors is None else -factors[:, ~low], seg, seg.high, noisy)
+    return out, reaches
+
+
+def _lse_side(ts: np.ndarray, factors: Optional[np.ndarray], seg: _Segments, side: _Side, noisy: bool) -> np.ndarray:
+    """``_lse_segments`` for t whose exponents all peak at ``side``'s zero columns; ``factors`` holds s*t (segments x t) when some s is not 1."""
+    rows, count, width = len(ts), len(seg.starts), len(side.values)
+    if rows * width <= _LSE_BLOCK_ELEMENTS:
+        block = _exponents(ts, factors, seg.segment, side.values, None)
+        return _lse_block(block, side.peak_weights, side.log_peak_weights, seg.weights, side.zeroed, seg.starts, seg.segment, noisy)
+    if width <= _LSE_BLOCK_ELEMENTS:
+        runs = [(0, count)]
+    else:
+        # Runs of whole segments that fill a block; a wider segment is a run alone.
+        ends = np.append(seg.starts[1:], width)
+        runs, first = [], 0
+        while first < count:
+            past = max(first + 1, int(np.searchsorted(ends, seg.starts[first] + _LSE_BLOCK_ELEMENTS, side="right")))
+            runs.append((first, past))
+            first = past
+    out = np.empty((count, rows))
+    for first, past in runs:
+        c0 = int(seg.starts[first])
+        c1 = int(seg.starts[past]) if past < count else width
+        starts = seg.starts[first:past] - c0
+        segment = None if past - first == 1 else seg.segment[c0:c1] - first
+        step = max(1, _LSE_BLOCK_ELEMENTS // (c1 - c0))
+        buffer = np.empty((min(step, rows), c1 - c0))
+        for r0 in range(0, rows, step):
+            t = ts[r0 : r0 + step]
+            scaled = None if factors is None else factors[first:past, r0 : r0 + step]
+            block = _exponents(t, scaled, segment, side.values[c0:c1], buffer[: len(t)])
+            out[first:past, r0 : r0 + step] = _lse_block(
+                block, side.peak_weights[first:past], side.log_peak_weights[first:past],
+                seg.weights[c0:c1], side.zeroed[c0:c1], starts, segment, noisy,
+            )
     return out
+
+
+def _exponents(
+    ts: np.ndarray, factors: Optional[np.ndarray], segment: Optional[np.ndarray], values: np.ndarray, out: Optional[np.ndarray]
+) -> np.ndarray:
+    """The block t * value, or (s*t) * value with ``factors`` (segments x t) spread over each segment's columns."""
+    if factors is None:
+        return np.multiply.outer(ts, values, out=out)
+    return np.multiply(factors.T if segment is None else factors.T[:, segment], values, out=out)
 
 
 def _lse_block(
     block: np.ndarray,
-    peaks: np.ndarray,
-    column: Union[int, np.ndarray],
+    peak_weights: np.ndarray,
+    log_peak_weights: np.ndarray,
     weights: np.ndarray,
+    zeroed: np.ndarray,
+    starts: np.ndarray,
+    segment: Optional[np.ndarray],
     noisy: bool,
 ) -> np.ndarray:
-    """The log-sum-exp of each row of ``block`` (t*value, overwritten) given its peak.
+    """The log-sum-exp of each (row, segment) of ``block`` (the exponents, overwritten) from its zero column's peak.
 
-    When ``noisy``, a row whose sum over its peak weight overflows is
-    log(sum + peak weight) + peak instead; every other row keeps its bits.
+    The result is segments x rows, so that the per-segment arithmetic after
+    the sums runs along rows.
     """
-    peak = peaks[:, None]
-    top = block == peak
-    if np.count_nonzero(top) == len(block):
-        at_peak = weights[column]
-        top = (slice(None), column) if isinstance(column, int) else (np.arange(len(block)), column)
+    peaks = block[:, starts]
+    level = peaks if segment is None else peaks[:, segment]
+    top = block == level
+    if np.count_nonzero(top) == 2 * peaks.size:
+        # Only the zero and peak columns tie: the zeroed weights leave the peak out.
+        at_peak, log_at_peak, top = peak_weights[:, None], log_peak_weights[:, None], None
     else:
-        at_peak = (weights * top).sum(axis=1)
-    block -= peak
+        at_peak = np.ascontiguousarray(np.add.reduceat(weights * top, starts, axis=1).T)
+        log_at_peak = np.log(at_peak)
+    block -= level
     np.exp(block, out=block)
-    block *= weights
-    block[top] = 0.0
-    rest = block.sum(axis=1)
+    block *= zeroed
+    if top is not None:
+        block[top] = 0.0
+    rest = np.ascontiguousarray(np.add.reduceat(block, starts, axis=1).T)
+    peaks = np.ascontiguousarray(peaks.T)
     ratio = rest / at_peak
-    out = np.log1p(ratio) + np.log(at_peak) + peaks
+    out = np.log1p(ratio) + log_at_peak + peaks
     if noisy:
         over = np.isinf(ratio)
         out[over] = (np.log(rest + at_peak) + peaks)[over]
     return out
 
 
-def _log_mgf_grid(prospect: Prospect, ts: np.ndarray) -> np.ndarray:
-    """ln E{exp(t*X)} for every t in a 1-D float array.
+def _logsumexp(ts: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """ln sum_j weights[j] * exp(ts[i] * values[j]) for every i: the one-segment call of ``_lse_segments``.
 
-    A part s * Y + c adds Y's column at s * t plus c * t, in the form's
-    order with one rounding per addition: with two parts that is the
-    correctly rounded sum, bit for bit what ``math.fsum`` gives; with n >= 3
-    parts the sum is within (n - 1) * u / (1 - (n - 1) * u) * sum |column|
-    of the exact sum of the columns, u = 2**-53 (recursive summation).
+    ``values`` need not be sorted or distinct.  Raises OverflowError when
+    any exponent t*value, or any result, is not finite.
     """
-    form = prospect._form
-    out = None
-    with np.errstate(over="ignore") if len(form) > 1 else nullcontext():
-        for values, masses, mean, variance, s, c in form:
-            t = ts if s == 1.0 else s * ts
-            if values is not None:
-                column = _logsumexp(t, values, masses)
+    low, high = np.array([1 + int(values.argmin())]), np.array([1 + int(values.argmax())])
+    out, reaches = _lse_segments(ts, _Segments((_Part(values, weights, 0.0, 0.0, 1.0, 0.0),), low, high))
+    if reaches is not None:
+        raise OverflowError(f"log-MGF overflow: |t*value| reaches {float(reaches[0])!r}")
+    if not np.isfinite(out).all():
+        raise OverflowError("log-MGF overflow: result out of floating-point range")
+    return out[0]
+
+
+def _log_mgf_grid(prospects: Union[Sequence[Prospect], _Packed], ts: np.ndarray, over_t: bool = False) -> np.ndarray:
+    """ln E{exp(t*X)} of every prospect at every t in a 1-D float array: one row per prospect.
+
+    ``prospects`` may come packed by ``_pack``, to be evaluated at several
+    grids.  Every discrete part of every form is one segment of a single
+    ``_lse_segments`` call.  A part s * Y + c then gives Y's column at s * t
+    plus c * t, and a form adds its parts' columns in order with one
+    rounding per addition: with two parts that is
+    the correctly rounded sum, bit for bit what ``math.fsum`` gives; with
+    n >= 3 parts the sum is within (n - 1) * u / (1 - (n - 1) * u) * sum
+    |column| of the exact sum of the columns, u = 2**-53 (recursive
+    summation).  Each row is, bit for bit, what evaluating its prospect
+    alone gives.  With ``over_t`` each row is divided by t (at t = -rho
+    that is minus the certain equivalent), and a quotient out of range is
+    an error too.
+
+    Raises OverflowError for the first prospect, and in it the first part,
+    whose log-MGF (or quotient) leaves the float range, in the words of
+    evaluating the prospects one by one and their parts in form order; a
+    one-part form whose offset takes its log-MGF out of range is an error
+    only with ``over_t``.
+    """
+    if isinstance(prospects, _Packed):
+        pack = prospects
+    else:
+        pack = prospects[0]._packed if len(prospects) == 1 else _pack(prospects)
+    if pack.segments is None:
+        kernel, reaches = np.empty((0, len(ts))), None
+    else:
+        kernel, reaches = _lse_segments(ts, pack.segments)
+    out = result = kernel if pack.plain else _combine(pack, kernel, ts)
+    if over_t:
+        with np.errstate(over="ignore"):
+            result = out / ts
+    if reaches is not None or not np.isfinite(result).all():
+        _raise_first_overflow(pack, ts, kernel, reaches, out, result if over_t else None)
+    return result
+
+
+def _combine(pack: _Packed, kernel: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Each form's log-MGF row from the kernel's rows: add the Gaussian parts, the offsets and the parts in order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = kernel
+        if pack.gaussian is not None:
+            means, halves, scales = pack.lines
+            t = scales * ts
+            lines = means * t + halves * t * t
+            if pack.discrete is None:
+                columns = lines
             else:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    column = mean * t + 0.5 * variance * t * t
-                finite = np.isfinite(column)
-                if not finite.all():
-                    bad = int(np.argmin(finite))
-                    raise OverflowError(f"log-MGF overflow: Gaussian exponent {float(column[bad])!r} at t={float(t[bad])!r}")
-            if c:
-                column += c * ts
-            out = column if out is None else np.add(out, column, out=out)
-    if len(form) > 1 and not np.isfinite(out).all():
-        raise OverflowError("log-MGF overflow: sum of terms out of floating-point range")
-    return out
+                columns = np.empty((len(pack.discrete) + len(pack.gaussian), len(ts)))
+                columns[pack.discrete] = kernel
+                columns[pack.gaussian] = lines
+        if pack.shifted is not None:
+            if columns is kernel:
+                columns = kernel.copy()
+            columns[pack.shifted] += pack.offsets * ts
+        if pack.width == 1:
+            return columns
+        if pack.padded is not None:
+            # -0.0 pads: x + -0.0 is x for every x, -0.0 included
+            grid = np.full((len(pack.forms) * pack.width, len(ts)), -0.0)
+            grid[pack.padded] = columns
+            columns = grid
+        # One slab per part place, every form's part at once: np.add.accumulate
+        # keeps this order too, but walks the part axis element by element.
+        grid = columns.reshape(-1, pack.width, len(ts))
+        out = grid[:, 0].copy()
+        for place in range(1, pack.width):
+            out += grid[:, place]
+        return out
+
+
+def _raise_first_overflow(
+    pack: _Packed,
+    ts: np.ndarray,
+    kernel: np.ndarray,
+    reaches: Optional[np.ndarray],
+    out: np.ndarray,
+    quotients: Optional[np.ndarray],
+) -> None:
+    """Raise OverflowError for the first form, and part in it, whose log-MGF (or its quotient by t) is not finite, if any."""
+    segment = 0
+    for p, form in enumerate(pack.forms):
+        for values, _, mean, variance, s, _ in form:
+            if values is not None:
+                if reaches is not None and not math.isfinite(reaches[segment]):
+                    raise OverflowError(f"log-MGF overflow: |t*value| reaches {float(reaches[segment])!r}")
+                if not np.isfinite(kernel[segment]).all():
+                    raise OverflowError("log-MGF overflow: result out of floating-point range")
+                segment += 1
+                continue
+            t = ts if s == 1.0 else s * ts
+            with np.errstate(over="ignore", invalid="ignore"):
+                column = mean * t + 0.5 * variance * t * t
+            finite = np.isfinite(column)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                raise OverflowError(f"log-MGF overflow: Gaussian exponent {float(column[bad])!r} at t={float(t[bad])!r}")
+        if len(form) > 1 and not np.isfinite(out[p]).all():
+            raise OverflowError("log-MGF overflow: sum of terms out of floating-point range")
+        if quotients is not None and not np.isfinite(quotients[p]).all():
+            raise OverflowError("ln E{exp(tX)}/t out of floating-point range")
 
 
 def log_mgf(prospect: Prospect, t: float) -> float:
     """Evaluate ln E{exp(t*X)} from the normal form's parts."""
     t = _require_finite(t, "MGF argument t")
-    return float(_log_mgf_grid(prospect, np.asarray([t]))[0])
+    return float(_log_mgf_grid((prospect,), np.asarray([t]))[0, 0])
 
 
 def stats(prospect: Prospect) -> ProspectStats:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .prospects import Prospect, _log_mgf_grid, log_mgf, stats
+from .prospects import Prospect, _log_mgf_grid, _Packed, stats
 
 __all__ = [
     "FlexibilityCurve",
@@ -107,24 +107,35 @@ def certain_equivalent(prospect: Prospect, r: float) -> float:
     """Certain equivalent CE(X|r) = -(1/r) ln E{exp(-r X)}.
 
     r = 0 returns the mean (continuity limit); a deterministic prospect
-    returns its value for every r.
+    returns its value for every r.  Raises OverflowError when the log-MGF
+    or the certain equivalent is not finite.
     """
+    return _certain_equivalents_at((prospect,), r)[0]
+
+
+def _certain_equivalents_at(prospects: Sequence[Prospect], r: float) -> List[float]:
+    """CE(X|r) of every prospect at one r >= 0, each as :func:`certain_equivalent` gives it, in one kernel call."""
     r = check_risk_aversion(r, allow_zero=True)
     if r == 0.0:
-        return stats(prospect).mean
+        return [stats(p).mean for p in prospects]
     try:
-        return -log_mgf(prospect, -r) / r
+        return _log_mgf_grid(prospects, np.asarray([-r]), over_t=True)[:, 0].tolist()
     except OverflowError as exc:
         raise OverflowError(f"certain equivalent at r={r!r}: {exc}") from None
 
 
-def _certain_equivalents(prospect: Prospect, rhos: np.ndarray) -> np.ndarray:
-    """CE(X|rho) for every positive rho in a 1-D array, in one log-MGF pass.
+def _certain_equivalents(prospects: Union[Sequence[Prospect], _Packed], rhos: np.ndarray) -> np.ndarray:
+    """CE(X|rho) of every prospect at every positive rho in a 1-D array: one row per prospect.
 
-    Equal, point by point, to :func:`certain_equivalent` at each rho.
+    One log-MGF pass, and so one kernel call, for all of them; a caller
+    that evaluates the same prospects at several grids packs them once
+    with ``prospects._pack``.  Row i is, point by point,
+    :func:`certain_equivalent` of prospect i at each rho.  Raises
+    OverflowError for the first prospect, in order, whose log-MGF or
+    certain equivalent leaves the float range.
     """
     try:
-        return -_log_mgf_grid(prospect, -rhos) / rhos
+        return _log_mgf_grid(prospects, -rhos, over_t=True)
     except OverflowError as exc:
         raise OverflowError(
             f"certain equivalent for r in [{float(rhos.min())!r}, {float(rhos.max())!r}]: {exc}"
@@ -182,5 +193,5 @@ def flexibility_curve(
     """
     r = check_risk_aversion(r)
     grid = _check_k_grid(ks)
-    ces = tuple(_certain_equivalents(prospect, np.asarray(grid) * r).tolist())
+    ces = tuple(_certain_equivalents((prospect,), np.asarray(grid) * r)[0].tolist())
     return FlexibilityCurve(prospect_id, r, grid, ces, stats(prospect).worst_case)

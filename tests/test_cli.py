@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -484,6 +485,57 @@ def _doubling_model(depth):
     for i in range(1, depth + 1):
         prospects[f"p{i}"] = {"kind": "sum", "terms": [f"p{i - 1}", f"p{i - 1}"]}
     return {"prospects": prospects, "defaults": {"r": 0.01}}
+
+
+def test_certain_equivalent_out_of_range_is_a_range_error(tmp_path, capsys):
+    # The CE of affine(coin, 1, 1e308) is about 1e308, but at r = 40 its
+    # log-MGF holds -40 * 1e308: exit 5, never a printed inf or a warning.
+    model = {
+        "prospects": {
+            "coin": {"kind": "discrete", "points": [[0, 0.5], [100, 0.5]]},
+            "far": {"kind": "affine", "base": "coin", "scale": 1.0, "offset": 1e308},
+        }
+    }
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(model))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["ce", "--id", "far"], ["curve", "--ids", "coin,far", "--k", "1:4:3"], ["compare", "--a", "far", "--b", "coin"]):
+            code, out, err = run(capsys, *argv, "--model", str(path), "--r", "40")
+            assert (code, out) == (5, "") and err.startswith("error:range:"), argv
+
+
+def test_policies_make_one_kernel_call(model_path, capsys, monkeypatch):
+    calls = []
+    real = flexcurve.prospects._lse_segments
+    monkeypatch.setattr(flexcurve.prospects, "_lse_segments", lambda ts, seg: calls.append(len(seg.starts)) or real(ts, seg))
+    code, out, _ = run(capsys, "policies", "--model", model_path, "--r", "0.01")
+    assert code == 0 and len(out.splitlines()) == 2
+    assert calls == [2]
+
+
+def test_policies_overflow_names_the_first_overflowing_policy(tmp_path, capsys):
+    # policy 0 (a_safe) evaluates and policies 1 and 2 overflow: the error
+    # is what certain_equivalent raises for policy 1, and nothing is printed
+    nodes = {
+        "root": {"kind": "decision", "children": [["a_safe", "t"], ["b_far", "f"], ["c_wild", "w"]]},
+        "t": {"kind": "terminal", "payoff": 10},
+        "f": {"kind": "chance", "children": [[0.5, "f0"], [0.5, "f1"]]},
+        "f0": {"kind": "terminal", "payoff": 1.7e308},
+        "f1": {"kind": "terminal", "payoff": 1.75e308},
+        "w": {"kind": "chance", "children": [[0.5, "w0"], [0.5, "w1"]]},
+        "w0": {"kind": "terminal", "payoff": -1e308},
+        "w1": {"kind": "terminal", "payoff": 1e308},
+    }
+    path = tmp_path / "policies.json"
+    path.write_text(json.dumps({"prospects": {}, "tree": {"root": "root", "nodes": nodes}}))
+    first = make_discrete([(1.7e308, 0.5), (1.75e308, 0.5)])
+    with pytest.raises(OverflowError) as alone:
+        certain_equivalent(first, 40.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "policies", "--model", str(path), "--r", "40")
+    assert (code, out, err) == (5, "", f"error:range: {alone.value}\n")
 
 
 def test_shared_terms_past_the_part_cap(tmp_path, capsys):

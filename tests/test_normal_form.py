@@ -110,6 +110,15 @@ class TestPartCap:
         ce = certain_equivalent(chain, 0.01)
         assert ce == pytest.approx(4096 * certain_equivalent(COIN, 0.01), rel=1e-12)
         assert f"{ce:.12g}" == "2042.88002133"
+        # 65,536 parts in one kernel call.  The parts' columns add in form
+        # order, one rounding each, so the sum of n equal columns is within
+        # (n - 1) * u / (1 - (n - 1) * u) of n times one (recursive summation,
+        # 7.3e-12 here); it reads 1.4e-12 off.
+        start = time.perf_counter()
+        ce = certain_equivalent(doubling(16), 0.01)
+        assert time.perf_counter() - start < 1.0
+        n, u = 2**16, 2.0**-53
+        assert ce == pytest.approx(n * certain_equivalent(COIN, 0.01), rel=(n - 1) * u / (1 - (n - 1) * u))
 
     def test_a_shared_deep_chain_is_walked_once(self):
         # 2**10 uses of one 5,000-deep chain: pass 1 collapses the chain, so

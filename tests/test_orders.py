@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,11 +293,57 @@ class TestUpperEnvelope:
         for a, b in zip(segments, segments[1:]):
             assert a.k_hi == pytest.approx(b.k_lo, rel=1e-12)
 
+    def test_k_range_past_the_square_root_of_the_float_range(self):
+        # k * r stays moderate while the products of neighbouring k overflow; numpy prints nothing
+        items = [("X", make_discrete([(0, 0.5), (100, 0.5)])), ("D", make_discrete([(10, 1.0)]))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            segments = upper_envelope(items, 1e-162, (1e160, 1e164))
+        assert [s.ids for s in segments] == [("X",), ("D",)]
+        assert segments[0].k_lo == 1e160 and segments[-1].k_hi == 1e164
+        # the crossing sits at the same k * r as on an ordinary range
+        reference = upper_envelope(items, 0.01, (1.0, 1e4))
+        assert segments[0].k_hi * 1e-162 == pytest.approx(reference[0].k_hi * 0.01, rel=1e-7)
+
     def test_rejects_empty_and_bad_range(self):
         with pytest.raises(ValueError):
             upper_envelope([], 0.1, (1.0, 2.0))
         with pytest.raises(ValueError):
             upper_envelope([("a", make_gaussian(0, 1))], 0.1, (2.0, 1.0))
+
+
+class TestOneKernelCallPerPass:
+    """compare scans X and Y together, and every envelope pass reads every curve, in one kernel call."""
+
+    def spy(self, monkeypatch):
+        """Record each CE pass's prospect count, and each kernel call."""
+        passes, kernel = [], []
+        real_ce, real_kernel = orders._certain_equivalents, flexcurve.prospects._lse_segments
+        monkeypatch.setattr(orders, "_certain_equivalents", lambda ps, rhos: passes.append(len(ps.forms)) or real_ce(ps, rhos))
+        monkeypatch.setattr(flexcurve.prospects, "_lse_segments", lambda ts, seg: kernel.append(len(seg.starts)) or real_kernel(ts, seg))
+        return passes, kernel
+
+    def test_compare_scan(self, monkeypatch):
+        # X's form holds two discrete parts and a Gaussian, Y's one part: three segments a pass
+        factors = make_discrete([(0, 0.4), (50, 0.3), (100, 0.3)]), make_discrete([(0, 0.3), (7, 0.2), (13, 0.2), (30, 0.3)])
+        x = add_independent(add_independent(*factors), make_gaussian(0.0, 1.0))
+        y = make_discrete([(20, 0.5), (60, 0.5)])
+        passes, kernel = self.spy(monkeypatch)
+        verdict = compare(x, y, 0.01)
+        assert verdict.crossings and len(passes) >= 2
+        assert passes == [2] * len(passes) and kernel == [3] * len(passes)
+
+    def test_envelope_passes(self, monkeypatch):
+        items = [
+            ("X", make_discrete([(0, 0.5), (100, 0.5)])),
+            ("G", add_independent(make_discrete([(20, 0.5), (40, 0.5)]), make_gaussian(0.0, 100.0))),
+            ("D", make_discrete([(10, 1.0)])),
+        ]
+        passes, kernel = self.spy(monkeypatch)
+        segments = upper_envelope(items, 0.01, (1.0, 50.0))
+        assert len(segments) >= 2
+        # the grid, each refinement round and the span labels
+        assert len(passes) >= 3 and passes == [3] * len(passes) and kernel == [3] * len(passes)
 
 
 def small_discretes():
@@ -408,6 +455,14 @@ class TestRefine:
         assert 1.9 <= roots[0] <= 2.1
         assert g(0, roots)[0] == 0.0
         assert len(calls) == 1
+
+    def test_stalled_brackets_past_the_square_root_of_the_float_range(self):
+        # the geometric midpoint of [1e200, 1e300] is 1e250 though a0 * b0 overflows; numpy prints nothing
+        diff, calls = counted(lambda rows, ks: np.where(ks < 3e270, -1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = _refine(diff, np.array([1e200]), np.array([1e300]), np.array([-1.0]), np.array([1.0]))
+        assert abs(roots[0] - 3e270) <= ROOT_REL_TOL * roots[0]
 
     def test_closed_brackets_cost_nothing(self):
         diff, calls = counted(lambda rows, ks: ks)

@@ -375,6 +375,107 @@ class TestKernelMatchesFrozen:
         assert_same_bits(ts, values, weights)
 
 
+def frozen_part(ts, values, weights):
+    """``frozen_logsumexp`` in one block, with the kernel's documented fallback.
+
+    A row whose sum over a tiny peak weight overflows is summed with that
+    weight instead.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        block = np.multiply.outer(ts, values)
+        peak = block.max(axis=1)
+        top = block == peak[:, None]
+        at_peak = (weights * top).sum(axis=1)
+        block -= peak[:, None]
+        np.exp(block, out=block)
+        block *= weights
+        block[top] = 0.0
+        rest = block.sum(axis=1)
+        ratio = rest / at_peak
+        out = np.log1p(ratio) + np.log(at_peak) + peak
+        over = np.isinf(ratio)
+        out[over] = (np.log(rest + at_peak) + peak)[over]
+    return out
+
+
+def reference_log_mgf(prospect, ts):
+    """The log-MGF by a loop over the normal form's parts, in order, one ``frozen_part`` each."""
+    out = None
+    for values, masses, mean, variance, s, c in prospect._form:
+        t = ts if s == 1.0 else s * ts
+        column = frozen_part(t, values, masses) if values is not None else mean * t + 0.5 * variance * t * t
+        if c:
+            column = column + c * ts
+        out = column if out is None else out + column
+    return out
+
+
+@st.composite
+def packed_terms(draw):
+    """A discrete (sorted, with rounding ties at the ends, or with a tiny weight at an end), Gaussian or line term, maybe moved."""
+    kind = draw(st.sampled_from(["sorted", "ties", "tiny", "gaussian", "line"]))
+    if kind == "gaussian":
+        term = Gaussian(draw(st.floats(-100, 100)), draw(st.floats(0.0, 1e3)))
+    elif kind == "line":
+        term = Gaussian(draw(st.floats(-100, 100)), 0.0)
+    else:
+        values, weights = draw(ulp_run_supports() if kind == "ties" else sorted_supports(8))
+        if kind == "tiny":
+            weights[draw(st.sampled_from([0, -1]))] = draw(st.sampled_from([1e-310, 1e-300, 2.0**-970]))
+        total = math.fsum(weights)
+        term = Discrete(tuple(values), tuple(w / total for w in weights))
+    if draw(st.booleans()):
+        term = Affine(term, draw(st.floats(0.1, 10.0)), draw(st.sampled_from([0.0, draw(st.floats(-50, 50))])))
+    return term
+
+
+@st.composite
+def packed_prospects(draw):
+    """Forms of one to six parts or more: a term, or a sum of terms, maybe moved."""
+    terms = draw(st.lists(packed_terms(), min_size=1, max_size=6))
+    x = terms[0] if len(terms) == 1 else IndependentSum(tuple(terms))
+    if draw(st.booleans()):
+        x = Affine(x, draw(st.floats(0.1, 10.0)), draw(st.floats(-50, 50)))
+    return x
+
+
+class TestPackedPass:
+    """One kernel call over every discrete part of several prospects gives each prospect's own bits."""
+
+    @given(st.lists(packed_prospects(), min_size=1, max_size=4), kernel_ts, st.sampled_from([_LSE_BLOCK_ELEMENTS, 1, 7, 40]))
+    @settings(max_examples=200, deadline=None)
+    def test_packed_equals_per_prospect(self, batch, ts, block):
+        ts = np.asarray(ts)
+        with mock.patch.object(prospects, "_LSE_BLOCK_ELEMENTS", block):
+            packed = _log_mgf_grid(batch, ts)
+            alone = [_log_mgf_grid((x,), ts)[0] for x in batch]
+        assert packed.shape == (len(batch), len(ts))
+        for row, one, x in zip(packed, alone, batch):
+            assert row.tolist() == one.tolist() == reference_log_mgf(x, ts).tolist()
+
+    def test_one_kernel_call_per_pass(self, rng):
+        batch = [random_discrete(rng), add_independent(random_discrete(rng), make_gaussian(1.0, 4.0)),
+                 Affine(IndependentSum((random_discrete(rng), random_discrete(rng))), 2.0, 3.0), make_gaussian(0.0, 1.0)]
+        calls = []
+        real = prospects._lse_segments
+        with mock.patch.object(prospects, "_lse_segments", lambda ts, seg: calls.append(len(seg.starts)) or real(ts, seg)):
+            _log_mgf_grid(batch, -np.geomspace(1e-3, 1.0, 50))
+        # the discrete parts: one, one, two (the Gaussians go through no kernel)
+        assert calls == [4]
+
+    def test_blocks_stay_within_the_element_cap(self):
+        # 3,000 prospects of 2 to 9 points: whole segments and rows split into blocks of at most 2**16 elements
+        rng = np.random.default_rng(5)
+        batch = [random_discrete(rng, n_max=9) for _ in range(3_000)]
+        ts = -np.geomspace(1e-3, 1.0, 7)
+        sizes = []
+        real = prospects._lse_block
+        with mock.patch.object(prospects, "_lse_block", lambda block, *rest: sizes.append(block.size) or real(block, *rest)):
+            packed = _log_mgf_grid(batch, ts)
+        assert len(sizes) > 1 and max(sizes) <= _LSE_BLOCK_ELEMENTS
+        assert packed.tolist() == [reference_log_mgf(x, ts).tolist() for x in batch]
+
+
 class TestComposition:
     def test_independence_factorization(self, rng):
         for _ in range(50):
@@ -418,9 +519,9 @@ class TestLazySumColumns:
         ts = -np.geomspace(1e-3, 2.0, 300)
         for _ in range(40):
             terms = self.terms(rng, 2)
-            columns = [_log_mgf_grid(term, ts) for term in terms]
+            columns = [_log_mgf_grid((term,), ts)[0] for term in terms]
             want = [math.fsum(pair) for pair in zip(*columns)]
-            assert _log_mgf_grid(IndependentSum(terms), ts).tolist() == want
+            assert _log_mgf_grid((IndependentSum(terms),), ts)[0].tolist() == want
 
     def test_more_terms_within_the_stated_bound(self, rng):
         ts = np.concatenate([-np.geomspace(1e-3, 2.0, 200), np.geomspace(1e-3, 0.5, 50)])
@@ -428,8 +529,8 @@ class TestLazySumColumns:
         for count in (3, 4, 7):
             for _ in range(15):
                 terms = self.terms(rng, count)
-                columns = np.asarray([_log_mgf_grid(term, ts) for term in terms])
-                got = _log_mgf_grid(IndependentSum(terms), ts)
+                columns = np.asarray([_log_mgf_grid((term,), ts)[0] for term in terms])
+                got = _log_mgf_grid((IndependentSum(terms),), ts)[0]
                 exact = np.asarray([math.fsum(column) for column in columns.T])
                 gamma = (count - 1) * u / (1.0 - (count - 1) * u)
                 assert np.all(np.abs(got - exact) <= gamma * np.abs(columns).sum(axis=0))
@@ -439,7 +540,7 @@ class TestLazySumColumns:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="log-MGF overflow"):
-                _log_mgf_grid(IndependentSum((big, big)), np.asarray([1.5e4]))
+                _log_mgf_grid((IndependentSum((big, big)),), np.asarray([1.5e4]))
 
 
 class TestStats:
@@ -514,14 +615,20 @@ def convolve(factors):
 
 
 def ces(prospect, rhos):
-    return -_log_mgf_grid(prospect, -rhos) / rhos
+    return -_log_mgf_grid((prospect,), -rhos)[0] / rhos
 
 
 def kernel_sizes(prospect, rhos):
-    """The CE grid, and the support size of each log-sum-exp call it made."""
+    """The CE grid, and the support sizes of the segments of each kernel call it made."""
     sizes = []
-    real = prospects._logsumexp
-    with mock.patch.object(prospects, "_logsumexp", lambda ts, v, w: sizes.append(len(v)) or real(ts, v, w)):
+    real = prospects._lse_segments
+
+    def spy(ts, segments):
+        bounds = np.append(segments.starts, len(segments.weights))
+        sizes.append((np.diff(bounds) - 1).tolist())
+        return real(ts, segments)
+
+    with mock.patch.object(prospects, "_lse_segments", spy):
         return ces(prospect, rhos), sizes
 
 
@@ -586,7 +693,7 @@ class TestConvolutionFactors:
         assert len(conv.values) == 1_000
         got, sizes = kernel_sizes(conv, self.RHOS)
         mean = stats(conv).mean
-        assert sizes == [10, 10, 10]
+        assert sizes == [[10, 10, 10]]
         # the merged support's arrays were never built
         assert "_arrays" not in conv.__dict__
         assert np.all(np.abs(got - ces(Discrete(conv.values, conv.masses), self.RHOS)) < 1e-10)
@@ -597,7 +704,7 @@ class TestConvolutionFactors:
         ten = convolve([coin] * 10)
         assert len(ten.values) == 11 and len(ten._form) == 1
         got, sizes = kernel_sizes(ten, self.RHOS)
-        assert sizes == [11]
+        assert sizes == [[11]]
         assert got.tolist() == ces(Discrete(ten.values, ten.masses), self.RHOS).tolist()
         assert stats(ten) == stats(Discrete(ten.values, ten.masses))
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,7 +192,7 @@ class TestBatchedCertainEquivalents:
     @settings(max_examples=200, deadline=None)
     def test_grid_equals_scalar(self, prospect, r, k_hi, steps):
         ks = np.geomspace(1.0, k_hi, steps)
-        batched = _certain_equivalents(prospect, ks * r)
+        batched = _certain_equivalents((prospect,), ks * r)[0]
         for k, ce in zip(ks, batched):
             assert ce == pytest.approx(certain_equivalent(prospect, k * r), rel=1e-12)
 
@@ -217,6 +218,46 @@ class TestBatchedCertainEquivalents:
             certain_equivalent(prospect, 10.0)
         with pytest.raises(OverflowError):
             flexibility_curve(prospect, 10.0, (1.0, 2.0))
+
+
+class TestNonFiniteCertainEquivalents:
+    COIN = make_discrete([(0.0, 0.5), (100.0, 0.5)])
+
+    def test_offset_past_the_float_range_raises(self):
+        # the CE is about 1e308, but -ln E{exp(-rX)} holds 40 * 1e308
+        x = Affine(self.COIN, 1.0, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"certain equivalent at r=40.0: .* out of floating-point range"):
+                certain_equivalent(x, 40.0)
+            with pytest.raises(OverflowError, match=r"certain equivalent for r in \[40.0, 80.0\]"):
+                flexibility_curve(x, 40.0, (1.0, 2.0))
+
+    @given(st.permutations(["fine", "reach", "scaled", "gaussian", "sum", "offset"]), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_first_prospect_in_order_names_the_error(self, kinds, count):
+        # each of these raises on its own at r = 10, with its own message
+        made = {
+            "fine": self.COIN,
+            "reach": make_discrete([(-1e308, 0.5), (0.0, 0.5)]),
+            "scaled": IndependentSum((Affine(self.COIN, 1e307, 0.0), self.COIN)),
+            "gaussian": make_gaussian(0.0, 1e307),
+            "sum": IndependentSum((make_gaussian(0.0, 1e306), make_gaussian(0.0, 1e306))),
+            "offset": Affine(self.COIN, 1.0, 1e308),
+        }
+        batch = [made[kind] for kind in kinds[:count]]
+        rhos = np.asarray([10.0, 20.0])
+        first = next((x for x in batch if x is not self.COIN), None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if first is None:
+                assert _certain_equivalents(batch, rhos).shape == (1, 2)
+                return
+            with pytest.raises(OverflowError) as alone:
+                _certain_equivalents((first,), rhos)
+            with pytest.raises(OverflowError) as packed:
+                _certain_equivalents(batch, rhos)
+        assert str(packed.value) == str(alone.value)
 
 
 class TestFlexibilityCurve:
