@@ -54,8 +54,11 @@ def _write(out: Optional[str], text: str) -> None:
     if out is None or out == "stdout":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output file {out!r}: {exc.strerror}") from None
 
 
 def _prospect(doc: ModelDocument, pid: str) -> Prospect:
@@ -76,7 +79,7 @@ def _column(doc: ModelDocument, pid: str, r: float, ks: Tuple[float, ...]) -> Li
     if pid in doc.prospects:
         curve = valuation.flexibility_curve(doc.prospects[pid], r, ks, pid)
         return list(curve.ces)
-    if doc.tree is not None and pid in doc.tree._table:
+    if doc.tree is not None and pid in doc.tree._table.kinds:
         return list(trees.node_curve(doc.tree, pid, r, ks).ces)
     raise ValueError(f"unknown prospect or tree node id {pid!r}")
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from .prospects import Affine, IndependentSum, Prospect, make_discrete, make_gaussian
 from .scenarios import AdaptiveSpec, Commitment, StiglerSpec
-from .trees import ChanceNode, DecisionNode, DecisionTree, Node, TerminalNode, _Table
+from .trees import DecisionNode, DecisionTree, TerminalNode, _Table
 from .valuation import _geometric_points
 
 __all__ = [
@@ -26,7 +25,11 @@ __all__ = [
     "parse_model",
     "emit_model",
     "parse_k_grid",
+    "K_GRID_STEPS_CAP",
 ]
+
+# Far above any grid a curve needs; a larger one would only exhaust memory.
+K_GRID_STEPS_CAP = 100_000
 
 
 class ModelError(ValueError):
@@ -52,6 +55,8 @@ def _k_grid_bounds(text: str) -> Tuple[float, float, int]:
         raise ModelError(f"k grid bounds must satisfy 0 < lo <= hi, got {text!r}")
     if steps < 1 or (steps == 1 and lo != hi):
         raise ModelError(f"k grid needs at least 2 steps when lo < hi, got {text!r}")
+    if steps > K_GRID_STEPS_CAP:
+        raise ModelError(f"k grid steps exceed cap {K_GRID_STEPS_CAP}, got {text!r}")
     return lo, hi, steps
 
 
@@ -186,27 +191,14 @@ def _check_children(items: Any, path: str, nid: str, chance: bool) -> None:
     raise ModelError(f"{path}.nodes.{nid}.children[{i}]: expected a {pair} pair")
 
 
-def _tree_nodes(raw_nodes: Dict[str, Any]) -> Dict[str, Node]:
-    """The node objects of a tree block whose nodes passed the shape checks."""
-    nodes: Dict[str, Node] = {}
-    for nid, node in raw_nodes.items():
-        if node["kind"] == "terminal":
-            nodes[nid] = TerminalNode(float(node["payoff"]))
-        elif node["kind"] == "decision":
-            nodes[nid] = DecisionNode(tuple(map(tuple, node["children"])))
-        else:
-            nodes[nid] = ChanceNode(tuple((float(p), cid) for p, cid in node["children"]))
-    return nodes
-
-
 def _parse_tree(raw: Any, path: str) -> DecisionTree:
     _expect(isinstance(raw, dict), path, "expected an object")
     root = raw.get("root")
     _expect(isinstance(root, str), f"{path}.root", "expected a node id")
     raw_nodes = raw.get("nodes")
     _expect(isinstance(raw_nodes, dict) and raw_nodes, f"{path}.nodes", "expected a nonempty object")
-    # One loop checks each node's shape and adds it to the tree's table; a
-    # content fault waits for the loop's end, as any shape fault comes first.
+    # One loop checks each node's shape, raising at once, and adds it to
+    # the tree's table, which records content faults: shape faults come first.
     table = _Table()
     for nid, node in raw_nodes.items():
         if not isinstance(node, dict):
@@ -222,12 +214,9 @@ def _parse_tree(raw: Any, path: str) -> DecisionTree:
             raise ModelError(f"{path}.nodes.{nid}.kind: unknown node kind {kind!r}")
         children = node.get("children")
         _check_children(children, path, nid, kind == "chance")
-        try:
-            (table.chance if kind == "chance" else table.decision)(nid, children)
-        except ValueError:
-            table.faulty = True
+        (table.chance if kind == "chance" else table.decision)(nid, children)
     try:
-        return DecisionTree._of(table, raw_nodes, root, partial(_tree_nodes, raw_nodes))
+        return DecisionTree._of(table, raw_nodes.keys(), root)
     except ValueError as exc:
         raise ModelError(f"{path}: {exc}") from None
 

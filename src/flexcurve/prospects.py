@@ -580,8 +580,8 @@ def _exponents(
 
 def _lse_block(
     block: np.ndarray,
-    peak_weights: np.ndarray,
-    log_peak_weights: np.ndarray,
+    peak_weights: Optional[np.ndarray],
+    log_peak_weights: Optional[np.ndarray],
     weights: np.ndarray,
     zeroed: np.ndarray,
     starts: np.ndarray,
@@ -591,12 +591,13 @@ def _lse_block(
     """The log-sum-exp of each (row, segment) of ``block`` (the exponents, overwritten) from its zero column's peak.
 
     The result is segments x rows, so that the per-segment arithmetic after
-    the sums runs along rows.
+    the sums runs along rows.  Without ``peak_weights`` the peak columns are
+    unknown, and every element equal to its segment's peak is masked.
     """
     peaks = block[:, starts]
     level = peaks if segment is None else peaks[:, segment]
     top = block == level
-    if np.count_nonzero(top) == 2 * peaks.size:
+    if peak_weights is not None and np.count_nonzero(top) == 2 * peaks.size:
         # Only the zero and peak columns tie: the zeroed weights leave the peak out.
         at_peak, log_at_peak, top = peak_weights[:, None], log_peak_weights[:, None], None
     else:

@@ -5,22 +5,25 @@ max over children, chance nodes aggregate child certain equivalents with a
 log-sum-exp, which is the numerically stable equivalent of propagating
 expected exponential utility and inverting at the end.
 
-A tree's internal form is one validated table in post-order, root last
-(``_Table``): each node's row, kind, and payoff or (label or probability,
-child) pairs in the order rollback visits them, label-sorted at
-decisions.  A subtree is the run of rows that ends at its node.  The
-table is the one validator of trees: it takes nodes one at a time, as
-node objects (``DecisionTree``) or as a model file is read
-(``model_io``), then checks the links in the one walk from the root that
-puts them in post-order.  Nothing here recurses, so tree depth is bounded
+A tree is one validated table in post-order, root last (``_Table``): each
+node's row, kind, and payoff or (label or probability, child) pairs in
+the order rollback visits them, label-sorted at decisions.  The table is
+the tree's one representation and its one validator.  It takes nodes one
+at a time, as node objects (``DecisionTree``) or as a model file is read
+(``model_io``), recording each node's content fault instead of raising
+it, then checks the links in the one walk from the root that puts them in
+post-order.  A tree's node objects, ``DecisionTree.nodes``, are built
+from the table when that is first read.  A subtree is the run of rows
+that ends at its node.  Nothing here recurses, so tree depth is bounded
 by memory, not by the interpreter's recursion limit.
 
 A rollback or curve reads its subtree's rows into arrays, groups the inner
 rows into levels (one kind at one depth), then makes one pass over the
 levels, deepest first, for a whole vector of aversions: the chance nodes
-of a level get one segmented log-sum-exp over a (children x k) block, the
-decision nodes one segmented max.  Each node's arithmetic is that of the
-one-node kernel, so results do not depend on the batching.
+of a level run on the prospect kernel, one call of its block reducer
+``prospects._lse_block`` over a (k x children) block, and the decision
+nodes get one segmented max.  Each node's arithmetic is that of the
+kernel on its children alone, so results do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .prospects import MASS_SUM_TOLERANCE, Discrete, make_discrete
+from .prospects import _TINY_PEAK_WEIGHT, MASS_SUM_TOLERANCE, Discrete, _lse_block, make_discrete
 from .valuation import FlexibilityCurve, _check_k_grid, check_risk_aversion
 
 __all__ = [
@@ -83,157 +86,148 @@ _TERMINAL, _DECISION, _CHANCE = 0, 1, 2
 
 
 class _Table:
-    """A tree's nodes, validated and in post-order: the one validator of trees.
+    """A tree's nodes, validated and in post-order: the tree's one representation.
 
-    ``terminal``, ``decision`` and ``chance`` check one node's contents,
-    raising ValueError, and record its payoff or its kind and (tag, child
-    id) pairs in rollback order.  A caller that has to read on (a model
-    file, whose shape faults come first) sets ``faulty`` instead.  ``walk``
-    then checks the links and fills ``order``, root last.
+    ``terminal``, ``decision`` and ``chance`` take one node each, in
+    node-map order: they record its kind, its payoff or its (tag, child id)
+    pairs in rollback order, and in ``faults`` what is wrong with its
+    contents.  ``walk`` then checks the links and fills ``order``, root last.
     """
 
     def __init__(self) -> None:
-        self.faulty = False
+        self.kinds: Dict[str, int] = {}  # every node, in node-map order
         self.payoffs: Dict[str, float] = {}
-        # Inner nodes only.
-        self.kinds: Dict[str, int] = {}
+        # Inner nodes only; ``given`` keeps a decision's pairs in their given order.
         self.pairs: Dict[str, Sequence[tuple]] = {}
+        self.given: Dict[str, Sequence[tuple]] = {}
+        self.faults: Dict[str, Exception] = {}
         self.order: List[str] = []
 
-    def __contains__(self, nid: object) -> bool:
-        return nid in self.payoffs or nid in self.pairs
-
     def terminal(self, nid: str, payoff: float) -> None:
-        if not math.isfinite(payoff):
-            raise ValueError(f"non-finite payoff at node {nid!r}")
+        self.kinds[nid] = _TERMINAL
         self.payoffs[nid] = payoff
+        if not math.isfinite(payoff):
+            self.faults[nid] = ValueError(f"non-finite payoff at node {nid!r}")
 
     def decision(self, nid: str, children: Sequence[tuple]) -> None:
-        if not children:
-            raise ValueError(f"node {nid!r} has no children")
-        if len(dict(children)) != len(children):
-            raise ValueError(f"duplicate child labels at decision node {nid!r}")
         self.kinds[nid] = _DECISION
-        self.pairs[nid] = sorted(children)
+        self.given[nid] = children
+        if not children:
+            self.faults[nid] = ValueError(f"node {nid!r} has no children")
+        elif len(dict(children)) != len(children):
+            self.faults[nid] = ValueError(f"duplicate child labels at decision node {nid!r}")
+        else:
+            self.pairs[nid] = sorted(children)
 
     def chance(self, nid: str, children: Sequence[tuple]) -> None:
-        if not children:
-            raise ValueError(f"node {nid!r} has no children")
-        for p, _ in children:
-            if not p > 0.0:
-                raise ValueError(f"nonpositive probability at chance node {nid!r}")
-        total = math.fsum([p for p, _ in children])
-        if abs(total - 1.0) > PROBABILITY_SUM_TOLERANCE:
-            raise ValueError(f"probabilities at chance node {nid!r} sum to {total!r}, expected 1")
         self.kinds[nid] = _CHANCE
         self.pairs[nid] = children
-
-    def add(self, nid: str, node: Node) -> None:
-        """Add a node object: the one place that dispatches on node type."""
-        if isinstance(node, TerminalNode):
-            self.terminal(nid, node.payoff)
-        elif isinstance(node, DecisionNode):
-            self.decision(nid, node.children)
-        elif isinstance(node, ChanceNode):
-            self.chance(nid, node.children)
+        if not children:
+            self.faults[nid] = ValueError(f"node {nid!r} has no children")
+        elif not all([p > 0.0 for p, _ in children]):
+            self.faults[nid] = ValueError(f"nonpositive probability at chance node {nid!r}")
         else:
-            raise TypeError(f"not a tree node: {node!r}")
+            total = math.fsum([p for p, _ in children])
+            if abs(total - 1.0) > PROBABILITY_SUM_TOLERANCE:
+                self.faults[nid] = ValueError(f"probabilities at chance node {nid!r} sum to {total!r}, expected 1")
 
-    def walk(self, nodes: Mapping[str, object], root: str, objects: Callable[[], Mapping[str, Node]]) -> None:
-        """Check the links between the nodes added, which are those of ``nodes``.
+    def walk(self, ids: AbstractSet[str], root: str) -> None:
+        """Check the links between the nodes added, whose ids are ``ids`` in node-map order.
 
         They make one tree when a walk from the root that pushes every child
         it meets, stopped after as many visits as the map has nodes, visits
         each node once.  It visits a node before its children, the last
-        first; reversed, that is the post-order.  On a fault, raises the
-        error ``_first_fault`` picks from the node objects ``objects()``.
+        first; reversed, that is the post-order.  On a fault, the map is
+        checked in full in node-map order: node by node, contents before
+        child references, then parent counts, then reachability, so a map
+        with several faults always reports the same one.
         """
-        if root not in nodes:
+        if root not in ids:
             raise ValueError(f"root node {root!r} not in node map")
-        if not self.faulty:
-            order: List[str] = []
+        order: List[str] = []
+        if not self.faults:
             stack = [(None, root)]
             visit, pop, push, pairs = order.append, stack.pop, stack.extend, self.pairs.get
             try:
-                for _ in range(len(nodes)):
+                for _ in range(len(ids)):
                     nid = pop()[1]
                     visit(nid)
                     push(pairs(nid, ()))
             except IndexError:
                 pass  # the walk reached fewer nodes than the map holds
-            if not stack and len(order) == len(nodes) and nodes.keys() == set(order):
+            if not stack and len(order) == len(ids) and ids == set(order):
                 self.order = order[::-1]
                 return
-        raise _first_fault(objects(), root)
+        parents = dict.fromkeys(ids, 0)
+        for nid in parents:
+            if nid in self.faults:
+                raise self.faults[nid]
+            for _, cid in self.pairs.get(nid, ()):
+                if cid not in parents:
+                    raise ValueError(f"node {nid!r} references unknown child {cid!r}")
+                parents[cid] += 1
+        for nid, count in parents.items():
+            if nid == root:
+                if count != 0:
+                    raise ValueError(f"root node {root!r} has a parent")
+            elif count != 1:
+                raise ValueError(f"node {nid!r} has {count} parents, expected exactly 1")
+        # Parent counts alone admit a cycle disconnected from the root; with
+        # them right, the walk visited each node it reached once.
+        raise ValueError(f"node {sorted(parents.keys() - set(order))[0]!r} is unreachable from the root")
+
+    def nodes(self) -> Dict[str, Node]:
+        """The node objects, in node-map order, each with its children in their given order."""
+        built: Dict[str, Node] = {}
+        for nid, kind in self.kinds.items():
+            if kind == _TERMINAL:
+                built[nid] = TerminalNode(self.payoffs[nid])
+            elif kind == _DECISION:
+                built[nid] = DecisionNode(tuple(map(tuple, self.given[nid])))
+            else:
+                built[nid] = ChanceNode(tuple((float(p), cid) for p, cid in self.pairs[nid]))
+        return built
 
 
-def _first_fault(nodes: Mapping[str, Node], root: str) -> Exception:
-    """The error for an invalid node map, checked in full in node-map order.
-
-    Node by node, contents come before child references; then parent
-    counts, then reachability, so a map with several faults always reports
-    the same one.
-    """
-    table = _Table()
-    parents = dict.fromkeys(nodes, 0)
-    for nid, node in nodes.items():
-        try:
-            table.add(nid, node)
-        except (TypeError, ValueError) as exc:
-            return exc
-        for _, cid in table.pairs.get(nid, ()):
-            if cid not in nodes:
-                return ValueError(f"node {nid!r} references unknown child {cid!r}")
-            parents[cid] += 1
-    for nid, count in parents.items():
-        if nid == root:
-            if count != 0:
-                return ValueError(f"root node {root!r} has a parent")
-        elif count != 1:
-            return ValueError(f"node {nid!r} has {count} parents, expected exactly 1")
-    # Parent counts alone admit a cycle disconnected from the root.
-    reached, stack = {root}, [root]
-    while stack:
-        for _, cid in table.pairs.get(stack.pop(), ()):
-            if cid not in reached:
-                reached.add(cid)
-                stack.append(cid)
-    orphan = sorted(set(nodes) - reached)[0]
-    return ValueError(f"node {orphan!r} is unreachable from the root")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DecisionTree:
-    """Rooted tree of decision / chance / terminal nodes with money payoffs."""
+    """Rooted tree of decision / chance / terminal nodes with money payoffs, held as its table.
 
-    nodes: Mapping[str, Node]
+    ``nodes``, through which trees compare and print, is built from the table when first read.
+    """
+
+    nodes: Mapping[str, Node] = cached_property(lambda tree: tree._table.nodes())  # type: ignore[assignment]
     root: str
 
-    def __post_init__(self) -> None:
-        nodes = dict(self.nodes)
-        object.__setattr__(self, "nodes", nodes)
+    def __init__(self, nodes: Mapping[str, Node], root: str) -> None:
+        self.__dict__["root"] = root
+        self.__post_init__(nodes)
+
+    def __post_init__(self, nodes: Mapping[str, Node]) -> None:
+        """The dataclass validation hook, which ``flexbench`` times: node objects into the table, the one type dispatch."""
         table = _Table()
-        try:
-            for nid, node in nodes.items():
-                table.add(nid, node)
-        except (TypeError, ValueError):
-            table.faulty = True
-        table.walk(nodes, self.root, lambda: nodes)
-        object.__setattr__(self, "_table", table)
+        for nid, node in nodes.items():
+            try:
+                if isinstance(node, TerminalNode):
+                    table.terminal(nid, node.payoff)
+                elif isinstance(node, DecisionNode):
+                    table.decision(nid, node.children)
+                elif isinstance(node, ChanceNode):
+                    table.chance(nid, node.children)
+                else:
+                    raise TypeError(f"not a tree node: {node!r}")
+            except (TypeError, ValueError) as exc:
+                table.faults[nid] = exc
+        table.walk(nodes.keys(), self.root)
+        self.__dict__["_table"] = table
 
     @classmethod
-    def _of(cls, table: _Table, ids: Mapping[str, object], root: str, objects: Callable[[], Dict[str, Node]]) -> "DecisionTree":
-        """A tree whose nodes (ids in map order) went into ``table`` as a model file was read."""
-        table.walk(ids, root, objects)
+    def _of(cls, table: _Table, ids: AbstractSet[str], root: str) -> "DecisionTree":
+        """A tree whose nodes (``ids``, in node-map order) went into ``table`` as a model file was read."""
+        table.walk(ids, root)
         tree = object.__new__(cls)
-        for name, value in (("root", root), ("_table", table), ("_objects", objects)):
-            object.__setattr__(tree, name, value)
+        tree.__dict__.update(root=root, _table=table)
         return tree
-
-
-# A tree read from a model file builds its node objects on first use of ``nodes``.
-DecisionTree.nodes = cached_property(lambda tree: tree._objects())
-DecisionTree.nodes.__set_name__(DecisionTree, "nodes")
 
 
 @dataclass(frozen=True)
@@ -250,10 +244,11 @@ class _Level(NamedTuple):
     """Inner rows of one kind and depth; their children are the segments of ``children``.
 
     ``starts`` holds the segment offsets, ``segment`` each child's row's
-    index in the level; ``weights`` (a column of probabilities) is set for
-    chance levels only.  ``padded_rows`` and ``padded_starts`` place the
-    children in a buffer with a zero row ahead of each segment (see
-    :func:`_segment_sums`).
+    index in the level.  ``laid`` reads the children's rows in the
+    prospect kernel's layout: a zero column, at ``heads``, ahead of each
+    segment, which reads the segment's first child; ``spread`` holds each
+    column's segment (None for one segment).  ``weights`` holds the
+    probabilities by column, 0 in the zero columns, at chance levels only.
     """
 
     rows: np.ndarray
@@ -261,8 +256,9 @@ class _Level(NamedTuple):
     starts: np.ndarray
     segment: np.ndarray
     weights: Optional[np.ndarray]
-    padded_rows: np.ndarray
-    padded_starts: np.ndarray
+    laid: np.ndarray
+    heads: np.ndarray
+    spread: Optional[np.ndarray]
 
 
 class _Plan(NamedTuple):
@@ -272,6 +268,7 @@ class _Plan(NamedTuple):
     rows: Dict[str, int]
     payoffs: np.ndarray
     levels: List[_Level]
+    noisy: bool  # some probability is below the kernel's _TINY_PEAK_WEIGHT
 
 
 def _compile(table: _Table, node_id: str) -> _Plan:
@@ -287,13 +284,13 @@ def _compile(table: _Table, node_id: str) -> _Plan:
     segments = list(map(pairs.get, ids, repeat(())))
     entries = list(chain.from_iterable(segments))
     n, m = len(ids), len(entries)
-    kinds = np.fromiter(map(table.kinds.get, ids, repeat(_TERMINAL)), np.int8, n)
+    kinds = np.fromiter(map(table.kinds.__getitem__, ids), np.int8, n)
     counts = np.fromiter(map(len, segments), np.intp, n)
     bounds = np.concatenate(([0], counts.cumsum()))
     local = np.fromiter(map(rows.__getitem__, map(itemgetter(1), entries)), np.intp, m)
     tags = list(map(itemgetter(0), entries))
     under_chance = (kinds == _CHANCE).repeat(counts)
-    weights = np.where(under_chance, np.array(tags, dtype=object), 0.0).astype(float)
+    weights = np.where(under_chance, np.array(tags, dtype=object), 1.0).astype(float)  # 1: decision levels never read it
     # Depth below the node by pointer jumping: ``up`` is an ancestor
     # ``depth`` links up, until every ``up`` is the node.
     up = np.full(n, n - 1)
@@ -319,80 +316,58 @@ def _compile(table: _Table, node_id: str) -> _Plan:
     begins = opens.nonzero()[0]
     lead = begins[opens.cumsum() - 1]
     rel_starts = offset - offset[lead]
-    rel_segment = (np.arange(len(key)) - lead).repeat(size)
-    padded_rows = np.arange(m) - offset[lead].repeat(size) + rel_segment + 1
-    padded_starts = rel_starts + np.arange(len(key)) - lead
-    children, weights = local[take], weights[take, None]
+    rel_node = np.arange(len(key)) - lead
+    rel_segment = rel_node.repeat(size)
+    children, weights = local[take], weights[take]
+    # The kernel's layouts of all levels side by side: each node's first
+    # child read twice, the first time into its zero column.
+    twice = np.ones(m, np.intp)
+    twice[offset] = 2
+    laid, padded = children.repeat(twice), weights.repeat(twice)
+    padded[offset + np.arange(len(key))] = 0.0
+    heads = rel_starts + rel_node
+    spread = rel_node.repeat(size + 1)
     n0s, k0s = begins.tolist(), offset[begins].tolist()
     levels = [
         _Level(
             node_rows[n0:n1], children[k0:k1], rel_starts[n0:n1], rel_segment[k0:k1],
-            weights[k0:k1] if chance else None, padded_rows[k0:k1], padded_starts[n0:n1],
+            padded[k0 + n0 : k1 + n1] if chance else None, laid[k0 + n0 : k1 + n1], heads[n0:n1],
+            spread[k0 + n0 : k1 + n1] if n1 - n0 > 1 else None,
         )
         for n0, n1, k0, k1, chance in zip(n0s, n0s[1:] + [len(key)], k0s, k0s[1:] + [m], chance_of[begins].tolist())
     ]
-    return _Plan(ids, rows, np.fromiter(map(table.payoffs.get, ids, repeat(math.nan)), float, n), levels)
+    payoffs = np.fromiter(map(table.payoffs.get, ids, repeat(math.nan)), float, n)
+    return _Plan(ids, rows, payoffs, levels, bool(weights.min(initial=1.0) < _TINY_PEAK_WEIGHT))
 
 
-def _segment_sums(level: _Level, *parts: np.ndarray) -> np.ndarray:
-    """Each segment's sum of the rows of every part, rounded as numpy sums one row.
+def _chance_values(
+    values: np.ndarray, level: _Level, t: np.ndarray, mean: np.ndarray, noisy: bool
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """A chance level's values at every t = -rho, and overflow flags (None when there are none).
 
-    ``np.add.reduceat`` starts a segment from its first row; with a zero row
-    ahead of each segment it adds from 0 in the pairwise order that
-    ``ndarray.sum`` uses, so a node gets the bits the one-node kernel gave.
+    At the places ``mean`` of t, where rho is 0, a value is the expected
+    value; elsewhere it is the certain equivalent from the prospect
+    kernel's block reducer, which reads each segment's peak exponent from
+    its zero column and, given no peak weights, masks every element equal
+    to it.  A flag marks a node whose exponent t*ce or certain equivalent
+    is not finite, the cases where the kernel raises.
     """
-    padded = np.zeros((len(parts), len(parts[0]) + len(level.starts), parts[0].shape[1]))
-    for buffer, part in zip(padded, parts):
-        buffer[level.padded_rows] = part
-    return np.add.reduceat(padded, level.padded_starts, axis=1)
-
-
-def _chance_lse(block: np.ndarray, level: _Level, t: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Certain equivalents of a chance level at every t = -rho < 0, and overflow flags.
-
-    The log-sum-exp is that of ``prospects._logsumexp`` segment by segment:
-    shift by the segment's peak exponent, keep the weight at the peak out of
-    the sum and add it back through log1p.  A flag marks a node whose
-    exponent t*ce or result is not finite, the cases where the kernel
-    raises; flags are None when there is none.
-    """
-    exponents = block * t
+    block = values[level.laid].T
+    exponents = block * t[:, None]
     lowest = float(exponents.min())
-    peak = np.maximum.reduceat(exponents, level.starts)
-    peak_rows = peak[level.segment]
-    at_top = level.weights * (exponents == peak_rows)
-    exponents -= peak_rows
-    np.exp(exponents, out=exponents)
-    # The weight at a segment's peak is left out of its sum.
-    exponents *= level.weights - at_top
-    at_peak, ces = _segment_sums(level, at_top, exponents)
-    ces /= at_peak
-    np.log1p(ces, out=ces)
-    ces += np.log(at_peak)
-    ces += peak
+    exponents[:, level.heads] = np.maximum.reduceat(exponents, level.heads, axis=1)
+    ces = _lse_block(exponents, None, None, level.weights, level.weights, level.heads, level.spread, noisy)
     ces /= t
-    finite = np.isfinite(ces)
-    if math.isfinite(lowest) and finite.all():
+    if mean.size:
+        terms = block[mean] * level.weights
+        terms[:, level.heads] = 0.0
+        ces[:, mean] = np.add.reduceat(terms, level.heads, axis=1).T
+    if math.isfinite(lowest) and np.isfinite(ces).all():
         return ces, None
-    flags = ~finite | np.logical_or.reduceat(~np.isfinite(block * t), level.starts)
+    flags = ~np.isfinite(ces) | np.logical_or.reduceat(~np.isfinite(values[level.children] * t), level.starts)
+    flags[:, mean] = False
     ces[flags] = np.nan
-    return ces, flags
-
-
-def _chance_values(block: np.ndarray, level: _Level, t: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Chance level values for every t = -rho: expected values where rho is 0."""
-    positive = t < 0.0
-    if positive.all():
-        return _chance_lse(block, level, t)
-    (ces,) = _segment_sums(level, level.weights * block)
-    if not positive.any():
-        return ces, None
-    ces[:, positive], lse_flags = _chance_lse(block[:, positive], level, t[positive])
-    if lse_flags is None:
-        return ces, None
-    flags = np.zeros(ces.shape, dtype=bool)
-    flags[:, positive] = lse_flags
-    return ces, flags
+    return (ces, flags) if flags.any() else (ces, None)
 
 
 def _evaluate(
@@ -408,15 +383,15 @@ def _evaluate(
     backward induction stops.
     """
     t = -rho
-    values = np.empty((len(plan.ids), len(rho)))
-    values[:] = plan.payoffs[:, None]
+    values = plan.payoffs[:, None].repeat(len(rho), axis=1)
     low = plan.payoffs.copy()
     overflow: Optional[np.ndarray] = None
     picked = np.full(len(plan.ids), -1) if choose else None
+    mean = (rho == 0.0).nonzero()[0]
     with np.errstate(all="ignore"):
         for level in plan.levels:
-            block = values[level.children]
             if level.weights is None:
+                block = values[level.children]
                 best = np.maximum.reduceat(block, level.starts)
                 if choose:
                     hit = block[:, 0] == best[level.segment, 0]
@@ -429,7 +404,7 @@ def _evaluate(
                 if worst:
                     low[level.rows] = np.maximum.reduceat(low[level.children], level.starts)
             else:
-                best, flags = _chance_values(block, level, t)
+                best, flags = _chance_values(values, level, t, mean, plan.noisy)
                 if flags is not None:
                     if overflow is None:
                         overflow = np.zeros(values.shape, dtype=bool)
@@ -479,7 +454,7 @@ def node_curve(tree: DecisionTree, node_id: str, r: float, ks: Tuple[float, ...]
     (max at decisions, min at chance nodes).
     """
     r = check_risk_aversion(r)
-    if node_id not in tree._table:
+    if node_id not in tree._table.kinds:
         raise ValueError(f"unknown node id {node_id!r}")
     grid = _check_k_grid(ks)
     rho = np.array([k * r for k in grid])
@@ -491,7 +466,7 @@ def _policy_count(table: _Table) -> int:
     """Number of policies; a chance node stops multiplying once past the cap."""
     count: Dict[str, int] = {}
     for nid in table.order:
-        kind = table.kinds.get(nid, _TERMINAL)
+        kind = table.kinds[nid]
         if kind == _TERMINAL:
             count[nid] = 1
         elif kind == _CHANCE:
@@ -515,7 +490,7 @@ def enumerate_policies(tree: DecisionTree) -> List[Policy]:
     # Each node's partial policies, built from its children's in post-order.
     partial: Dict[str, List[Dict[str, str]]] = {}
     for nid in table.order:
-        kind = table.kinds.get(nid, _TERMINAL)
+        kind = table.kinds[nid]
         if kind == _TERMINAL:
             partial[nid] = [{}]
         elif kind == _CHANCE:
@@ -544,7 +519,7 @@ def policy_prospect(tree: DecisionTree, policy: Policy) -> Discrete:
     stack = [(tree.root, 1.0)]
     while stack:
         nid, mass = stack.pop()
-        kind = table.kinds.get(nid, _TERMINAL)
+        kind = table.kinds[nid]
         if kind == _TERMINAL:
             if mass > 0.0:
                 pairs.append((table.payoffs[nid], mass))

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import flexcurve
-from flexcurve import certain_equivalent, cli, make_discrete
+from flexcurve import certain_equivalent, cli, make_discrete, model_io
 from flexcurve.cli import main
 
 from conftest import oracle_ce
@@ -222,6 +222,23 @@ class TestFailureModes:
         assert code == 5
         assert err.startswith("error:range:")
 
+    def test_unwritable_out_file_is_domain_error(self, model_path, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, "ce", "--model", model_path, "--id", "d", "--out", str(target))
+        assert (code, out) == (4, "")
+        assert err == f"error:domain: cannot write output file {str(target)!r}: No such file or directory\n"
+
+    def test_k_grid_past_the_step_cap_is_parse_error(self, model_path, tmp_path, capsys):
+        steps = model_io.K_GRID_STEPS_CAP + 1
+        code, out, err = run(capsys, "curve", "--model", model_path, "--ids", "x", "--k", f"1:2:{steps}")
+        assert (code, out) == (3, "")
+        assert err == f"error:parse: k grid steps exceed cap {steps - 1}, got '1:2:{steps}'\n"
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({**MODEL, "defaults": {"r": 0.01, "k": f"1:2:{steps}"}}))
+        code, out, err = run(capsys, "curve", "--model", str(path), "--ids", "x")
+        assert (code, out) == (3, "")
+        assert err == f"error:parse: k grid steps exceed cap {steps - 1}, got '1:2:{steps}'\n"
+
     def test_rollback_without_tree(self, tmp_path, capsys):
         path = tmp_path / "flat.json"
         path.write_text(json.dumps({"prospects": {}}))
@@ -328,6 +345,25 @@ def test_tree_commands_past_recursion_limit(tmp_path, capsys):
         "[end=go]",
         "[end=stop]",
     ]
+
+
+def test_rollback_with_a_tiny_probability_agrees_with_policies(tmp_path, capsys):
+    # The chance node's sum over its peak weight 1e-310 overflows; rollback
+    # takes the prospect kernel's fallback, as policies does.
+    nodes = {
+        "c": {"kind": "chance", "children": [[1e-310, "a"], [1.0, "b"]]},
+        "a": {"kind": "terminal", "payoff": 0},
+        "b": {"kind": "terminal", "payoff": 1},
+    }
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"tree": {"root": "c", "nodes": nodes}}))
+    for r in ("0.001", "1"):
+        code, out, err = run(capsys, "rollback", "--model", str(path), "--r", r)
+        assert (code, err) == (0, "")
+        ce = out.splitlines()[0].removeprefix("ce: ")
+        code, out, err = run(capsys, "policies", "--model", str(path), "--r", r)
+        assert (code, err) == (0, "")
+        assert out.split(" ")[2] == f"ce={ce}"
 
 
 def test_policies_on_a_chain_whose_tail_mass_underflows(tmp_path, capsys):

@@ -1,4 +1,8 @@
-"""Checks on the library's source: depth limits are explicit caps, never the recursion limit."""
+"""Checks on the library's source.
+
+Depth limits are explicit caps, never the recursion limit, and every class
+has one body: no module patches a class it defines after the definition.
+"""
 
 import ast
 from pathlib import Path
@@ -53,3 +57,45 @@ class Node:
         return 1 + sum(self.size() for _ in self.children)
 '''
     assert self_calls(planted) == ["visit", "size"]
+
+
+def class_patches(text):
+    """``Class.attribute`` targets that a module assigns at module level, for classes it defines."""
+    tree = ast.parse(text)
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            continue
+        for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+            for part in ast.walk(target):
+                if isinstance(part, ast.Attribute) and isinstance(part.value, ast.Name) and part.value.id in classes:
+                    found.append(f"{part.value.id}.{part.attr}")
+    return found
+
+
+def test_no_module_patches_a_class_it_defines():
+    patches = {path.name: class_patches(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    assert {name: found for name, found in patches.items() if found} == {}
+
+
+def test_a_planted_class_patch_is_caught():
+    planted = '''
+from functools import cached_property
+
+
+class Tree:
+    root: str
+
+
+class Other:
+    pass
+
+
+Tree.nodes = cached_property(lambda tree: tree._objects())
+Tree.nodes.__set_name__(Tree, "nodes")
+Other.count += 1
+Tree.sizes[0], limit = 3, 4
+unrelated.attribute = 1
+'''
+    assert class_patches(planted) == ["Tree.nodes", "Other.count", "Tree.sizes"]

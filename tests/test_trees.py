@@ -521,3 +521,17 @@ class TestBatchedRollback:
         want, choices = scalar_rollback(tree, "root", 0.5)
         assert ce == pytest.approx(want, rel=1e-12)
         assert policy.choice == choices
+
+    @pytest.mark.parametrize("r", [0.001, 1.0])
+    def test_a_tiny_probability_gives_one_ce_on_every_path(self, r):
+        # The sum over the peak weight 1e-310 overflows; rollback, curves
+        # and the policy's prospect all take the kernel's fallback for it.
+        tree = DecisionTree(
+            {"c": ChanceNode(((1e-310, "a"), (1.0, "b"))), "a": TerminalNode(0.0), "b": TerminalNode(1.0)}, "c"
+        )
+        ce, _ = rollback(tree, r)
+        (curve,) = node_curve(tree, "c", r, (1.0,)).ces
+        (policy,) = enumerate_policies(tree)
+        want = certain_equivalent(policy_prospect(tree, policy), r)
+        assert ce == pytest.approx(want, abs=1e-12)
+        assert curve == pytest.approx(want, abs=1e-12)
