@@ -319,7 +319,10 @@ def parse_model(text: str | bytes) -> ModelDocument:
             _expect(default_r >= 0.0, "defaults.r", "risk aversion must be nonnegative")
         if "k" in defaults:
             _expect(isinstance(defaults["k"], str), "defaults.k", "expected a lo:hi:steps string")
-            _k_grid_bounds(defaults["k"])  # checked here, built where it is used
+            try:
+                _k_grid_bounds(defaults["k"])  # checked here, built where it is used
+            except ModelError as exc:
+                raise ModelError(f"defaults.k: {exc}") from None
             default_k = defaults["k"]
 
     return ModelDocument(specs, prospects, tree, adaptive, stigler, default_r, default_k)

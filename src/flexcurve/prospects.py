@@ -377,20 +377,14 @@ def add_independent(x: Prospect, z: Prospect) -> Prospect:
     return IndependentSum((x, z))
 
 
-class _Side(NamedTuple):
-    """Segments as the kernel reads them for t of one sign: each segment's exponents peak at its zero column's value."""
-
-    values: np.ndarray  # each segment's zero column, holding its peak value, then its values
-    zeroed: np.ndarray  # the weights, 0 at the zero and the peak columns
-    peak_weights: np.ndarray  # each segment's weight at its peak value
-    log_peak_weights: np.ndarray  # and its log
-
-
 class _Segments:
     """Discrete supports side by side for one kernel call, a zero column ahead of each (see ``_lse_segments``).
 
     ``low`` and ``high`` index each segment's smallest and largest value;
-    they default to the ends of each part's ascending support.
+    they default to the ends of each part's ascending support.  Each zero
+    column holds its segment's smallest value, where its exponents peak
+    when t < 0: ``zeroed`` is the weights with 0 at that value too, and
+    ``peak_weights`` is each segment's weight there.
     """
 
     def __init__(self, parts: Sequence[_Part], low: Optional[np.ndarray] = None, high: Optional[np.ndarray] = None) -> None:
@@ -399,35 +393,24 @@ class _Segments:
         self.starts = bounds[:-1]
         self.segment = np.repeat(np.arange(len(parts)), sizes) if len(parts) > 1 else None
         self.weights = np.concatenate([a for p in parts for a in (_ZERO, p.masses)])
-        # The low side's values: each zero column holds its segment's smallest value.
-        values = np.concatenate([a for p in parts for a in (p.values[:1], p.values)])
+        self.values = np.concatenate([a for p in parts for a in (p.values[:1], p.values)])
         if low is None:
             low = self.starts + 1
         else:
-            values[self.starts] = values[low]
+            self.values[self.starts] = self.values[low]
         self._high = bounds[1:] - 1 if high is None else high
-        self.low = self._side(values, low)
+        self.zeroed = self.weights.copy()
+        self.zeroed[low] = 0.0
+        self.peak_weights = self.weights[low]
+        self.log_peak_weights = np.log(self.peak_weights)
         scales = [p.scale for p in parts]
         self.scales = None if all(s == 1.0 for s in scales) else np.asarray(scales)
-        self.largest = max(-float(values.min()), float(values.max()))
-        self.heavy = min(float(self.low.peak_weights.min()), float(self.weights[self._high].min())) < _TINY_PEAK_WEIGHT
-
-    def _side(self, values: np.ndarray, peak: np.ndarray) -> _Side:
-        zeroed = self.weights.copy()
-        zeroed[peak] = 0.0
-        peak_weights = self.weights[peak]
-        return _Side(values, zeroed, peak_weights, np.log(peak_weights))
-
-    @cached_property
-    def high(self) -> _Side:
-        """The segments for t >= 0, mirrored: (-t) * (-value) is t * value, bit for bit, and peaks at -(largest value)."""
-        values = -self.low.values
-        values[self.starts] = values[self._high]
-        return self._side(values, self._high)
+        self.largest = max(-float(self.values.min()), float(self.values.max()))
+        self.heavy = min(float(self.peak_weights.min()), float(self.weights[self._high].min())) < _TINY_PEAK_WEIGHT
 
     def reaches(self, t_abs: float) -> np.ndarray:
         """Each segment's largest |s*t*value| for |t| up to ``t_abs``."""
-        magnitude = np.maximum(np.abs(self.low.values[self.starts]), np.abs(self.low.values[self._high]))
+        magnitude = np.maximum(np.abs(self.values[self.starts]), np.abs(self.values[self._high]))
         with np.errstate(over="ignore", invalid="ignore"):
             return (t_abs if self.scales is None else self.scales * t_abs) * magnitude
 
@@ -477,21 +460,21 @@ def _lse_segments(ts: np.ndarray, seg: _Segments) -> Tuple[np.ndarray, Optional[
 
     Each segment's exponents are shifted by its largest; the weight at that
     maximum is kept out of the sum and added back through log1p, which keeps
-    full precision when one term dominates.  Rounding is monotone, so the
-    largest exponent sits at a segment's smallest value when t < 0 and at
-    its largest otherwise: the peak is read from that end, not found by a
-    max pass, and the t of each sign are evaluated apart (the t >= 0 on the
-    mirrored segments).  A segment's zero column holds its peak value with
-    weight 0, so it ties with the peak.  When every (row, segment) of a
-    block has a single top element besides it, the weight at the peak is
-    that end's, left out of the sum by the side's zeroed weights; a block
-    with a tied peak (repeated values, rounding ties, t = 0) masks every
-    element equal to its segment's peak.  Both give the bits of a max pass
-    and a full mask.  Each segment is then summed by ``np.add.reduceat``
-    from its zero column, which holds 0 by then: started from 0, a
-    segment's sum is, bit for bit, the pairwise sum ``ndarray.sum`` gives
-    its part alone, so a segment's result depends neither on its
-    neighbours nor on the block it falls in.
+    full precision when one term dominates.  There are two peak rules.
+    When every t < 0, rounding being monotone, the largest exponent sits at
+    a segment's smallest value, which its zero column holds with weight 0,
+    so it ties with the peak: the peak is read from there, not found by a
+    max pass.  When every (row, segment) of a block then has a single top
+    element besides it, the weight at the peak is that end's, left out of
+    the sum by the zeroed weights; a block with a tied peak (repeated
+    values, rounding ties) masks every element equal to its segment's peak.
+    Any other call takes ``_lse_block``'s max pass and mask for all its
+    rows.  Every rule gives the bits of a max pass and a full mask.  Each
+    segment is then summed by ``np.add.reduceat`` from its zero column,
+    which holds 0 by then: started from 0, a segment's sum is, bit for bit,
+    the pairwise sum ``ndarray.sum`` gives its part alone, so a segment's
+    result depends neither on its neighbours, nor on the block it falls
+    in, nor on the rule.
 
     Blocks hold at most ``_LSE_BLOCK_ELEMENTS`` elements, split over rows
     and runs of whole segments; the blocks of one run reuse one buffer.
@@ -523,23 +506,20 @@ def _lse_segments(ts: np.ndarray, seg: _Segments) -> Tuple[np.ndarray, Optional[
     # constructor checks sum to 1.
     noisy = not reach <= _HALF_FLOAT_MAX or seg.heavy
     with np.errstate(divide="ignore", over="ignore") if noisy else nullcontext():
-        if t_hi < 0.0:
-            return _lse_side(ts, factors, seg, seg.low, noisy), reaches
-        if t_lo >= 0.0:
-            return _lse_side(-ts, None if factors is None else -factors, seg, seg.high, noisy), reaches
-        out = np.empty((len(seg.starts), len(ts)))
-        low = ts < 0.0
-        out[:, low] = _lse_side(ts[low], None if factors is None else factors[:, low], seg, seg.low, noisy)
-        out[:, ~low] = _lse_side(-ts[~low], None if factors is None else -factors[:, ~low], seg, seg.high, noisy)
-    return out, reaches
+        return _lse_side(ts, factors, seg, t_hi < 0.0, noisy), reaches
 
 
-def _lse_side(ts: np.ndarray, factors: Optional[np.ndarray], seg: _Segments, side: _Side, noisy: bool) -> np.ndarray:
-    """``_lse_segments`` for t whose exponents all peak at ``side``'s zero columns; ``factors`` holds s*t (segments x t) when some s is not 1."""
-    rows, count, width = len(ts), len(seg.starts), len(side.values)
+def _lse_side(ts: np.ndarray, factors: Optional[np.ndarray], seg: _Segments, negative: bool, noisy: bool) -> np.ndarray:
+    """``_lse_segments`` in blocks, reading the peaks from the zero columns when ``negative`` (every t < 0), else masking.
+
+    ``factors`` holds s*t (segments x t) when some s is not 1.
+    """
+    rows, count, width = len(ts), len(seg.starts), len(seg.values)
+    zeroed = seg.zeroed if negative else seg.weights
     if rows * width <= _LSE_BLOCK_ELEMENTS:
-        block = _exponents(ts, factors, seg.segment, side.values, None)
-        return _lse_block(block, side.peak_weights, side.log_peak_weights, seg.weights, side.zeroed, seg.starts, seg.segment, noisy)
+        block = _exponents(ts, factors, seg.segment, seg.values, None)
+        peaks = (seg.peak_weights, seg.log_peak_weights) if negative else (None, None)
+        return _lse_block(block, *peaks, seg.weights, zeroed, seg.starts, seg.segment, noisy)
     if width <= _LSE_BLOCK_ELEMENTS:
         runs = [(0, count)]
     else:
@@ -556,16 +536,14 @@ def _lse_side(ts: np.ndarray, factors: Optional[np.ndarray], seg: _Segments, sid
         c1 = int(seg.starts[past]) if past < count else width
         starts = seg.starts[first:past] - c0
         segment = None if past - first == 1 else seg.segment[c0:c1] - first
+        peaks = (seg.peak_weights[first:past], seg.log_peak_weights[first:past]) if negative else (None, None)
         step = max(1, _LSE_BLOCK_ELEMENTS // (c1 - c0))
         buffer = np.empty((min(step, rows), c1 - c0))
         for r0 in range(0, rows, step):
             t = ts[r0 : r0 + step]
             scaled = None if factors is None else factors[first:past, r0 : r0 + step]
-            block = _exponents(t, scaled, segment, side.values[c0:c1], buffer[: len(t)])
-            out[first:past, r0 : r0 + step] = _lse_block(
-                block, side.peak_weights[first:past], side.log_peak_weights[first:past],
-                seg.weights[c0:c1], side.zeroed[c0:c1], starts, segment, noisy,
-            )
+            block = _exponents(t, scaled, segment, seg.values[c0:c1], buffer[: len(t)])
+            out[first:past, r0 : r0 + step] = _lse_block(block, *peaks, seg.weights[c0:c1], zeroed[c0:c1], starts, segment, noisy)
     return out
 
 
@@ -591,9 +569,13 @@ def _lse_block(
     """The log-sum-exp of each (row, segment) of ``block`` (the exponents, overwritten) from its zero column's peak.
 
     The result is segments x rows, so that the per-segment arithmetic after
-    the sums runs along rows.  Without ``peak_weights`` the peak columns are
-    unknown, and every element equal to its segment's peak is masked.
+    the sums runs along rows.  With ``peak_weights`` each zero column holds
+    its segment's peak already.  Without them the peak columns are unknown:
+    one max pass fills each zero column with its segment's peak, and every
+    element equal to it is masked.
     """
+    if peak_weights is None:
+        block[:, starts] = np.maximum.reduceat(block, starts, axis=1)
     peaks = block[:, starts]
     level = peaks if segment is None else peaks[:, segment]
     top = block == level

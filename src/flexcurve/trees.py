@@ -21,9 +21,11 @@ A rollback or curve reads its subtree's rows into arrays, groups the inner
 rows into levels (one kind at one depth), then makes one pass over the
 levels, deepest first, for a whole vector of aversions: the chance nodes
 of a level run on the prospect kernel, one call of its block reducer
-``prospects._lse_block`` over a (k x children) block, and the decision
-nodes get one segmented max.  Each node's arithmetic is that of the
-kernel on its children alone, so results do not depend on the batching.
+``prospects._lse_block`` over a (k x children) block, whose max pass finds
+each node's peak and masks it (the kernel's peak rule for every call
+whose t are not all negative), and the decision nodes get one segmented
+max.  Each node's arithmetic is that of the kernel on its children alone,
+so results do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -347,15 +349,14 @@ def _chance_values(
 
     At the places ``mean`` of t, where rho is 0, a value is the expected
     value; elsewhere it is the certain equivalent from the prospect
-    kernel's block reducer, which reads each segment's peak exponent from
-    its zero column and, given no peak weights, masks every element equal
-    to it.  A flag marks a node whose exponent t*ce or certain equivalent
-    is not finite, the cases where the kernel raises.
+    kernel's block reducer, given no peak weights: a max pass fills each
+    segment's zero column with its peak exponent, and every element equal
+    to it is masked.  A flag marks a node whose exponent t*ce or certain
+    equivalent is not finite, the cases where the kernel raises.
     """
     block = values[level.laid].T
     exponents = block * t[:, None]
     lowest = float(exponents.min())
-    exponents[:, level.heads] = np.maximum.reduceat(exponents, level.heads, axis=1)
     ces = _lse_block(exponents, None, None, level.weights, level.weights, level.heads, level.spread, noisy)
     ces /= t
     if mean.size:

@@ -237,7 +237,7 @@ class TestFailureModes:
         path.write_text(json.dumps({**MODEL, "defaults": {"r": 0.01, "k": f"1:2:{steps}"}}))
         code, out, err = run(capsys, "curve", "--model", str(path), "--ids", "x")
         assert (code, out) == (3, "")
-        assert err == f"error:parse: k grid steps exceed cap {steps - 1}, got '1:2:{steps}'\n"
+        assert err == f"error:parse: defaults.k: k grid steps exceed cap {steps - 1}, got '1:2:{steps}'\n"
 
     def test_rollback_without_tree(self, tmp_path, capsys):
         path = tmp_path / "flat.json"
@@ -577,9 +577,9 @@ def test_policies_overflow_names_the_first_overflowing_policy(tmp_path, capsys):
 def test_shared_terms_past_the_part_cap(tmp_path, capsys):
     path = tmp_path / "doubling.json"
     path.write_text(json.dumps(_doubling_model(40)))
-    start = time.perf_counter()
+    start = time.process_time()
     code, out, err = run(capsys, "ce", "--model", str(path), "--id", "p40")
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
     assert (code, out) == (4, "")
     assert err == "error:domain: the normal form would hold 1099511627776 parts, past the part cap FORM_PART_CAP = 65536\n"
     assert run(capsys, "ce", "--model", str(path), "--id", "p0") == (0, "0.498750005208\n", "")

@@ -143,7 +143,7 @@ class TestParseModel:
 
     def test_bad_default_k(self):
         raw = {"prospects": {}, "defaults": {"k": "10:1:5"}}
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match=r"defaults\.k"):
             parse_model(json.dumps(raw))
 
     def test_top_level_must_be_object(self):

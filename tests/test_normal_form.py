@@ -98,12 +98,12 @@ def doubling(depth):
 class TestPartCap:
     def test_shared_terms_past_the_cap_are_refused_before_expanding(self):
         assert 2**16 == FORM_PART_CAP
-        start = time.perf_counter()
+        start = time.process_time()
         with pytest.raises(ValueError, match=r"1099511627776 parts, past the part cap FORM_PART_CAP = 65536"):
             certain_equivalent(doubling(40), 0.01)
         with pytest.raises(ValueError, match="FORM_PART_CAP"):
             stats(Affine(doubling(17), 2.0, 1.0))
-        assert time.perf_counter() - start < 0.5
+        assert time.process_time() - start < 0.5
 
     def test_shared_terms_within_the_cap(self):
         chain = doubling(12)
@@ -114,9 +114,9 @@ class TestPartCap:
         # order, one rounding each, so the sum of n equal columns is within
         # (n - 1) * u / (1 - (n - 1) * u) of n times one (recursive summation,
         # 7.3e-12 here); it reads 1.4e-12 off.
-        start = time.perf_counter()
+        start = time.process_time()
         ce = certain_equivalent(doubling(16), 0.01)
-        assert time.perf_counter() - start < 1.0
+        assert time.process_time() - start < 1.0
         n, u = 2**16, 2.0**-53
         assert ce == pytest.approx(n * certain_equivalent(COIN, 0.01), rel=(n - 1) * u / (1 - (n - 1) * u))
 
@@ -126,9 +126,9 @@ class TestPartCap:
         x = affine_chain()
         for _ in range(10):
             x = IndependentSum((x, x))
-        start = time.perf_counter()
+        start = time.process_time()
         assert len(x._form) == 2**10
-        assert time.perf_counter() - start < 1.0
+        assert time.process_time() - start < 1.0
         assert certain_equivalent(x, 0.01) == pytest.approx(2**10 * oracle_ce(affine_chain(), 0.01), rel=1e-10)
 
 

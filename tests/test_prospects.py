@@ -230,8 +230,12 @@ class TestLogSumExpKernel:
             warnings.simplefilter("error")
             got = _logsumexp(ts, values, weights)
             ce = certain_equivalent(make_discrete([(0.0, 1e-310), (1.0, 1.0)]), 1.0)
+            # the tiny weight at the largest value, the peak when t > 0:
+            # ln(1 + 1e-310 * e) = 0
+            high = _logsumexp(np.asarray([1.0]), values, np.asarray([1.0, 1e-310]))
         assert got.tolist() == [-1.0, 0.5]
         assert ce == 1.0
+        assert high.tolist() == [0.0]
 
 
 def frozen_logsumexp(ts, values, weights):
