@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from .prospects import Affine, IndependentSum, Prospect, make_discrete, make_gaussian
-from .scenarios import AdaptiveSpec, Commitment, StiglerSpec
+from .scenarios import AdaptiveSpec, Commitment, StiglerSpec, adaptive_template
 from .trees import DecisionNode, DecisionTree, TerminalNode, _Table
 from .valuation import _geometric_points
 
@@ -235,7 +235,7 @@ def _parse_adaptive(raw: Any, path: str) -> AdaptiveSpec:
         _expect(isinstance(allows, bool), f"{cpath}.allows_reaction", "expected a boolean")
         locked = item.get("locked_action")
         _expect(locked is None or isinstance(locked, str), f"{cpath}.locked_action", "expected a string")
-        commitments.append(Commitment(label, _number(item.get("cost"), f"{cpath}.cost"), allows, locked))
+        commitments.append((label, _number(item.get("cost"), f"{cpath}.cost"), allows, locked))
     raw_obs = raw.get("observations")
     if isinstance(raw_obs, dict):
         observations: Any = {c: _obs_pairs(v, f"{path}.observations.{c}") for c, v in raw_obs.items()}
@@ -245,6 +245,8 @@ def _parse_adaptive(raw: Any, path: str) -> AdaptiveSpec:
         raise ModelError(f"{path}.observations: expected a list or per-commitment object")
     reactions = raw.get("reactions")
     _expect(isinstance(reactions, list) and reactions, f"{path}.reactions", "expected a nonempty list")
+    for i, a in enumerate(reactions):
+        _expect(isinstance(a, str), f"{path}.reactions[{i}]", "expected a string")
     raw_payoffs = raw.get("payoffs")
     _expect(isinstance(raw_payoffs, dict), f"{path}.payoffs", "expected an object")
     payoffs: Dict[Tuple[str, str, str], float] = {}
@@ -254,8 +256,11 @@ def _parse_adaptive(raw: Any, path: str) -> AdaptiveSpec:
             _expect(isinstance(by_act, dict), f"{path}.payoffs.{c}.{o}", "expected an object")
             for a, v in by_act.items():
                 payoffs[(c, o, a)] = _number(v, f"{path}.payoffs.{c}.{o}.{a}")
+    # The plan is built here, so a block that parses is one the template can build.
     try:
-        return AdaptiveSpec(tuple(commitments), observations, tuple(reactions), payoffs)
+        spec = AdaptiveSpec(tuple(Commitment(*c) for c in commitments), observations, tuple(reactions), payoffs)
+        adaptive_template(spec)
+        return spec
     except ValueError as exc:
         raise ModelError(f"{path}: {exc}") from None
 

@@ -707,8 +707,8 @@ def _raise_first_overflow(
                     raise OverflowError("log-MGF overflow: result out of floating-point range")
                 segment += 1
                 continue
-            t = ts if s == 1.0 else s * ts
             with np.errstate(over="ignore", invalid="ignore"):
+                t = ts if s == 1.0 else s * ts
                 column = mean * t + 0.5 * variance * t * t
             finite = np.isfinite(column)
             if not finite.all():

@@ -2,17 +2,20 @@
 
 Two generators cover the classic shapes of the flexibility question: a
 robust choice between two cost curves under an uncertain quantity, and an
-adaptive commit-observe-react plan compiled into a decision tree.
+adaptive commit-observe-react plan compiled into a decision tree.  The
+plan is written straight into the tree's table (``trees._Table``), the
+one builder and validator of trees, and each commitment's observations
+are checked there, as the chance node they compile to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .prospects import MASS_SUM_TOLERANCE, Discrete, make_discrete
-from .trees import ChanceNode, DecisionNode, DecisionTree, TerminalNode
+from .trees import DecisionTree, _Table
 
 __all__ = [
     "Commitment",
@@ -84,16 +87,10 @@ class AdaptiveSpec:
         for label in labels:
             if label not in table:
                 raise ValueError(f"no observations for commitment {label!r}")
-            obs = table[label]
-            if not obs:
-                raise ValueError(f"empty observation list for commitment {label!r}")
-            if any(not (p > 0.0) for _, p in obs):
-                raise ValueError(f"nonpositive observation probability under {label!r}")
-            total = math.fsum(p for _, p in obs)
-            if abs(total - 1.0) > MASS_SUM_TOLERANCE:
-                raise ValueError(
-                    f"observation probabilities under {label!r} sum to {total!r}"
-                )
+            node = _Table()  # the chance node the observations compile to
+            node.chance(f"commit:{label}", [(p, o) for o, p in table[label]])
+            if node.faults:
+                raise node.faults.popitem()[1]
         object.__setattr__(self, "observations", table)
         object.__setattr__(
             self,
@@ -113,40 +110,33 @@ def adaptive_template(spec: AdaptiveSpec) -> DecisionTree:
     Root decision over commitments; each commitment leads to a chance node
     over its observations; a flexible commitment then decides among all
     reactions while a rigid one goes straight to its locked action.  Every
-    terminal payoff is the payoff triple minus the commitment cost.
+    terminal payoff is the payoff triple minus the commitment cost.  The
+    nodes are written into the tree's table in node-map order, each
+    commitment's before ``commit:<label>`` and ``root`` last, and the
+    table checks them as it checks a model file's tree.
     """
-    nodes: Dict[str, object] = {}
+    table = _Table()
 
-    def payoff(c: str, o: str, a: str) -> float:
-        try:
-            return spec.payoffs[(c, o, a)]
-        except KeyError:
-            raise ValueError(f"payoff missing for reachable triple {(c, o, a)!r}") from None
+    def end(c: str, o: str, a: str, cost: float) -> str:
+        if (c, o, a) not in spec.payoffs:
+            raise ValueError(f"payoff missing for reachable triple {(c, o, a)!r}")
+        tid = f"end:{c}/{o}/{a}"
+        table.faults.pop(tid, None)  # a reused id replaces its node, as a node map's key does
+        table.terminal(tid, spec.payoffs[(c, o, a)] - cost)
+        return tid
 
-    root_children = []
     for commitment in spec.commitments:
-        c = commitment.label
-        obs_children = []
+        c, cost = commitment.label, commitment.cost
+        outcomes = []
         for o, p in spec.observations[c]:
             if commitment.allows_reaction:
-                react_children = []
-                for a in spec.reactions:
-                    tid = f"end:{c}/{o}/{a}"
-                    nodes[tid] = TerminalNode(payoff(c, o, a) - commitment.cost)
-                    react_children.append((a, tid))
-                did = f"react:{c}/{o}"
-                nodes[did] = DecisionNode(tuple(react_children))
-                obs_children.append((p, did))
+                table.decision(f"react:{c}/{o}", [(a, end(c, o, a, cost)) for a in spec.reactions])
+                outcomes.append((p, f"react:{c}/{o}"))
             else:
-                a = commitment.locked_action
-                tid = f"end:{c}/{o}/{a}"
-                nodes[tid] = TerminalNode(payoff(c, o, a) - commitment.cost)
-                obs_children.append((p, tid))
-        cid = f"commit:{c}"
-        nodes[cid] = ChanceNode(tuple(obs_children))
-        root_children.append((c, cid))
-    nodes["root"] = DecisionNode(tuple(root_children))
-    return DecisionTree(nodes, "root")
+                outcomes.append((p, end(c, o, commitment.locked_action, cost)))
+        table.chance(f"commit:{c}", outcomes)
+    table.decision("root", [(c.label, f"commit:{c.label}") for c in spec.commitments])
+    return DecisionTree._of(table, table.kinds.keys(), "root")
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,14 @@ A tree is one validated table in post-order, root last (``_Table``): each
 node's row, kind, and payoff or (label or probability, child) pairs in
 the order rollback visits them, label-sorted at decisions.  The table is
 the tree's one representation and its one validator.  It takes nodes one
-at a time, as node objects (``DecisionTree``) or as a model file is read
-(``model_io``), recording each node's content fault instead of raising
-it, then checks the links in the one walk from the root that puts them in
-post-order.  A tree's node objects, ``DecisionTree.nodes``, are built
-from the table when that is first read.  A subtree is the run of rows
-that ends at its node.  Nothing here recurses, so tree depth is bounded
-by memory, not by the interpreter's recursion limit.
+at a time, from node objects (``DecisionTree``), from a model file
+(``model_io``) or from the adaptive template (``scenarios``), recording
+each node's content fault instead of raising it, then checks the links in
+the one walk from the root that puts them in post-order.  A tree's node
+objects, ``DecisionTree.nodes``, are built from the table when that is
+first read.  A subtree is the run of rows that ends at its node.  Nothing
+here recurses, so tree depth is bounded by memory, not by the
+interpreter's recursion limit.
 
 A rollback or curve reads its subtree's rows into arrays, groups the inner
 rows into levels (one kind at one depth), then makes one pass over the
@@ -225,7 +226,7 @@ class DecisionTree:
 
     @classmethod
     def _of(cls, table: _Table, ids: AbstractSet[str], root: str) -> "DecisionTree":
-        """A tree whose nodes (``ids``, in node-map order) went into ``table`` as a model file was read."""
+        """A tree whose nodes (``ids``, in node-map order) went into ``table`` from a model file or a template."""
         table.walk(ids, root)
         tree = object.__new__(cls)
         tree.__dict__.update(root=root, _table=table)

@@ -239,6 +239,19 @@ class TestFailureModes:
         assert (code, out) == (3, "")
         assert err == f"error:parse: defaults.k: k grid steps exceed cap {steps - 1}, got '1:2:{steps}'\n"
 
+    def test_adaptive_plan_that_cannot_be_built_is_parse_error(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split('```json\n"scenarios": ', 1)[1].split("```", 1)[0]
+        model = {**MODEL, "scenarios": json.loads(block)}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(model))
+        assert run(capsys, "ce", "--model", str(path), "--id", "d")[:2] == (0, "10\n")
+        del model["scenarios"]["adaptive"]["payoffs"]["wait"]["down"]["b"]
+        path.write_text(json.dumps(model))
+        code, out, err = run(capsys, "ce", "--model", str(path), "--id", "d")
+        assert (code, out) == (3, "")
+        assert err == "error:parse: scenarios.adaptive: payoff missing for reachable triple ('wait', 'down', 'b')\n"
+
     def test_rollback_without_tree(self, tmp_path, capsys):
         path = tmp_path / "flat.json"
         path.write_text(json.dumps({"prospects": {}}))

@@ -324,3 +324,154 @@ def test_prospect_error_message(prospects, message):
     with pytest.raises(ModelError) as caught:
         parse_model(json.dumps({"prospects": prospects}))
     assert str(caught.value) == message
+
+
+def _adaptive(*path, value):
+    return _set(["scenarios", "adaptive", *path], value)
+
+
+def _stigler(*path, value):
+    return _set(["scenarios", "stigler", *path], value)
+
+
+_HALVES = [["up", 0.5], ["down", 0.5]]
+
+# Every message a scenarios block can produce through parse_model, pinned
+# byte for byte: one case per message, each with a single fault.  An
+# adaptive block is built while it is read, so a plan the template cannot
+# build is a parse error too.
+SCENARIO_ERRORS = [
+    ("not_object", _set(["scenarios"], []), "scenarios: expected an object"),
+    ("adaptive_not_object", _adaptive(value=3), "scenarios.adaptive: expected an object"),
+    ("commitments_missing", _adaptive("commitments", value=None), "scenarios.adaptive.commitments: expected a nonempty list"),
+    ("commitments_empty", _adaptive("commitments", value=[]), "scenarios.adaptive.commitments: expected a nonempty list"),
+    ("commitment_not_object", _adaptive("commitments", 0, value="wait"), "scenarios.adaptive.commitments[0]: expected an object"),
+    ("label_not_string", _adaptive("commitments", 0, "label", value=1), "scenarios.adaptive.commitments[0].label: expected a string"),
+    (
+        "allows_reaction_not_boolean",
+        _adaptive("commitments", 0, "allows_reaction", value=1),
+        "scenarios.adaptive.commitments[0].allows_reaction: expected a boolean",
+    ),
+    (
+        "locked_action_not_string",
+        _adaptive("commitments", 1, "locked_action", value=1),
+        "scenarios.adaptive.commitments[1].locked_action: expected a string",
+    ),
+    ("cost_string", _adaptive("commitments", 0, "cost", value="2"), "scenarios.adaptive.commitments[0].cost: expected a number"),
+    ("cost_infinite", _adaptive("commitments", 0, "cost", value=math.inf), "scenarios.adaptive.commitments[0].cost: number must be finite"),
+    (
+        "observations_string",
+        _adaptive("observations", value="up"),
+        "scenarios.adaptive.observations: expected a list or per-commitment object",
+    ),
+    ("observations_empty", _adaptive("observations", value=[]), "scenarios.adaptive.observations: expected a nonempty list"),
+    (
+        "observation_short_pair",
+        _adaptive("observations", 0, value=["up"]),
+        "scenarios.adaptive.observations[0]: expected a [label, probability] pair",
+    ),
+    (
+        "observation_numeric_label",
+        _adaptive("observations", 1, value=[1, 0.5]),
+        "scenarios.adaptive.observations[1]: expected a [label, probability] pair",
+    ),
+    (
+        "observation_probability_string",
+        _adaptive("observations", 0, value=["up", "0.5"]),
+        "scenarios.adaptive.observations[0][1]: expected a number",
+    ),
+    (
+        "observation_probability_nan",
+        _adaptive("observations", 1, value=["down", math.nan]),
+        "scenarios.adaptive.observations[1][1]: number must be finite",
+    ),
+    (
+        "observations_per_commitment_empty",
+        _adaptive("observations", value={"wait": [], "lock": _HALVES}),
+        "scenarios.adaptive.observations.wait: expected a nonempty list",
+    ),
+    ("reactions_missing", _adaptive("reactions", value=None), "scenarios.adaptive.reactions: expected a nonempty list"),
+    ("reaction_not_string", _adaptive("reactions", value=[None, "b"]), "scenarios.adaptive.reactions[0]: expected a string"),
+    ("payoffs_not_object", _adaptive("payoffs", value=[]), "scenarios.adaptive.payoffs: expected an object"),
+    ("payoffs_by_commitment_not_object", _adaptive("payoffs", "wait", value=1), "scenarios.adaptive.payoffs.wait: expected an object"),
+    ("payoffs_by_observation_not_object", _adaptive("payoffs", "wait", "up", value=1), "scenarios.adaptive.payoffs.wait.up: expected an object"),
+    ("payoff_string", _adaptive("payoffs", "wait", "up", "a", value="x"), "scenarios.adaptive.payoffs.wait.up.a: expected a number"),
+    (
+        "flexible_with_locked_action",
+        _adaptive("commitments", 0, "locked_action", value="a"),
+        "scenarios.adaptive: commitment 'wait' allows reaction but has a locked action",
+    ),
+    (
+        "rigid_without_locked_action",
+        _adaptive("commitments", 1, "locked_action", value=None),
+        "scenarios.adaptive: commitment 'lock' forbids reaction but has no locked action",
+    ),
+    ("duplicate_commitment_labels", _adaptive("commitments", 1, "label", value="wait"), "scenarios.adaptive: commitment labels must be unique"),
+    (
+        "observations_missing_for_a_commitment",
+        _adaptive("observations", value={"wait": _HALVES}),
+        "scenarios.adaptive: no observations for commitment 'lock'",
+    ),
+    (
+        "observation_probability_zero",
+        _adaptive("observations", value=[["up", 0.0], ["down", 1.0]]),
+        "scenarios.adaptive: nonpositive probability at chance node 'commit:wait'",
+    ),
+    (
+        "observation_probability_sum",
+        _adaptive("observations", value={"wait": _HALVES, "lock": [["up", 0.5], ["down", 0.4]]}),
+        "scenarios.adaptive: probabilities at chance node 'commit:lock' sum to 0.9, expected 1",
+    ),
+    (
+        "payoff_missing",
+        _adaptive("payoffs", "wait", "down", "b", value=None),
+        "scenarios.adaptive: payoff missing for reachable triple ('wait', 'down', 'b')",
+    ),
+    (
+        "reaction_listed_twice",
+        _adaptive("reactions", value=["a", "b", "a"]),
+        "scenarios.adaptive: duplicate child labels at decision node 'react:wait/up'",
+    ),
+    (
+        "locked_action_without_payoffs",
+        _adaptive("commitments", 1, "locked_action", value="c"),
+        "scenarios.adaptive: payoff missing for reachable triple ('lock', 'up', 'c')",
+    ),
+    (
+        "payoff_past_the_float_range",
+        lambda raw: [_adaptive("commitments", 0, "cost", value=-1e308)(raw), _adaptive("payoffs", "wait", "up", "a", value=1e308)(raw)],
+        "scenarios.adaptive: non-finite payoff at node 'end:wait/up/a'",
+    ),
+    (
+        "observation_listed_twice",
+        _adaptive("observations", value=[["up", 0.5], ["up", 0.5]]),
+        "scenarios.adaptive: node 'react:wait/up' has 2 parents, expected exactly 1",
+    ),
+    ("stigler_not_object", _stigler(value=[]), "scenarios.stigler: expected an object"),
+    ("quantities_missing", _stigler("quantities", value=None), "scenarios.stigler.quantities: expected a nonempty list of pairs"),
+    ("quantity_short_pair", _stigler("quantities", 0, value=[10]), "scenarios.stigler.quantities[0]: expected a [a, b] pair"),
+    ("quantity_probability_string", _stigler("quantities", 1, value=[20, "0.5"]), "scenarios.stigler.quantities[1][1]: expected a number"),
+    ("cost1_empty", _stigler("cost1", value=[]), "scenarios.stigler.cost1: expected a nonempty list of pairs"),
+    ("cost2_infinite", _stigler("cost2", 0, value=[10, math.inf]), "scenarios.stigler.cost2[0][1]: number must be finite"),
+    (
+        "quantity_probability_zero",
+        _stigler("quantities", value=[[10, 0.0], [20, 1.0]]),
+        "scenarios.stigler: quantity probabilities must be positive",
+    ),
+    (
+        "quantity_probability_sum",
+        _stigler("quantities", value=[[10, 0.5], [20, 0.4]]),
+        "scenarios.stigler: quantity probabilities sum to 0.9, expected 1",
+    ),
+    ("cost1_uncovered", _stigler("cost1", value=[[10, 100]]), "scenarios.stigler: cost_one has no cost for quantity 20.0"),
+    ("cost2_uncovered", _stigler("cost2", value=[[20, 130]]), "scenarios.stigler: cost_two has no cost for quantity 10.0"),
+]
+
+
+@pytest.mark.parametrize("mutate,message", [c[1:] for c in SCENARIO_ERRORS], ids=[c[0] for c in SCENARIO_ERRORS])
+def test_scenario_error_message(mutate, message):
+    raw = json.loads(json.dumps(FULL_MODEL))
+    mutate(raw)
+    with pytest.raises(ModelError) as caught:
+        parse_model(json.dumps(raw))
+    assert str(caught.value) == message

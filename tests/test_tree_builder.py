@@ -106,7 +106,22 @@ class TestOneBuilder:
             (c.label, o, a): float(rng.uniform(0, 100)) for c in commitments for o, _ in observations for a in acts
         }
         tree = adaptive_template(AdaptiveSpec(commitments, observations, acts, payoffs))
+        # The template writes the table directly; node objects give the same tree.
+        built = DecisionTree(tree.nodes, tree.root)
+        assert built._table.order == tree._table.order
+        assert built == tree
         _assert_same_tree(tree, 0.02, tmp_path_factory.mktemp("m"))
+
+    def test_adaptive_plan_that_reuses_a_node_id(self):
+        # Observing "a/b" then reacting "c", and observing "a" then reacting
+        # "b/c", both end at 'end:x/a/b/c'.  The second write replaces the
+        # first, whose payoff overflowed, as a node map's key would: the
+        # fault is the shared node, not the overwritten payoff.
+        payoffs = {("x", "a/b", "c"): 1e308, ("x", "a/b", "b/c"): 0.0, ("x", "a", "c"): 0.0, ("x", "a", "b/c"): -1e308}
+        spec = AdaptiveSpec((Commitment("x", -1e308, True),), [("a/b", 0.5), ("a", 0.5)], ("c", "b/c"), payoffs)
+        with pytest.raises(ValueError) as caught:
+            adaptive_template(spec)
+        assert str(caught.value) == "node 'end:x/a/b/c' has 2 parents, expected exactly 1"
 
     @settings(max_examples=3, deadline=None)
     @given(depth=st.integers(1_001, 2_500), seed=st.integers(0, 2**16))
