@@ -260,9 +260,19 @@ def _parse_adaptive(raw: Any, path: str) -> AdaptiveSpec:
     try:
         spec = AdaptiveSpec(tuple(Commitment(*c) for c in commitments), observations, tuple(reactions), payoffs)
         adaptive_template(spec)
-        return spec
     except ValueError as exc:
         raise ModelError(f"{path}: {exc}") from None
+    # Every key names a commitment, one of its observations, and a listed reaction or its locked action.
+    known = {c.label: (dict(spec.observations[c.label]), {*spec.reactions, c.locked_action}) for c in spec.commitments}
+    for c in raw_obs if isinstance(raw_obs, dict) else ():
+        _expect(c in known, f"{path}.observations.{c}", "not a commitment label")
+    for c, by_obs in raw_payoffs.items():
+        _expect(c in known, f"{path}.payoffs.{c}", "not a commitment label")
+        for o, by_act in by_obs.items():
+            _expect(o in known[c][0], f"{path}.payoffs.{c}.{o}", f"not an observation of commitment {c!r}")
+            for a in by_act:
+                _expect(a in known[c][1], f"{path}.payoffs.{c}.{o}.{a}", f"not a reaction of commitment {c!r}")
+    return spec
 
 
 def _obs_pairs(raw: Any, path: str) -> Tuple[Tuple[str, float], ...]:

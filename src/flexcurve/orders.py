@@ -1,14 +1,15 @@
 """Flexibility orders between prospects under distorted risk aversion.
 
 A prospect X is more flexible than Y when CE(X|kr) >= CE(Y|kr) for all k
-beyond some threshold K >= 1, and dominates Y when K = 1.  For the
-supported algebra the difference curve is a finite exponential sum
-(discrete supports) or a straight line (Gaussians), so the eventual
+beyond some threshold K >= 1, and dominates Y when K = 1.  Every normal
+form is a discrete part plus an independent Gaussian, so the eventual
 ordering can be certified in closed form: beyond a computable k the
-leading term of the exponential sum, or the flatter line, provably wins.
-Crossings below that certificate are isolated on a geometric grid and
-refined to ROOT_REL_TOL, which turns the for-all-k definition into a
-finite, checkable procedure.  Every bracket of one call is refined
+flatter Gaussian line provably wins, or, when the variances are equal,
+the leading term of the discrete parts' exponential sum.  Only a sum past
+the exact-convolution support cap escapes this (``compare`` calls it
+incomparable).  Crossings below that certificate are isolated on a
+geometric grid and refined to ROOT_REL_TOL, which turns the for-all-k
+definition into a finite, checkable procedure.  Every bracket of one call is refined
 together: the first estimate interpolates the grid samples around the
 bracket (inverse quintic in log k), later ones take a secant step from
 the previous round's two points, and a geometric midpoint keeps the
@@ -56,7 +57,7 @@ _TIE_EPS = 1e-12
 
 
 class UnsupportedProspectError(ValueError):
-    """Prospect not reducible to a discrete-plus-Gaussian form the orders handle."""
+    """Independent sum whose discrete part exceeds the exact-convolution support cap."""
 
 
 class TailRelation(Enum):
@@ -95,18 +96,19 @@ class FlexibilityVerdict:
     tail: Optional[TailVerdict]
 
 
-def _decompose(prospect: Prospect) -> Tuple[Tuple[float, ...], Tuple[float, ...], float, float]:
-    """Reduce a prospect's normal form to an independent discrete part plus Gaussian(m, v).
+def _decompose(prospect: Prospect) -> Tuple[Tuple[float, ...], Tuple[float, ...], float]:
+    """Reduce a prospect's normal form to a discrete part D plus an independent N(0, v).
 
-    Returns (values, masses, gaussian_mean, gaussian_variance).  A prospect
-    with a support of its own (a Discrete) is read as it stands, whatever its
-    form; otherwise the moved discrete parts are convolved, and shifted by the
-    Gaussians' offsets, and by their means when no variance is left.
-    Raises UnsupportedProspectError past the convolution support cap, and
-    OverflowError when a moved part's value leaves the float range.
+    Returns (values, masses, v), so that CE(X|rho) = CE(D|rho) - v*rho/2.  A
+    prospect with a support of its own (a Discrete) is read as it stands,
+    whatever its form; otherwise the moved discrete parts are convolved and
+    shifted by the Gaussians' offsets and then by their means, each shift
+    rounded and its collisions merged on its own.  Raises
+    UnsupportedProspectError past the convolution support cap, and
+    OverflowError when a value leaves the float range.
     """
     if getattr(prospect, "values", None) is not None:
-        return prospect.values, prospect.masses, 0.0, 0.0
+        return prospect.values, prospect.masses, 0.0
     discrete = []
     point = gm = gv = 0.0
     for part_values, part_masses, mean, variance, s, c in prospect._form:
@@ -128,15 +130,14 @@ def _decompose(prospect: Prospect) -> Tuple[Tuple[float, ...], Tuple[float, ...]
         discrete = merged + discrete[2 * len(merged) :]
     if gv == 0.0:
         point, gm = point + gm, 0.0
-    if not discrete:
-        return (point,), (1.0,), gm, gv
-    values, masses = discrete[0]
-    if point:
-        with np.errstate(over="ignore"):
-            values, masses = _merge_ties(values + point, masses)
+    values, masses = discrete[0] if discrete else (np.zeros(1), np.ones(1))
+    for c in (point, gm):
+        if c:
+            with np.errstate(over="ignore"):
+                values, masses = _merge_ties(values + c, masses)
     if not np.isfinite(values).all():
         raise OverflowError("independent sum's support out of floating-point range")
-    return tuple(values.tolist()), tuple(masses.tolist()), gm, gv
+    return tuple(values.tolist()), tuple(masses.tolist()), gv
 
 
 def _discrete_tail(
@@ -184,49 +185,31 @@ def _discrete_tail(
     return TailVerdict(relation, certified, rationale)
 
 
-def _gaussian_tail(
-    x_mean: float, x_var: float, y_mean: float, y_var: float, r: float
-) -> TailVerdict:
-    if x_var == y_var:
-        if x_mean == y_mean:
-            return TailVerdict(TailRelation.EQUAL, 1.0, "identical distribution")
-        relation = TailRelation.X_ABOVE if x_mean > y_mean else TailRelation.Y_ABOVE
-        return TailVerdict(relation, 1.0, "Gaussian slope")
-    # Lines mean - var*k*r/2: the flatter slope is eventually above.
-    relation = TailRelation.X_ABOVE if x_var < y_var else TailRelation.Y_ABOVE
-    crossing = 2.0 * (x_mean - y_mean) / (r * (x_var - y_var) or math.ulp(0.0))
-    certified = max(1.0, crossing * (1.0 + 1e-9) + 1e-6)
-    return TailVerdict(relation, certified, "Gaussian slope")
-
-
 def tail_order(x: Prospect, y: Prospect, r: float) -> TailVerdict:
-    """Exact asymptotic comparison of the two flexibility curves."""
+    """Exact asymptotic comparison of the two flexibility curves.
+
+    Each curve is CE(D|kr) - v*k*r/2 (``_decompose``).  Of unequal
+    variances the smaller is eventually above; equal ones cancel, and
+    ``_discrete_tail`` decides on the discrete parts, except that two
+    one-point parts are parallel lines, the higher above from k = 1.
+    """
     r = check_risk_aversion(r)
-    xv, xm, xgm, xgv = _decompose(x)
-    yv, ym, ygm, ygv = _decompose(y)
-    if xgv == 0.0 and ygv == 0.0:
+    xv, xm, x_var = _decompose(x)
+    yv, ym, y_var = _decompose(y)
+    if x_var == y_var:
+        if x_var and len(xv) == len(yv) == 1 and xv != yv:
+            return TailVerdict(TailRelation.X_ABOVE if xv > yv else TailRelation.Y_ABOVE, 1.0, "Gaussian slope")
         return _discrete_tail(xv, xm, yv, ym, r)
-    if xgv > 0.0 and ygv > 0.0:
-        if len(xv) == 1 and len(yv) == 1:
-            return _gaussian_tail(xgm + xv[0], xgv, ygm + yv[0], ygv, r)
-        raise UnsupportedProspectError(
-            "tail comparison of two unbounded non-Gaussian prospects is not supported"
-        )
-    # Exactly one side is unbounded below; the bounded prospect wins the tail.
-    if xgv > 0.0:
-        relation = TailRelation.Y_ABOVE
-        upper = max(xv) + xgm
-        gvar = xgv
-        bounded_worst = min(yv) + ygm
+    if x_var < y_var:
+        relation, steep, flat, slope = TailRelation.X_ABOVE, yv, xv, y_var - x_var
     else:
-        relation = TailRelation.X_ABOVE
-        upper = max(yv) + ygm
-        gvar = ygv
-        bounded_worst = min(xv) + xgm
-    # CE_unbounded(k) <= upper - gvar*k*r/2 while CE_bounded(k) >= its worst case.
-    k0 = 2.0 * (upper - bounded_worst) / (gvar * r or math.ulp(0.0))
+        relation, steep, flat, slope = TailRelation.Y_ABOVE, xv, yv, x_var - y_var
+    # CE(D|rho) lies in [min D, max D], so the flatter curve is above once
+    # slope*k*r/2 exceeds max D_steep - min D_flat; a divisor that
+    # underflows to 0 stands as the least float: the certificate is out of range.
+    k0 = 2.0 * (steep[-1] - flat[0]) / (slope * r or math.ulp(0.0))
     certified = max(1.0, k0 * (1.0 + 1e-9) + 1e-6)
-    return TailVerdict(relation, certified, "worst-case gap")
+    return TailVerdict(relation, certified, "Gaussian slope" if min(x_var, y_var) else "worst-case gap")
 
 
 def _geometric_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -384,7 +367,8 @@ def _scan_difference(
     Returns (K, crossings, grid ks, g samples, tie tolerances); K is the
     smallest value such that g >= 0 (up to ties) on [K, certified].
     """
-
+    if not math.isfinite(certified):
+        raise OverflowError(f"tail certificate k={certified!r} out of floating-point range")
     pair = _pack((x, y))
 
     def g(_rows: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -443,8 +427,8 @@ def compare(x: Prospect, y: Prospect, r: float) -> FlexibilityVerdict:
 
     Dominance is the threshold-1 case; the strict variants require the
     difference to clear the tie tolerance at every checked point.  The
-    incomparable verdict is reserved for prospects the tail machinery
-    cannot reduce.
+    incomparable verdict is reserved for independent sums past the
+    exact-convolution support cap, which the tail cannot reduce.
     """
     r = check_risk_aversion(r)
     try:

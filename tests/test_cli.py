@@ -554,6 +554,21 @@ def test_certain_equivalent_out_of_range_is_a_range_error(tmp_path, capsys):
             assert (code, out) == (5, "") and err.startswith("error:range:"), argv
 
 
+def test_tail_certificate_past_the_float_range_is_a_range_error(tmp_path, capsys):
+    # The slopes differ by 1e-300 * 1e-30 / 2, which underflows: flat stays
+    # below steep until k = 2e330, so no verdict can be certified in floats.
+    model = {
+        "prospects": {
+            "flat": {"kind": "gaussian", "mean": 0, "variance": 1e-300},
+            "steep": {"kind": "gaussian", "mean": 1, "variance": 2e-300},
+        }
+    }
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, "compare", "--model", str(path), "--a", "flat", "--b", "steep", "--r", "1e-30")
+    assert (code, out, err) == (5, "", "error:range: tail certificate k=inf out of floating-point range\n")
+
+
 def test_policies_make_one_kernel_call(model_path, capsys, monkeypatch):
     calls = []
     real = flexcurve.prospects._lse_segments

@@ -33,6 +33,8 @@ PRINTED_ROOTS = [
     ("prospects.compare.1.out", 2, 1, ("wide", "pg")),
     ("prospects.compare.2.out", 2, 1, ("lift", "wide")),
     ("prospects.compare.3.out", 2, 1, ("near", "safe")),
+    ("prospects.compare.4.out", 2, 1, ("mixa", "mixb")),
+    ("prospects.compare.5.out", 2, 1, ("mixa", "mixc")),
     ("prospects.envelope.0.out", 1, 1, ("pg", "safe")),
     ("prospects.envelope.1.out", 1, 1, ("wide", "lift")),
 ]

@@ -447,6 +447,22 @@ SCENARIO_ERRORS = [
         _adaptive("observations", value=[["up", 0.5], ["up", 0.5]]),
         "scenarios.adaptive: node 'react:wait/up' has 2 parents, expected exactly 1",
     ),
+    (
+        "observations_for_no_commitment",
+        _adaptive("observations", value={"wait": _HALVES, "lock": _HALVES, "lokc": [["up", 0.3]]}),
+        "scenarios.adaptive.observations.lokc: not a commitment label",
+    ),
+    ("payoffs_for_no_commitment", _adaptive("payoffs", "ghost", value={"up": {"a": 1}}), "scenarios.adaptive.payoffs.ghost: not a commitment label"),
+    (
+        "payoffs_for_no_observation",
+        _adaptive("payoffs", "wait", "sideways", value={"a": 1}),
+        "scenarios.adaptive.payoffs.wait.sideways: not an observation of commitment 'wait'",
+    ),
+    (
+        "payoff_for_no_reaction",
+        _adaptive("payoffs", "wait", "up", "zz", value=1),
+        "scenarios.adaptive.payoffs.wait.up.zz: not a reaction of commitment 'wait'",
+    ),
     ("stigler_not_object", _stigler(value=[]), "scenarios.stigler: expected an object"),
     ("quantities_missing", _stigler("quantities", value=None), "scenarios.stigler.quantities: expected a nonempty list of pairs"),
     ("quantity_short_pair", _stigler("quantities", 0, value=[10]), "scenarios.stigler.quantities[0]: expected a [a, b] pair"),

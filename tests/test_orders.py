@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import flexcurve
 from flexcurve import (
+    Affine,
     Flexibility,
     TailRelation,
     UnsupportedProspectError,
@@ -31,8 +32,9 @@ from flexcurve.orders import (
     _geometric_grid,
     _refine,
 )
+from flexcurve.prospects import CONVOLUTION_SUPPORT_CAP
 
-from conftest import expected_utility_ce, mp_crossing, random_discrete
+from conftest import expected_utility_ce, mp_certain_equivalent, mp_crossing, random_discrete
 
 
 def bisect_threshold_oracle(x, y, r, lo, hi, tol=1e-10):
@@ -139,10 +141,28 @@ class TestTailOrder:
             else:
                 assert gap < 0
 
-    def test_unsupported_mixed_unbounded_pair(self):
-        mixed = add_independent(make_gaussian(0, 1), make_discrete([(0, 0.5), (1, 0.5)]))
-        with pytest.raises(UnsupportedProspectError):
-            tail_order(mixed, mixed, 0.1)
+    def test_mixed_unbounded_pair(self):
+        # a Gaussian plus a discrete spread on both sides: equal variances
+        # cancel, and the flatter of unequal ones is eventually above
+        coin = make_discrete([(0, 0.5), (1, 0.5)])
+        mixed = add_independent(make_gaussian(0, 1), coin)
+        verdict = tail_order(mixed, mixed, 0.1)
+        assert verdict.relation is TailRelation.EQUAL
+        assert verdict.rationale == "identical distribution"
+        verdict = tail_order(mixed, add_independent(make_gaussian(0, 2), coin), 0.1)
+        assert verdict.relation is TailRelation.X_ABOVE
+        assert verdict.rationale == "Gaussian slope"
+
+    def test_underflowing_slope_difference_keeps_its_sign(self):
+        # (2e-300 - 1e-300) * 1e-30 underflows to 0, yet Y stays above until
+        # k = 2e330: the certificate is past the float range, not k = 1
+        x, y = make_gaussian(0, 1e-300), make_gaussian(1, 2e-300)
+        verdict = tail_order(x, y, 1e-30)
+        assert verdict.relation is TailRelation.X_ABOVE
+        assert verdict.certified_from == math.inf
+        for scan in (compare, find_threshold):
+            with pytest.raises(OverflowError, match=r"^tail certificate k=inf out of floating-point range$"):
+                scan(x, y, 1e-30)
 
     def test_rejects_r_zero(self):
         with pytest.raises(ValueError):
@@ -215,10 +235,22 @@ class TestCompare:
         assert verdict.classification is Flexibility.X_STRICTLY_DOMINATES
 
     def test_incomparable_for_unsupported_forms(self):
-        mixed = add_independent(make_gaussian(0, 1), make_discrete([(0, 0.5), (1, 0.5)]))
-        verdict = compare(mixed, mixed, 0.1)
+        # 1,001 x 1,001 points is past the exact-convolution support cap
+        wide = make_discrete([(v, 1.0 / 1001) for v in range(1001)])
+        capped = add_independent(wide, wide)
+        assert len(wide.values) ** 2 > CONVOLUTION_SUPPORT_CAP
+        with pytest.raises(UnsupportedProspectError):
+            tail_order(capped, capped, 0.1)
+        verdict = compare(capped, capped, 0.1)
         assert verdict.classification is Flexibility.INCOMPARABLE
         assert verdict.threshold_k is None
+
+    def test_mixed_forms_get_a_verdict(self):
+        coin = make_discrete([(0, 0.5), (1, 0.5)])
+        mixed = add_independent(make_gaussian(0, 1), coin)
+        assert compare(mixed, mixed, 0.1).classification is Flexibility.EQUALLY_FLEXIBLE
+        verdict = compare(mixed, add_independent(make_gaussian(0, 2), coin), 0.1)
+        assert verdict.classification is Flexibility.X_STRICTLY_DOMINATES
 
     def test_dominance_implies_more_flexible(self, rng):
         dominant = {
@@ -376,6 +408,59 @@ class TestRepresentationInvariance:
         verdict = compare(nudged, right, r)
         assert verdict.classification is Flexibility.X_STRICTLY_DOMINATES
         assert verdict.tail.relation is TailRelation.X_ABOVE
+
+
+@st.composite
+def mixed_pairs(draw):
+    """Two Gaussian + discrete sums, some under an affine map; a Gaussian they may share makes equal variances."""
+    shared = make_gaussian(draw(st.integers(-10, 10)), draw(st.sampled_from([1.0, 4.0, 9.0])))
+
+    def one():
+        if draw(st.booleans()):
+            gaussian = shared
+        else:
+            gaussian = make_gaussian(draw(st.integers(-10, 10)), draw(st.sampled_from([1.0, 2.0, 4.0, 16.0])))
+        mixed = add_independent(gaussian, draw(small_discretes()))
+        if draw(st.booleans()):
+            mixed = Affine(mixed, draw(st.sampled_from([0.5, 1.0, 2.0])), draw(st.integers(-5, 5)))
+        return mixed
+
+    return one(), one(), draw(st.sampled_from([0.01, 0.1, 1.0]))
+
+
+class TestMixedForms:
+    """Gaussian + discrete forms get certified verdicts that an independent CE in mpmath confirms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_pairs())
+    def test_tail_verdict_holds(self, pair):
+        mp = pytest.importorskip("mpmath")
+        x, y, r = pair
+        for p in (x, y):
+            assert compare(p, p, r).classification is Flexibility.EQUALLY_FLEXIBLE
+        verdict = compare(x, y, r)
+        tail = verdict.tail
+        sign = {TailRelation.X_ABOVE: 1, TailRelation.Y_ABOVE: -1, TailRelation.EQUAL: 0}[tail.relation]
+        # Equal variances cancel and leave the discrete parts, whose CE gap
+        # shrinks like exp(-rho * spread); the support spans at most 170.
+        spread = 0.0 if tail.rationale == "Gaussian slope" else 200.0
+
+        def gap(k):
+            """CE(X|kr) - CE(Y|kr), and the tie tolerance there."""
+            with mp.workdps(60 + int(k * r * spread / 2.3)):
+                ce_x, ce_y = (mp_certain_equivalent(p, mp.mpf(k) * r) for p in (x, y))
+                return ce_x - ce_y, _TIE_EPS * (1 + max(abs(ce_x), abs(ce_y)))
+
+        # past the certificate the tail's winner is above
+        for factor in (1.0, 1.5, 4.0):
+            g, tol = gap(tail.certified_from * factor)
+            assert sign * g > 0 if sign else abs(g) <= tol
+        if sign:
+            # from the threshold on, the winner stays above, up to the tie tolerance
+            lo = verdict.threshold_k * (1.0 + 2.0 * ROOT_REL_TOL)
+            for k in np.geomspace(lo, max(tail.certified_from, 2.0 * lo), 40):
+                g, tol = gap(k)
+                assert sign * g >= -tol
 
 
 def counted(g, limit=500):
@@ -652,6 +737,11 @@ class TestBatchedEvaluation:
         "gaussian": (make_gaussian(-55, 100), make_gaussian(-50, 400), 0.01),
         "mixed": (
             make_discrete([(5, 0.5), (25, 0.5)]),
+            add_independent(make_gaussian(0, 50), make_discrete([(0, 0.5), (40, 0.5)])),
+            0.01,
+        ),
+        "both_mixed": (
+            add_independent(make_gaussian(0, 10), make_discrete([(5, 0.5), (25, 0.5)])),
             add_independent(make_gaussian(0, 50), make_discrete([(0, 0.5), (40, 0.5)])),
             0.01,
         ),
