@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .prospects import Prospect, _convolve, _merge_ties, _pack, stats
+from .prospects import Discrete, Prospect, _convolve, _merge_ties, _pack, stats
 from .valuation import _certain_equivalents, _geometric_points, check_risk_aversion
 
 __all__ = [
@@ -96,19 +96,19 @@ class FlexibilityVerdict:
     tail: Optional[TailVerdict]
 
 
-def _decompose(prospect: Prospect) -> Tuple[Tuple[float, ...], Tuple[float, ...], float]:
+def _decompose(prospect: Prospect) -> Tuple[np.ndarray, np.ndarray, float]:
     """Reduce a prospect's normal form to a discrete part D plus an independent N(0, v).
 
-    Returns (values, masses, v), so that CE(X|rho) = CE(D|rho) - v*rho/2.  A
-    prospect with a support of its own (a Discrete) is read as it stands,
-    whatever its form; otherwise the moved discrete parts are convolved and
-    shifted by the Gaussians' offsets and then by their means, each shift
-    rounded and its collisions merged on its own.  Raises
+    Returns D's values and masses as arrays, and v, so that CE(X|rho) =
+    CE(D|rho) - v*rho/2.  A prospect with a support of its own (a Discrete)
+    is read as it stands, whatever its form; otherwise the moved discrete
+    parts are convolved and shifted by the Gaussians' offsets and then by
+    their means, each shift rounded and its collisions merged on its own.  Raises
     UnsupportedProspectError past the convolution support cap, and
     OverflowError when a value leaves the float range.
     """
-    if getattr(prospect, "values", None) is not None:
-        return prospect.values, prospect.masses, 0.0
+    if isinstance(prospect, Discrete):
+        return (*prospect._support, 0.0)
     discrete = []
     point = gm = gv = 0.0
     for part_values, part_masses, mean, variance, s, c in prospect._form:
@@ -137,7 +137,7 @@ def _decompose(prospect: Prospect) -> Tuple[Tuple[float, ...], Tuple[float, ...]
                 values, masses = _merge_ties(values + c, masses)
     if not np.isfinite(values).all():
         raise OverflowError("independent sum's support out of floating-point range")
-    return tuple(values.tolist()), tuple(masses.tolist()), gv
+    return values, masses, gv
 
 
 def _discrete_tail(
@@ -197,9 +197,9 @@ def tail_order(x: Prospect, y: Prospect, r: float) -> TailVerdict:
     xv, xm, x_var = _decompose(x)
     yv, ym, y_var = _decompose(y)
     if x_var == y_var:
-        if x_var and len(xv) == len(yv) == 1 and xv != yv:
-            return TailVerdict(TailRelation.X_ABOVE if xv > yv else TailRelation.Y_ABOVE, 1.0, "Gaussian slope")
-        return _discrete_tail(xv, xm, yv, ym, r)
+        if x_var and len(xv) == len(yv) == 1 and xv[0] != yv[0]:
+            return TailVerdict(TailRelation.X_ABOVE if xv[0] > yv[0] else TailRelation.Y_ABOVE, 1.0, "Gaussian slope")
+        return _discrete_tail(xv.tolist(), xm.tolist(), yv.tolist(), ym.tolist(), r)
     if x_var < y_var:
         relation, steep, flat, slope = TailRelation.X_ABOVE, yv, xv, y_var - x_var
     else:
@@ -207,7 +207,7 @@ def tail_order(x: Prospect, y: Prospect, r: float) -> TailVerdict:
     # CE(D|rho) lies in [min D, max D], so the flatter curve is above once
     # slope*k*r/2 exceeds max D_steep - min D_flat; a divisor that
     # underflows to 0 stands as the least float: the certificate is out of range.
-    k0 = 2.0 * (steep[-1] - flat[0]) / (slope * r or math.ulp(0.0))
+    k0 = 2.0 * (float(steep[-1]) - float(flat[0])) / (slope * r or math.ulp(0.0))
     certified = max(1.0, k0 * (1.0 + 1e-9) + 1e-6)
     return TailVerdict(relation, certified, "Gaussian slope" if min(x_var, y_var) else "worst-case gap")
 
@@ -490,7 +490,7 @@ def upper_envelope(
     if not items:
         raise ValueError("envelope needs at least one prospect")
     k_lo, k_hi = (float(k_range[0]), float(k_range[1]))
-    if not (0.0 < k_lo < k_hi):
+    if not (0.0 < k_lo < k_hi < math.inf):
         raise ValueError(f"invalid k range {k_range!r}")
     if all(part.values is None for _, p in items for part in p._form):
         return _line_envelope(items, r, k_lo, k_hi)

@@ -15,8 +15,9 @@ A Discrete is its own one-part form, unless ``add_independent``, ``scale``
 or ``shift`` derived it from factored inputs: its form is then seeded with
 the parts derived from theirs whenever those hold fewer points than its
 support (3 factors of 10 points against 1,000; ten {0, 1} coins, 20 points
-against 11, keep the support).  Equality, hashing and repr read only the
-support, which is still built in full.
+against 11, keep the support).  The support is still built in full, as
+two read-only float64 arrays; the ``values`` and ``masses`` tuples, which
+equality, hashing and repr read, are built on first read.
 
 An evaluation pass reads the forms of all the prospects it needs at once:
 ``_pack`` lays every discrete part of every form side by side as one
@@ -98,42 +99,73 @@ class _Part(NamedTuple):
     offset: float
 
 
-@dataclass(frozen=True)
+def _float_copy(given: Sequence[float]) -> np.ndarray:
+    """``given`` as a new float64 array; text is refused, as ``math.isfinite`` refuses it."""
+    array = np.array(given)
+    if array.dtype.kind in "SU":
+        raise TypeError("values and masses must be numbers, not text")
+    return array.astype(float, copy=False)
+
+
+def _first(given: Sequence[float], ok: np.ndarray) -> float:
+    """The element of ``given`` where ``ok`` is first false, as a Python float when ``given`` is an array."""
+    item = given[int(ok.argmin())]
+    return float(item) if isinstance(given, np.ndarray) else item
+
+
+@dataclass(frozen=True, init=False)
 class Discrete:
-    """Finite distribution over distinct, strictly ascending money values."""
+    """Finite distribution over distinct, strictly ascending money values.
 
-    values: Tuple[float, ...]
-    masses: Tuple[float, ...]
+    Its state is ``_support``, the values and masses as read-only float64
+    arrays.  The fields are the tuples it was given, or, when it was built
+    from arrays, tuples of Python floats made on first read.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    # A cached_property default makes each field a tuple built on first
+    # read; the generated ==, hash and repr read the fields.
+    values: Tuple[float, ...] = cached_property(lambda self: tuple(self._support[0].tolist()))
+    masses: Tuple[float, ...] = cached_property(lambda self: tuple(self._support[1].tolist()))
+
+    def __init__(self, values: Sequence[float], masses: Sequence[float]) -> None:
+        self._hold(_float_copy(values), _float_copy(masses), values, masses)
+        for name, given in (("values", values), ("masses", masses)):
+            if isinstance(given, tuple):
+                self.__dict__[name] = given
+
+    @classmethod
+    def _of(cls, values: np.ndarray, masses: np.ndarray) -> Discrete:
+        """A Discrete over float64 arrays no caller writes to again, held as they are (a Discrete's masses may be shared)."""
+        prospect = cls.__new__(cls)
+        prospect._hold(values, masses, values, masses)
+        return prospect
+
+    def _hold(self, values: np.ndarray, masses: np.ndarray, given_values: Sequence[float], given_masses: Sequence[float]) -> None:
+        """Check the support, in one pass over the arrays per rule, and hold it read-only; errors name the given elements."""
+        if values.ndim != 1 or masses.ndim != 1:
+            raise TypeError("values and masses must be flat sequences of numbers")
+        if not len(values):
             raise ValueError("discrete prospect needs at least one outcome")
-        if len(self.values) != len(self.masses):
+        if len(values) != len(masses):
             raise ValueError("values and masses must have equal length")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite support value {v!r}")
-        for m in self.masses:
-            if not (m > 0.0):
-                raise ValueError(f"mass must be positive, got {m!r}")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"non-finite support value {_first(given_values, finite)!r}")
+        positive = masses > 0.0
+        if not positive.all():
+            raise ValueError(f"mass must be positive, got {_first(given_masses, positive)!r}")
+        if (values[1:] <= values[:-1]).any():
             raise ValueError("support values must be strictly ascending")
-        total = math.fsum(self.masses)
+        total = math.fsum(masses.tolist())
         if abs(total - 1.0) > _MASS_SUM_EXACT:
             raise ValueError(f"masses sum to {total!r}, expected 1 within {_MASS_SUM_EXACT}")
-
-    @cached_property
-    def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Read-only float arrays of the support values and masses, built on first use."""
-        arrays = np.array(self.values, dtype=float), np.array(self.masses, dtype=float)
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
+        values.flags.writeable = masses.flags.writeable = False
+        self.__dict__["_support"] = (values, masses)
 
     @cached_property
     def _form(self) -> Tuple[_Part, ...]:
         """The support as the one part, unless ``_seeded`` gave factors."""
-        return (_Part(*self._arrays, 0.0, 0.0, 1.0, 0.0),)
+        return (_Part(*self._support, 0.0, 0.0, 1.0, 0.0),)
 
     _packed = cached_property(lambda self: _pack((self,)))
 
@@ -303,7 +335,7 @@ def _merge_ties(values: Sequence[float], masses: Sequence[float]) -> Tuple[np.nd
 
 def _seeded(prospect: Discrete, parts: Tuple[_Part, ...]) -> Discrete:
     """``prospect``, its form seeded with ``parts`` when several hold fewer points than its support."""
-    if len(parts) > 1 and sum(len(p.values) for p in parts if p.values is not None) < len(prospect.values):
+    if len(parts) > 1 and sum(len(p.values) for p in parts if p.values is not None) < len(prospect._support[0]):
         prospect.__dict__["_form"] = parts
     return prospect
 
@@ -316,11 +348,13 @@ def _mapped(prospect: Prospect, k: float, c: float) -> Prospect:
     raises ValueError.  Its form is seeded from X's (see ``_seeded``).
     """
     if isinstance(prospect, Discrete):
-        values = tuple(v * k + c for v in prospect.values)
+        values, masses = prospect._support
+        with np.errstate(over="ignore"):  # an overflow is refused by the constructor
+            values = values * k + c
         try:
-            moved = Discrete(values, prospect.masses)
+            moved = Discrete._of(values, masses)
         except ValueError:  # values that round together merge; an overflow raises again
-            moved = Discrete(*(tuple(a.tolist()) for a in _merge_ties(values, prospect.masses)))
+            moved = Discrete._of(*_merge_ties(values, masses))
         return _seeded(moved, _moved_form(prospect.__dict__.get("_form", ()), k, c))
     if isinstance(prospect, Gaussian):
         return Gaussian(prospect.mean * k + c, prospect.variance * k * k)
@@ -369,9 +403,9 @@ def add_independent(x: Prospect, z: Prospect) -> Prospect:
     its log-MGF and moments are read from them when they hold fewer points.
     """
     if isinstance(x, Discrete) and isinstance(z, Discrete):
-        merged = _convolve(*x._arrays, *z._arrays)
+        merged = _convolve(*x._support, *z._support)
         if merged is not None:
-            return _seeded(Discrete(*(tuple(a.tolist()) for a in merged)), x._form + z._form)
+            return _seeded(Discrete._of(*merged), x._form + z._form)
     if isinstance(x, Gaussian) and isinstance(z, Gaussian):
         return Gaussian(x.mean + z.mean, x.variance + z.variance)
     return IndependentSum((x, z))

@@ -343,6 +343,14 @@ class TestUpperEnvelope:
         with pytest.raises(ValueError):
             upper_envelope([("a", make_gaussian(0, 1))], 0.1, (2.0, 1.0))
 
+    @pytest.mark.parametrize("k_range", [(1.0, math.inf), (math.inf, math.inf), (-math.inf, 2.0), (1.0, math.nan), (math.nan, 2.0)])
+    @pytest.mark.parametrize("kind", ["discrete", "gaussian"])
+    def test_rejects_a_range_with_an_infinite_or_nan_bound(self, k_range, kind):
+        # an infinite upper bound used to pass the check and fail in the grid with OverflowError
+        p = make_discrete([(0, 0.5), (1, 0.5)]) if kind == "discrete" else make_gaussian(0, 1)
+        with pytest.raises(ValueError, match=r"^invalid k range "):
+            upper_envelope([("a", p), ("b", shift(p, 0.5))], 0.1, k_range)
+
 
 class TestOneKernelCallPerPass:
     """compare scans X and Y together, and every envelope pass reads every curve, in one kernel call."""

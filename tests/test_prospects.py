@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -14,12 +15,14 @@ from flexcurve import (
     IndependentSum,
     add_independent,
     certain_equivalent,
+    flexibility_curve,
     log_mgf,
     make_discrete,
     make_gaussian,
     scale,
     shift,
     stats,
+    upper_envelope,
 )
 from flexcurve import prospects
 from flexcurve.prospects import _LSE_BLOCK_ELEMENTS, _log_mgf_grid, _logsumexp
@@ -587,7 +590,7 @@ class TestStats:
     def test_scaled_variance_keeps_the_plain_bits(self, rng):
         for _ in range(200):
             x = scale(random_discrete(rng, n_max=40), 10.0 ** rng.uniform(-30, 30))
-            v, m = x._arrays
+            v, m = x._support
             mean = float(np.dot(m, v))
             assert stats(x).variance == float(np.dot(m, (v - mean) ** 2))
 
@@ -694,12 +697,12 @@ class TestConvolutionFactors:
     def test_factors_are_read_when_they_hold_fewer_points(self):
         factors = [make_discrete([(v * 10.0**i + 0.5, 0.1) for v in range(10)]) for i in range(3)]
         conv = convolve(factors)
-        assert len(conv.values) == 1_000
+        assert len(conv._support[0]) == 1_000
         got, sizes = kernel_sizes(conv, self.RHOS)
         mean = stats(conv).mean
         assert sizes == [[10, 10, 10]]
-        # the merged support's arrays were never built
-        assert "_arrays" not in conv.__dict__
+        # the merged support's per-point tuples were never built
+        assert "values" not in conv.__dict__ and "masses" not in conv.__dict__
         assert np.all(np.abs(got - ces(Discrete(conv.values, conv.masses), self.RHOS)) < 1e-10)
         assert mean == pytest.approx(math.fsum(v * m for v, m in zip(conv.values, conv.masses)), rel=1e-14)
 
@@ -724,3 +727,188 @@ class TestConvolutionFactors:
         rhos = np.asarray([1e-310, 1e-308, 1e-306])
         got, want = ces(moved, rhos), ces(Discrete(moved.values, moved.masses), rhos)
         assert np.all(np.abs(got - want) <= self.REL * (1.0 + max(abs(v) for v in moved.values)))
+
+
+def loop_checks(values, masses):
+    """The constructor's checks, element by element over the given sequences: the reference for the array checks."""
+    if not values:
+        raise ValueError("discrete prospect needs at least one outcome")
+    if len(values) != len(masses):
+        raise ValueError("values and masses must have equal length")
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite support value {v!r}")
+    for m in masses:
+        if not (m > 0.0):
+            raise ValueError(f"mass must be positive, got {m!r}")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("support values must be strictly ascending")
+    total = math.fsum(masses)
+    if abs(total - 1.0) > prospects._MASS_SUM_EXACT:
+        raise ValueError(f"masses sum to {total!r}, expected 1 within {prospects._MASS_SUM_EXACT}")
+
+
+def raised(build):
+    """(type, message) of what ``build()`` raises, or None."""
+    try:
+        build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def assert_same_prospect(got, want):
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert all(type(v) is float for v in got.values + got.masses)
+
+
+def loop_mapped(x, k, c):
+    """k * X + c over the tuples, one Python float at a time; values that round together merge."""
+    values = tuple(v * k + c for v in x.values)
+    try:
+        return Discrete(values, x.masses)
+    except ValueError:
+        return Discrete(*(tuple(a.tolist()) for a in prospects._merge_ties(values, x.masses)))
+
+
+@st.composite
+def ulp_close_supports(draw):
+    """A support of floats a few ulps apart and a shift that rounds some of them together."""
+    base = draw(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+    gaps = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
+    values = [base]
+    for gap in gaps:
+        for _ in range(gap):
+            values.append(math.nextafter(values[-1], math.inf))
+    masses = draw(st.lists(st.floats(0.05, 1.0), min_size=len(values), max_size=len(values)))
+    total = math.fsum(masses)
+    return make_discrete(zip(values, (m / total for m in masses))), draw(st.floats(min_value=1e3, max_value=1e17))
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 0.5, 1.0, math.nan, math.inf, -math.inf])
+
+
+class TestArraySupport:
+    """A Discrete holds its support as read-only arrays; built from arrays it is the Discrete of their tuples."""
+
+    @given(st.lists(convolution_factor(), min_size=2, max_size=3), st.floats(0.1, 10.0), st.floats(-50.0, 50.0))
+    @settings(max_examples=100, deadline=None)
+    def test_derived_supports_match_their_tuples(self, factors, k, c):
+        conv = convolve(factors)
+        assert_same_prospect(conv, Discrete(tuple(conv.values), tuple(conv.masses)))
+        for derived, want in ((shift(conv, c), loop_mapped(conv, 1.0, c)), (scale(conv, k), loop_mapped(conv, k, 0.0))):
+            assert_same_prospect(derived, want)
+
+    @given(ulp_close_supports())
+    @settings(max_examples=100, deadline=None)
+    def test_tie_merging_shift_matches_the_loop(self, case):
+        x, c = case
+        moved = shift(x, c)
+        assert_same_prospect(moved, loop_mapped(x, 1.0, c))
+        assert_same_prospect(scale(x, c), loop_mapped(x, c, 0.0))
+
+    CASES = {
+        "empty": ((), ()),
+        "unequal lengths": ((0.0, 1.0), (1.0,)),
+        "nan value": ((0.0, math.nan), (0.5, 0.5)),
+        "inf value": ((0.0, math.inf), (0.5, 0.5)),
+        "-inf value": ((-math.inf, 0.0), (0.5, 0.5)),
+        "zero mass": ((0.0, 1.0), (1.0, 0.0)),
+        "negative mass": ((0.0, 1.0), (1.5, -0.5)),
+        "nan mass": ((0.0, 1.0), (math.nan, 1.0)),
+        "-0.0 mass": ((0.0, 1.0), (1.0, -0.0)),
+        "unsorted": ((1.0, 0.0), (0.5, 0.5)),
+        "repeated": ((0.0, 0.0), (0.5, 0.5)),
+        "sum off": ((0.0, 1.0), (0.5, 0.5 + 2e-12)),
+        "values first": ((math.nan, 0.0), (0.0, 1.0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_invalid_supports_raise_what_the_loop_raises(self, case):
+        values, masses = self.CASES[case]
+        want = raised(lambda: loop_checks(values, masses))
+        assert want is not None and want[0] is ValueError
+        arrays = np.array(values, dtype=float), np.array(masses, dtype=float)
+        assert raised(lambda: Discrete(values, masses)) == want
+        assert raised(lambda: Discrete(*arrays)) == want
+        assert raised(lambda: Discrete._of(*arrays)) == want
+
+    @given(st.lists(st.tuples(FLOATS, FLOATS), max_size=6), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_any_float_support_is_checked_as_the_loop_checks_it(self, pairs, normalise):
+        values, masses = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+        if normalise and all(math.isfinite(m) and m > 0.0 for m in masses):
+            total = math.fsum(masses)
+            masses = tuple(m / total for m in masses)
+        want = raised(lambda: loop_checks(values, masses))
+        got = raised(lambda: Discrete(values, masses))
+        assert got == want
+        assert raised(lambda: Discrete(np.array(values, dtype=float), np.array(masses, dtype=float))) == want
+        if want is None:
+            assert_same_prospect(Discrete(np.array(values), np.array(masses)), Discrete(values, masses))
+
+    @pytest.mark.parametrize(
+        "build, value",
+        [
+            (lambda: shift(make_discrete([(-1e308, 0.5), (1.7e308, 0.5)]), 5e307), "inf"),
+            (lambda: shift(make_discrete([(-1.7e308, 0.5), (0.0, 0.5)]), -5e307), "-inf"),
+            (lambda: scale(make_discrete([(1.0, 0.5), (1e300, 0.5)]), 1e10), "inf"),
+            (lambda: add_independent(make_discrete([(0.0, 0.5), (1.7e308, 0.5)]), make_discrete([(0.0, 0.5), (1e308, 0.5)])), "inf"),
+        ],
+    )
+    def test_overflow_raises_the_loop_error_without_warning(self, build, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert raised(build) == (ValueError, f"non-finite support value {value}")
+
+    @pytest.mark.parametrize("values, masses", [(("1.5",), (1.0,)), ((0.0,), ("1",)), (((0.0, 1.0),), (1.0,)), (3.0, 1.0)])
+    def test_text_and_nested_input_is_refused(self, values, masses):
+        # the element-wise checks raised TypeError for these
+        with pytest.raises(TypeError):
+            Discrete(values, masses)
+
+    def test_caller_arrays_are_copied_and_the_support_is_read_only(self):
+        values, masses = np.array([0.0, 1.0]), np.array([0.25, 0.75])
+        x = Discrete(values, masses)
+        ce = certain_equivalent(x, 0.5)
+        values[0], masses[:] = -5.0, 0.5
+        assert x.values == (0.0, 1.0) and x.masses == (0.25, 0.75)
+        assert certain_equivalent(x, 0.5) == ce
+        for a in x._support:
+            assert a.dtype == np.float64 and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.values = (0.0,)
+
+    def test_given_tuples_are_kept_and_array_supports_build_theirs_once(self):
+        values, masses = (0, 1), (0.5, 0.5)
+        x = Discrete(values, masses)
+        assert x.values is values and x.masses is masses
+        moved = shift(x, 1.0)
+        assert "values" not in moved.__dict__ and moved._support[1] is x._support[1]
+        assert moved.values is moved.values == (1.0, 2.0)
+        assert repr(moved) == "Discrete(values=(1.0, 2.0), masses=(0.5, 0.5))"
+
+    def test_wide_round_builds_no_per_point_tuples(self):
+        # a wide_support round: convolutions of 3-4 factors up to 5e4 points, their shifts, CEs, curves, stats, envelopes
+        rng = np.random.default_rng(17)
+        pool, sums = [], []
+        for sizes in ([10, 10, 100], [8, 10, 625], [6, 7, 8, 50]):
+            out = None
+            for n in sizes:
+                w = rng.uniform(0.02, 1.0, n)
+                factor = make_discrete(zip(rng.uniform(-20, 40, n).tolist(), (w / w.sum()).tolist()))
+                out = factor if out is None else add_independent(out, factor)
+                sums.append(out)
+            pool.append(out)
+        assert [len(p._support[0]) for p in pool] == [10_000, 50_000, 16_800]
+        shifted = [shift(p, gap) for p, gap in zip(pool, (0.0, 0.5, -0.5))]
+        derived = sums[1:3] + sums[4:6] + sums[7:] + shifted + [scale(p, 2.0) for p in pool]
+        for p in derived:
+            certain_equivalent(p, 0.03)
+            flexibility_curve(p, 0.01, np.geomspace(1.0, 8.0, 25).tolist())
+            stats(p)
+        upper_envelope([(f"w{i}", p) for i, p in enumerate(shifted)], 0.01, (2.0, 2.2))
+        assert all("values" not in p.__dict__ and "masses" not in p.__dict__ for p in derived)
+
