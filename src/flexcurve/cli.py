@@ -2,7 +2,9 @@
 
 Subcommands: ce, curve, compare, envelope, rollback, policies.  Models are
 JSON documents (see model_io); curve and envelope emit CSV with 12
-significant digits so identical runs are byte-for-byte identical.
+significant digits so identical runs are byte-for-byte identical.  ``main``
+loads the model, resolves r and writes the output; each subcommand's runner
+turns the arguments, the model and r into its output lines.
 """
 
 from __future__ import annotations
@@ -43,13 +45,6 @@ def _resolve_r(args: argparse.Namespace, doc: ModelDocument) -> float:
     raise ValueError("no --r given and the model declares no default")
 
 
-def _resolve_ks(args: argparse.Namespace, doc: ModelDocument) -> Tuple[float, ...]:
-    spec = args.k if args.k is not None else doc.default_k_grid
-    if spec is None:
-        raise ValueError("no --k given and the model declares no default")
-    return parse_k_grid(spec)
-
-
 def _write(out: Optional[str], text: str) -> None:
     if out is None or out == "stdout":
         sys.stdout.write(text)
@@ -67,12 +62,21 @@ def _prospect(doc: ModelDocument, pid: str) -> Prospect:
     return doc.prospects[pid]
 
 
-def cmd_ce(args: argparse.Namespace) -> int:
-    doc = _load_model(args.model)
-    r = _resolve_r(args, doc)
+def _ids_and_ks(args: argparse.Namespace, doc: ModelDocument) -> Tuple[List[str], Tuple[float, ...]]:
+    """The --ids and the k grid of ``curve`` and ``envelope``, the grid read first."""
+    spec = args.k if args.k is not None else doc.default_k_grid
+    if spec is None:
+        raise ValueError("no --k given and the model declares no default")
+    ks = parse_k_grid(spec)
+    ids = [i for i in args.ids.split(",") if i]
+    if not ids:
+        raise ValueError("no ids given")
+    return ids, ks
+
+
+def cmd_ce(args: argparse.Namespace, doc: ModelDocument, r: float) -> List[str]:
     ce = valuation.certain_equivalent(_prospect(doc, args.id), r)
-    _write(args.out, _fmt(ce) + "\n")
-    return EXIT_OK
+    return [_fmt(ce)]
 
 
 def _column(doc: ModelDocument, pid: str, r: float, ks: Tuple[float, ...]) -> List[float]:
@@ -84,24 +88,16 @@ def _column(doc: ModelDocument, pid: str, r: float, ks: Tuple[float, ...]) -> Li
     raise ValueError(f"unknown prospect or tree node id {pid!r}")
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
-    doc = _load_model(args.model)
-    r = _resolve_r(args, doc)
-    ks = _resolve_ks(args, doc)
-    ids = [i for i in args.ids.split(",") if i]
-    if not ids:
-        raise ValueError("no ids given")
+def cmd_curve(args: argparse.Namespace, doc: ModelDocument, r: float) -> List[str]:
+    ids, ks = _ids_and_ks(args, doc)
     columns = [_column(doc, pid, r, ks) for pid in ids]
     lines = ["k," + ",".join(ids)]
     for row, k in enumerate(ks):
         lines.append(",".join([_fmt(k)] + [_fmt(col[row]) for col in columns]))
-    _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return lines
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    doc = _load_model(args.model)
-    r = _resolve_r(args, doc)
+def cmd_compare(args: argparse.Namespace, doc: ModelDocument, r: float) -> List[str]:
     verdict = orders.compare(_prospect(doc, args.a), _prospect(doc, args.b), r)
     lines = [f"classification: {verdict.classification.value}"]
     if verdict.threshold_k is None:
@@ -119,24 +115,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"tail: {verdict.tail.relation.value} from k={_fmt(verdict.tail.certified_from)}"
             f" ({verdict.tail.rationale})"
         )
-    _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return lines
 
 
-def cmd_envelope(args: argparse.Namespace) -> int:
-    doc = _load_model(args.model)
-    r = _resolve_r(args, doc)
-    ks = _resolve_ks(args, doc)
-    ids = [i for i in args.ids.split(",") if i]
-    if not ids:
-        raise ValueError("no ids given")
+def cmd_envelope(args: argparse.Namespace, doc: ModelDocument, r: float) -> List[str]:
+    ids, ks = _ids_and_ks(args, doc)
     items = [(pid, _prospect(doc, pid)) for pid in ids]
     segments = orders.upper_envelope(items, r, (ks[0], ks[-1]))
     lines = ["k_lo,k_hi,ids"]
     for seg in segments:
         lines.append(f"{_fmt(seg.k_lo)},{_fmt(seg.k_hi)},{';'.join(seg.ids)}")
-    _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return lines
 
 
 def _require_tree(doc: ModelDocument) -> trees.DecisionTree:
@@ -145,20 +134,15 @@ def _require_tree(doc: ModelDocument) -> trees.DecisionTree:
     return doc.tree
 
 
-def cmd_rollback(args: argparse.Namespace) -> int:
-    doc = _load_model(args.model)
-    r = _resolve_r(args, doc)
+def cmd_rollback(args: argparse.Namespace, doc: ModelDocument, r: float) -> List[str]:
     ce, policy = trees.rollback(_require_tree(doc), r)
     lines = [f"ce: {_fmt(ce)}"]
     for nid in sorted(policy.choice):
         lines.append(f"choose: {nid}={policy.choice[nid]}")
-    _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return lines
 
 
-def cmd_policies(args: argparse.Namespace) -> int:
-    doc = _load_model(args.model)
-    r = _resolve_r(args, doc)
+def cmd_policies(args: argparse.Namespace, doc: ModelDocument, r: float) -> List[str]:
     tree = _require_tree(doc)
     policies = trees.enumerate_policies(tree)
     prospects = [trees.policy_prospect(tree, policy) for policy in policies]
@@ -170,8 +154,24 @@ def cmd_policies(args: argparse.Namespace) -> int:
             f"{_fmt(v)}:{_fmt(m)}" for v, m in zip(prospect.values, prospect.masses)
         )
         lines.append(f"policy {index}: ce={_fmt(ce)} choice=[{choice}] support=[{support}]")
-    _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return lines
+
+
+# Each subcommand: its runner, its help and its own options, which follow --model, --r and --out.
+_SUBCOMMANDS = {
+    "ce": (cmd_ce, "certain equivalent of one prospect", {"--id": {"required": True}}),
+    "curve": (cmd_curve, "CSV of flexibility curves", {
+        "--ids": {"required": True, "help": "comma-separated prospect/node ids"},
+        "--k": {"help": "k grid as lo:hi:steps (geometric)"},
+    }),
+    "compare": (cmd_compare, "flexibility verdict for a pair", {"--a": {"required": True}, "--b": {"required": True}}),
+    "envelope": (cmd_envelope, "upper-envelope interval table", {
+        "--ids": {"required": True, "help": "comma-separated prospect ids"},
+        "--k": {"help": "k range as lo:hi:steps"},
+    }),
+    "rollback": (cmd_rollback, "tree rollback: root CE and optimal policy", {}),
+    "policies": (cmd_policies, "enumerate policies with prospects and CEs", {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,43 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certain-equivalent flexibility curves and orders",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, (func, summary, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--model", required=True, help="path to a JSON model document")
         p.add_argument("--r", type=float, default=None, help="risk aversion (1/money)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    p = sub.add_parser("ce", help="certain equivalent of one prospect")
-    common(p)
-    p.add_argument("--id", required=True)
-    p.set_defaults(func=cmd_ce)
-
-    p = sub.add_parser("curve", help="CSV of flexibility curves")
-    common(p)
-    p.add_argument("--ids", required=True, help="comma-separated prospect/node ids")
-    p.add_argument("--k", default=None, help="k grid as lo:hi:steps (geometric)")
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("compare", help="flexibility verdict for a pair")
-    common(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("envelope", help="upper-envelope interval table")
-    common(p)
-    p.add_argument("--ids", required=True, help="comma-separated prospect ids")
-    p.add_argument("--k", default=None, help="k range as lo:hi:steps")
-    p.set_defaults(func=cmd_envelope)
-
-    p = sub.add_parser("rollback", help="tree rollback: root CE and optimal policy")
-    common(p)
-    p.set_defaults(func=cmd_rollback)
-
-    p = sub.add_parser("policies", help="enumerate policies with prospects and CEs")
-    common(p)
-    p.set_defaults(func=cmd_policies)
-
+        for flag, settings in options.items():
+            p.add_argument(flag, **settings)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -232,7 +203,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        doc = _load_model(args.model)
+        lines = args.func(args, doc, _resolve_r(args, doc))
+        _write(args.out, "\n".join(lines) + "\n")
+        return EXIT_OK
     except ModelError as exc:
         print(f"error:parse: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -47,9 +47,9 @@ GRID_POINTS_PER_DECADE = 512
 # Relative width at which refinement stops when locating a crossing.
 ROOT_REL_TOL = 1e-8
 
-# Mass differences within 64 ulps of the larger mass are rounding
-# (convolution and renormalization in a different order), not a difference
-# between distributions.
+# Mass or variance differences within 64 ulps of the larger one are
+# rounding (convolution, renormalization or a sum in a different order),
+# not a difference between distributions.
 _MASS_TIE_REL = 64 * float(np.finfo(float).eps)
 
 # Differences below 1e-12 * (1 + |CE|) cannot be distinguished from a tie.
@@ -189,14 +189,15 @@ def tail_order(x: Prospect, y: Prospect, r: float) -> TailVerdict:
     """Exact asymptotic comparison of the two flexibility curves.
 
     Each curve is CE(D|kr) - v*k*r/2 (``_decompose``).  Of unequal
-    variances the smaller is eventually above; equal ones cancel, and
+    variances the smaller is eventually above; equal ones, within
+    ``_MASS_TIE_REL`` of the larger as masses are, cancel, and
     ``_discrete_tail`` decides on the discrete parts, except that two
     one-point parts are parallel lines, the higher above from k = 1.
     """
     r = check_risk_aversion(r)
     xv, xm, x_var = _decompose(x)
     yv, ym, y_var = _decompose(y)
-    if x_var == y_var:
+    if abs(x_var - y_var) <= _MASS_TIE_REL * max(x_var, y_var):
         if x_var and len(xv) == len(yv) == 1 and xv[0] != yv[0]:
             return TailVerdict(TailRelation.X_ABOVE if xv[0] > yv[0] else TailRelation.Y_ABOVE, 1.0, "Gaussian slope")
         return _discrete_tail(xv.tolist(), xm.tolist(), yv.tolist(), ym.tolist(), r)

@@ -246,18 +246,17 @@ class Policy:
 class _Level(NamedTuple):
     """Inner rows of one kind and depth; their children are the segments of ``children``.
 
-    ``starts`` holds the segment offsets, ``segment`` each child's row's
-    index in the level.  ``laid`` reads the children's rows in the
-    prospect kernel's layout: a zero column, at ``heads``, ahead of each
-    segment, which reads the segment's first child; ``spread`` holds each
-    column's segment (None for one segment).  ``weights`` holds the
-    probabilities by column, 0 in the zero columns, at chance levels only.
+    ``starts`` holds the segment offsets.  ``laid`` reads the children's
+    rows in the prospect kernel's layout: a zero column, at ``heads``,
+    ahead of each segment, which reads the segment's first child;
+    ``spread`` holds each column's segment (None for one segment).
+    ``weights`` holds the probabilities by column, 0 in the zero columns,
+    at chance levels only.
     """
 
     rows: np.ndarray
     children: np.ndarray
     starts: np.ndarray
-    segment: np.ndarray
     weights: Optional[np.ndarray]
     laid: np.ndarray
     heads: np.ndarray
@@ -312,15 +311,14 @@ def _compile(table: _Table, node_id: str) -> _Plan:
     size = counts[node_rows]
     offset = size.cumsum() - size
     take = (bounds[node_rows] - offset).repeat(size) + np.arange(m)
-    # Levels are runs of one key; each node's and child's place within its
-    # level follows from the level's lead node and its first child.
+    # Levels are runs of one key; each node's place within its level, and
+    # its segment's, follow from the level's lead node and its first child.
     opens = np.ones(len(key), bool)
     np.not_equal(key[1:], key[:-1], out=opens[1:])
     begins = opens.nonzero()[0]
     lead = begins[opens.cumsum() - 1]
     rel_starts = offset - offset[lead]
     rel_node = np.arange(len(key)) - lead
-    rel_segment = rel_node.repeat(size)
     children, weights = local[take], weights[take]
     # The kernel's layouts of all levels side by side: each node's first
     # child read twice, the first time into its zero column.
@@ -333,7 +331,7 @@ def _compile(table: _Table, node_id: str) -> _Plan:
     n0s, k0s = begins.tolist(), offset[begins].tolist()
     levels = [
         _Level(
-            node_rows[n0:n1], children[k0:k1], rel_starts[n0:n1], rel_segment[k0:k1],
+            node_rows[n0:n1], children[k0:k1], rel_starts[n0:n1],
             padded[k0 + n0 : k1 + n1] if chance else None, laid[k0 + n0 : k1 + n1], heads[n0:n1],
             spread[k0 + n0 : k1 + n1] if n1 - n0 > 1 else None,
         )
@@ -352,8 +350,8 @@ def _chance_values(
     value; elsewhere it is the certain equivalent from the prospect
     kernel's block reducer, given no peak weights: a max pass fills each
     segment's zero column with its peak exponent, and every element equal
-    to it is masked.  A flag marks a node whose exponent t*ce or certain
-    equivalent is not finite, the cases where the kernel raises.
+    to it is masked.  A flag marks a node whose exponent t*ce or value is
+    not finite, the cases where the kernel raises.
     """
     block = values[level.laid].T
     exponents = block * t[:, None]
@@ -367,71 +365,58 @@ def _chance_values(
     if math.isfinite(lowest) and np.isfinite(ces).all():
         return ces, None
     flags = ~np.isfinite(ces) | np.logical_or.reduceat(~np.isfinite(values[level.children] * t), level.starts)
-    flags[:, mean] = False
     ces[flags] = np.nan
-    return (ces, flags) if flags.any() else (ces, None)
+    return ces, flags
 
 
-def _evaluate(
-    plan: _Plan, rho: np.ndarray, *, choose: bool = False, worst: bool = False
-) -> Tuple[np.ndarray, Optional[np.ndarray], float]:
-    """One pass over a compiled subtree for every rho at once.
+def _evaluate(plan: _Plan, rho: np.ndarray) -> np.ndarray:
+    """One pass over a compiled subtree for every rho at once: every row's values, rows x rho.
 
-    Returns the root's certain equivalents, the chosen child's place among
-    its siblings at every decision row (for the first rho, when ``choose``;
-    -1 at other rows) and the subtree's maximin payoff (when ``worst``).
     Raises OverflowError naming, at the first rho where any chance node
     overflows, the first such node in post-order: the node where recursive
     backward induction stops.
     """
     t = -rho
     values = plan.payoffs[:, None].repeat(len(rho), axis=1)
-    low = plan.payoffs.copy()
-    overflow: Optional[np.ndarray] = None
-    picked = np.full(len(plan.ids), -1) if choose else None
+    overflow = np.zeros(values.shape, dtype=bool)
     mean = (rho == 0.0).nonzero()[0]
     with np.errstate(all="ignore"):
         for level in plan.levels:
             if level.weights is None:
-                block = values[level.children]
-                best = np.maximum.reduceat(block, level.starts)
-                if choose:
-                    hit = block[:, 0] == best[level.segment, 0]
-                    index = np.where(hit, np.arange(len(hit)), len(hit))
-                    firsts = np.minimum.reduceat(index, level.starts)
-                    # A NaN maximum (from infinite expected values) hits no
-                    # child; the segment's first child stands in.
-                    firsts = np.where(firsts < len(hit), firsts, level.starts)
-                    picked[level.rows] = firsts - level.starts
-                if worst:
-                    low[level.rows] = np.maximum.reduceat(low[level.children], level.starts)
+                best = np.maximum.reduceat(values[level.children], level.starts)
             else:
                 best, flags = _chance_values(values, level, t, mean, plan.noisy)
                 if flags is not None:
-                    if overflow is None:
-                        overflow = np.zeros(values.shape, dtype=bool)
                     overflow[level.rows] = flags
-                if worst:
-                    low[level.rows] = np.minimum.reduceat(low[level.children], level.starts)
             values[level.rows] = best
-    if overflow is not None:
+    if overflow.any():
         column = overflow[:, overflow.any(axis=0).argmax()]
         raise OverflowError(f"rollback overflow at chance node {plan.ids[column.argmax()]!r}")
-    return values[-1], picked, float(low[-1])
+    return values
 
 
-def _reachable_choices(table: _Table, rows: Dict[str, int], picked: List[int]) -> Dict[str, str]:
-    """The picked label at every decision node that the picks reach from the root."""
+def _maximin(plan: _Plan) -> float:
+    """The subtree's maximin payoff: the max at decisions and the min at chance nodes."""
+    low = plan.payoffs.copy()
+    for level in plan.levels:
+        reduce = np.maximum if level.weights is None else np.minimum
+        low[level.rows] = reduce.reduceat(low[level.children], level.starts)
+    return float(low[-1])
+
+
+def _reachable_choices(table: _Table, rows: Dict[str, int], values: List[float]) -> Dict[str, str]:
+    """At every decision node reachable from the root, the first label whose child's value is the node's."""
     choice: Dict[str, str] = {}
     stack = [table.order[-1]]
     while stack:
         nid = stack.pop()
-        place = picked[rows[nid]]
-        if place >= 0:
-            choice[nid], cid = table.pairs[nid][place]
+        pairs = table.pairs.get(nid, ())
+        if table.kinds[nid] == _DECISION:
+            best = values[rows[nid]]
+            choice[nid], cid = next(pair for pair in pairs if values[rows[pair[1]]] == best)
             stack.append(cid)
         else:
-            stack.extend(cid for _, cid in table.pairs.get(nid, ()))
+            stack.extend(cid for _, cid in pairs)
     return choice
 
 
@@ -443,8 +428,8 @@ def rollback(tree: DecisionTree, risk_aversion: float) -> Tuple[float, Policy]:
     """
     rho = check_risk_aversion(risk_aversion, allow_zero=True)
     plan = _compile(tree._table, tree.root)
-    values, picked, _ = _evaluate(plan, np.array([rho]), choose=True)
-    return float(values[0]), Policy(_reachable_choices(tree._table, plan.rows, picked.tolist()))
+    values = _evaluate(plan, np.array([rho]))[:, 0].tolist()
+    return values[-1], Policy(_reachable_choices(tree._table, plan.rows, values))
 
 
 def node_curve(tree: DecisionTree, node_id: str, r: float, ks: Tuple[float, ...]) -> FlexibilityCurve:
@@ -460,8 +445,9 @@ def node_curve(tree: DecisionTree, node_id: str, r: float, ks: Tuple[float, ...]
         raise ValueError(f"unknown node id {node_id!r}")
     grid = _check_k_grid(ks)
     rho = np.array([k * r for k in grid])
-    values, _, tail = _evaluate(_compile(tree._table, node_id), rho, worst=True)
-    return FlexibilityCurve(node_id, r, grid, tuple(values.tolist()), tail)
+    plan = _compile(tree._table, node_id)
+    values = _evaluate(plan, rho)[-1]
+    return FlexibilityCurve(node_id, r, grid, tuple(values.tolist()), _maximin(plan))
 
 
 def _policy_count(table: _Table) -> int:

@@ -222,6 +222,27 @@ class TestFailureModes:
         assert code == 5
         assert err.startswith("error:range:")
 
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_expected_value_out_of_range_is_a_range_error(self, tmp_path, capsys, nested):
+        # at r = 0 the expected value overflows, to inf alone or to inf - inf under a decision
+        big = 1.7976931348623157e308
+
+        def over(nid, payoff):
+            pair = [[0.5000000004, f"{nid}1"], [0.5000000004, f"{nid}2"]]
+            leaves = {f"{nid}{i}": {"kind": "terminal", "payoff": payoff} for i in (1, 2)}
+            return {nid: {"kind": "chance", "children": pair}, **leaves}
+
+        nodes = over("hi", big)
+        if nested:
+            nodes.update(over("lo", -big))
+            nodes["c"] = {"kind": "chance", "children": [[0.5, "hi"], [0.5, "lo"]]}
+            nodes["t"] = {"kind": "terminal", "payoff": 0}
+            nodes["root"] = {"kind": "decision", "children": [["a", "c"], ["b", "t"]]}
+        path = tmp_path / "over.json"
+        path.write_text(json.dumps({"tree": {"root": "root" if nested else "hi", "nodes": nodes}}))
+        code, out, err = run(capsys, "rollback", "--model", str(path), "--r", "0")
+        assert (code, out, err) == (5, "", "error:range: rollback overflow at chance node 'hi'\n")
+
     def test_unwritable_out_file_is_domain_error(self, model_path, tmp_path, capsys):
         target = tmp_path / "missing" / "out.txt"
         code, out, err = run(capsys, "ce", "--model", model_path, "--id", "d", "--out", str(target))
@@ -233,6 +254,9 @@ class TestFailureModes:
         code, out, err = run(capsys, "curve", "--model", model_path, "--ids", "x", "--k", f"1:2:{steps}")
         assert (code, out) == (3, "")
         assert err == f"error:parse: k grid steps exceed cap {steps - 1}, got '1:2:{steps}'\n"
+        # the grid is read before the ids
+        code, out, err2 = run(capsys, "envelope", "--model", model_path, "--ids", ",", "--k", f"1:2:{steps}")
+        assert (code, out, err2) == (3, "", err)
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({**MODEL, "defaults": {"r": 0.01, "k": f"1:2:{steps}"}}))
         code, out, err = run(capsys, "curve", "--model", str(path), "--ids", "x")
@@ -252,12 +276,42 @@ class TestFailureModes:
         assert (code, out) == (3, "")
         assert err == "error:parse: scenarios.adaptive: payoff missing for reachable triple ('wait', 'down', 'b')\n"
 
-    def test_rollback_without_tree(self, tmp_path, capsys):
-        path = tmp_path / "flat.json"
-        path.write_text(json.dumps({"prospects": {}}))
-        code, _, err = run(capsys, "rollback", "--model", str(path), "--r", "0.1")
-        assert code == 4
-        assert "tree" in err
+    @pytest.mark.parametrize(
+        "argv, keep, message",
+        [
+            (["ce", "--id", "x"], ("prospects", "tree"), "no --r given and the model declares no default"),
+            (["rollback"], ("prospects", "tree"), "no --r given and the model declares no default"),
+            (["curve", "--ids", "x", "--r", "0.1"], ("prospects",), "no --k given and the model declares no default"),
+            (["envelope", "--ids", "x,d", "--r", "0.1"], ("prospects",), "no --k given and the model declares no default"),
+            (["envelope", "--ids", ",", "--r", "0.1"], ("prospects",), "no --k given and the model declares no default"),
+            (["curve", "--ids", ",", "--r", "0.1", "--k", "1:2:2"], ("prospects",), "no ids given"),
+            (["envelope", "--ids", ",", "--r", "0.1", "--k", "1:2:2"], ("prospects",), "no ids given"),
+            (["curve", "--ids", "x,zz", "--k", "1:2:2"], ("prospects", "defaults"), "unknown prospect or tree node id 'zz'"),
+            (["rollback"], ("prospects", "defaults"), "model declares no decision tree"),
+            (["policies", "--r", "0.1"], ("prospects",), "model declares no decision tree"),
+        ],
+    )
+    def test_domain_errors_name_their_cause(self, tmp_path, capsys, argv, keep, message):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({key: MODEL[key] for key in keep}))
+        code, out, err = run(capsys, *argv, "--model", str(path))
+        assert (code, out, err) == (4, "", f"error:domain: {message}\n")
+
+    def test_sums_past_the_support_cap_are_incomparable(self, tmp_path, capsys):
+        points = [[float(i), 1.0 / 1001] for i in range(1001)]
+        model = {
+            "prospects": {
+                "u": {"kind": "discrete", "points": points},
+                "v": {"kind": "discrete", "points": [[2.0 * v, m] for v, m in points]},
+                "a": {"kind": "sum", "terms": ["u", "v"]},
+                "b": {"kind": "sum", "terms": ["v", "u", "u"]},
+            }
+        }
+        path = tmp_path / "sums.json"
+        path.write_text(json.dumps(model))
+        code, out, err = run(capsys, "compare", "--model", str(path), "--a", "a", "--b", "b", "--r", "0.1")
+        assert (code, err) == (0, "")
+        assert out == "classification: incomparable\nthreshold_K: none\ncrossings: none\ntail: none\n"
 
 
 def test_cli_import_leaves_scipy_out():
@@ -316,6 +370,14 @@ class TestParserReuse:
         assert (code, out) == (2, "")
         code, out, _ = run(capsys, "ce", "--model", model_path, "--id", "d")
         assert (code, out) == (0, "10\n")
+
+    def test_runners_return_the_lines_main_writes(self, model_path, capsys):
+        doc = model_io.parse_model(Path(model_path).read_bytes())
+        for argv in (["ce", "--id", "x"], ["curve", "--ids", "x,root"], ["compare", "--a", "x", "--b", "d"],
+                     ["envelope", "--ids", "x,d"], ["rollback"], ["policies"]):
+            args = cli.build_parser().parse_args(argv + ["--model", model_path])
+            lines = args.func(args, doc, MODEL["defaults"]["r"])
+            assert run(capsys, *argv, "--model", model_path) == (0, "\n".join(lines) + "\n", "")
 
     def test_build_parser_returns_a_fresh_parser(self):
         first, second = cli.build_parser(), cli.build_parser()

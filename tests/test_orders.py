@@ -18,6 +18,7 @@ from flexcurve import (
     find_threshold,
     make_discrete,
     make_gaussian,
+    scale,
     shift,
     tail_order,
     upper_envelope,
@@ -168,6 +169,22 @@ class TestTailOrder:
         with pytest.raises(ValueError):
             tail_order(make_gaussian(0, 1), make_gaussian(0, 2), 0.0)
 
+    def test_equal_variances_with_one_point_parts_are_parallel_lines(self):
+        verdict = tail_order(make_gaussian(3, 1), make_gaussian(5, 1), 0.1)
+        assert (verdict.relation, verdict.certified_from, verdict.rationale) == (TailRelation.Y_ABOVE, 1.0, "Gaussian slope")
+
+    def test_variances_equal_but_for_rounding_tie(self):
+        # 0.1 + 0.2 is 0.30000000000000004: rounding, not a flatter curve
+        summed = add_independent(make_gaussian(0, 0.1), make_gaussian(0, 0.2))
+        assert summed.variance != 0.3
+        assert compare(summed, make_gaussian(0, 0.3), 0.1).classification is Flexibility.EQUALLY_FLEXIBLE
+        coin = make_discrete([(0, 0.5), (1, 0.5)])
+        x = add_independent(add_independent(make_gaussian(0, 0.1), coin), make_gaussian(0, 0.2))
+        y = add_independent(make_gaussian(0, 0.3), coin)
+        verdict = tail_order(x, y, 0.1)
+        assert (verdict.relation, verdict.certified_from) == (TailRelation.EQUAL, 1.0)
+        assert compare(x, y, 0.1).classification is Flexibility.EQUALLY_FLEXIBLE
+
 
 class TestFindThreshold:
     def test_deterministic_vs_risky(self):
@@ -293,6 +310,19 @@ class TestUpperEnvelope:
     def test_single_prospect_covers_range(self):
         segments = upper_envelope([("only", make_gaussian(0, 1))], 0.5, (1.0, 4.0))
         assert segments == [type(segments[0])(1.0, 4.0, ("only",))]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_distribution_built_three_ways_is_one_segment(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        x = make_discrete([(float(v), 1.0 / n) for v in rng.uniform(-10, 10, n)])
+        s, c = float(rng.uniform(0.5, 3)), float(rng.uniform(-5, 5))
+        items = [("a", scale(shift(x, c), s)), ("b", Affine(x, s, c * s)), ("c", Affine(Affine(x, 1.0, c), s, 0.0))]
+        # the three differ in the last bits, so the grid's top curve flips and spans merge
+        ks = _geometric_grid(1.0, 100.0)
+        best = np.argmax(np.array([[certain_equivalent(p, k * 0.1) for k in ks] for _, p in items]), axis=0)
+        assert (best[1:] != best[:-1]).any()
+        assert upper_envelope(items, 0.1, (1.0, 100.0)) == [orders.EnvelopeSegment(1.0, 100.0, ("a", "b", "c"))]
 
     def test_identical_prospects_tie(self):
         items = [("a", make_gaussian(3, 1)), ("b", make_gaussian(3, 1))]

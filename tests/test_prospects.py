@@ -124,6 +124,11 @@ class TestScaleShift:
         with pytest.raises(ValueError, match="non-finite"):
             shift(make_discrete([(0.0, 0.5), (1.7e308, 0.5)]), 5e307)
 
+    def test_moved_independent_sum_is_affine(self):
+        total = IndependentSum((make_gaussian(0, 1), make_discrete([(0, 0.5), (1, 0.5)])))
+        assert scale(total, 2.0) == Affine(total, 2.0, 0.0)
+        assert shift(total, 3.0) == Affine(total, 1.0, 3.0)
+
 
 class TestAddIndependent:
     def test_two_by_two_convolution(self):

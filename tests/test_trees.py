@@ -19,6 +19,7 @@ from flexcurve import (
     rollback,
 )
 
+from flexcurve import trees
 from flexcurve.prospects import _logsumexp
 
 from conftest import random_tree, utility_rollback
@@ -276,6 +277,18 @@ class TestPolicies:
         assert len(policies) == 1
         assert policies[0].choice == {}
 
+    def test_policy_count_past_the_cap_is_refused(self, monkeypatch):
+        # three binary decisions under one chance node: the count stops at 4, past the cap
+        nodes = {"root": ChanceNode(tuple((1 / 3, f"d{i}") for i in range(3)))}
+        for i in range(3):
+            nodes[f"d{i}"] = DecisionNode((("a", f"a{i}"), ("b", f"b{i}")))
+            nodes[f"a{i}"], nodes[f"b{i}"] = TerminalNode(0.0), TerminalNode(1.0)
+        tree = DecisionTree(nodes, "root")
+        assert len(enumerate_policies(tree)) == 8
+        monkeypatch.setattr(trees, "POLICY_COUNT_CAP", 2)
+        with pytest.raises(ValueError, match=r"^policy count 4 exceeds cap 2$"):
+            enumerate_policies(tree)
+
     def test_direct_terminal_policy_prospect(self):
         tree = simple_tree()
         assert policy_prospect(tree, Policy({"root": "sure"})).values == (10.0,)
@@ -458,6 +471,20 @@ class TestBatchedRollback:
     def test_risk_neutral_is_expected_value(self, tree):
         # At r = 0 the utility oracle is the identity: an fsum expected value.
         assert rollback(tree, 0.0)[0] == pytest.approx(utility_rollback(tree, 0.0), rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree=hypothesis_trees(), r=st.floats(1e-4, 3.0))
+    def test_every_column_holds_a_rollback(self, tree, r):
+        # One pass gives every row's values at every rho; each column reads
+        # the rollback at its rho, plan included.
+        rhos = [0.0, r, 4.0 * r]
+        plan = trees._compile(tree._table, tree.root)
+        values = trees._evaluate(plan, np.array(rhos))
+        assert values.shape == (len(plan.ids), len(rhos))
+        for column, rho in zip(values.T.tolist(), rhos):
+            ce, policy = rollback(tree, rho)
+            assert column[-1] == ce
+            assert trees._reachable_choices(tree._table, plan.rows, column) == policy.choice
 
     def test_tie_goes_to_smallest_label_at_every_k(self):
         leaf = lambda tag: {  # noqa: E731
