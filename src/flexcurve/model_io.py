@@ -83,9 +83,12 @@ def _expect(condition: bool, path: str, reason: str) -> None:
 
 
 def _number(raw: Any, path: str) -> float:
-    """raw as a finite float; an error names the path."""
+    """raw as a finite float; an error names the path.  An integer past the float range is not finite."""
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        value = float(raw)
+        try:
+            value = float(raw)
+        except OverflowError:
+            value = math.inf
         _expect(math.isfinite(value), path, "number must be finite")
         return value
     raise ModelError(f"{path}: expected a number")
@@ -307,6 +310,10 @@ def parse_model(text: str | bytes) -> ModelDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ModelError("document nested deeper than the JSON decoder's limit") from None
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ModelError(f"malformed number: {exc}") from None
     _expect(isinstance(raw, dict), "document", "top level must be an object")
 
     raw_prospects = raw.get("prospects", {})

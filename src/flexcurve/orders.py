@@ -547,14 +547,18 @@ def _grid_envelope(
     best = np.argmax(ces, axis=0)
 
     # Grid gaps where the top curve changes, from the one on top at the left
-    # end to the one on top at the right end.
+    # end to the one on top at the right end.  A gap is refined as a crossing
+    # when the difference flips sign and clears the tie tolerance of
+    # ``_scan_difference`` at one end at least: a flip within rounding noise
+    # keeps its midpoint cut, and the span labels' tie rule merges it away.
     t = np.flatnonzero(best[1:] != best[:-1])
     above, below = best[t], best[t + 1]
     g_lo = ces[above, t] - ces[below, t]
     g_hi = ces[above, t + 1] - ces[below, t + 1]
     cuts = _geometric_means(ks[t], ks[t + 1])
+    tol_lo, tol_hi = (_TIE_EPS * (1.0 + np.maximum(np.abs(ces[above, j]), np.abs(ces[below, j]))) for j in (t, t + 1))
     with np.errstate(over="ignore"):  # a product past the float range keeps its sign
-        crossing = g_lo * g_hi < 0.0
+        crossing = (g_lo * g_hi < 0.0) & ((np.abs(g_lo) > tol_lo) | (np.abs(g_hi) > tol_hi))
     first, second = above[crossing], below[crossing]
 
     def diff(rows: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -25,6 +25,11 @@ segment of a log-sum-exp kernel, so the pass makes a single kernel call
 (``_lse_segments``), and the Gaussian parts, the offsets and the sum over
 each form's parts follow as whole-array arithmetic.  A prospect caches
 its own pack; every row is, bit for bit, what the prospect alone gives.
+The kernel's contract: ascending supports in, one segments x t array
+out, and a segment whose exponents leave the float range comes back NaN;
+the pass then raises OverflowError in the words of its first such part.
+Its block reducer ``_lse_block`` also serves the tree rollback, whose
+chance nodes give it their children's values unsorted.
 """
 
 from __future__ import annotations
@@ -414,28 +419,24 @@ def add_independent(x: Prospect, z: Prospect) -> Prospect:
 class _Segments:
     """Discrete supports side by side for one kernel call, a zero column ahead of each (see ``_lse_segments``).
 
-    ``low`` and ``high`` index each segment's smallest and largest value;
-    they default to the ends of each part's ascending support.  Each zero
-    column holds its segment's smallest value, where its exponents peak
-    when t < 0: ``zeroed`` is the weights with 0 at that value too, and
-    ``peak_weights`` is each segment's weight there.
+    Every part is a Discrete's ascending support: a segment's smallest
+    value is the one after its zero column and its largest ends it.  Each
+    zero column holds its segment's smallest value, where its exponents
+    peak when t < 0: ``zeroed`` is the weights with 0 at that value too,
+    and ``peak_weights`` is each segment's weight there.
     """
 
-    def __init__(self, parts: Sequence[_Part], low: Optional[np.ndarray] = None, high: Optional[np.ndarray] = None) -> None:
+    def __init__(self, parts: Sequence[_Part]) -> None:
         sizes = [len(p.values) + 1 for p in parts]
         bounds = np.fromiter(accumulate(sizes, initial=0), int, len(sizes) + 1)
         self.starts = bounds[:-1]
+        self._high = bounds[1:] - 1
         self.segment = np.repeat(np.arange(len(parts)), sizes) if len(parts) > 1 else None
         self.weights = np.concatenate([a for p in parts for a in (_ZERO, p.masses)])
         self.values = np.concatenate([a for p in parts for a in (p.values[:1], p.values)])
-        if low is None:
-            low = self.starts + 1
-        else:
-            self.values[self.starts] = self.values[low]
-        self._high = bounds[1:] - 1 if high is None else high
         self.zeroed = self.weights.copy()
-        self.zeroed[low] = 0.0
-        self.peak_weights = self.weights[low]
+        self.zeroed[self.starts + 1] = 0.0
+        self.peak_weights = self.weights[self.starts + 1]
         self.log_peak_weights = np.log(self.peak_weights)
         scales = [p.scale for p in parts]
         self.scales = None if all(s == 1.0 for s in scales) else np.asarray(scales)
@@ -489,7 +490,7 @@ def _pack(prospects: Sequence[Prospect]) -> _Packed:
     )
 
 
-def _lse_segments(ts: np.ndarray, seg: _Segments) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+def _lse_segments(ts: np.ndarray, seg: _Segments) -> np.ndarray:
     """ln sum_j w_j exp(s * t * v_j) over each segment's support (v, w) and factor s, at every t: a segments x t array.
 
     Each segment's exponents are shifted by its largest; the weight at that
@@ -512,25 +513,18 @@ def _lse_segments(ts: np.ndarray, seg: _Segments) -> Tuple[np.ndarray, Optional[
 
     Blocks hold at most ``_LSE_BLOCK_ELEMENTS`` elements, split over rows
     and runs of whole segments; the blocks of one run reuse one buffer.
-    Raises nothing: when some segment's reach, its largest |s*t*value|, is
-    not finite, every segment's reach is returned with the array, and such
-    a segment's column is evaluated at t = 0 instead.
+    Raises nothing: a segment whose reach, its largest |s*t*value|, is not
+    finite is evaluated as it stands, warnings silenced, and its row is NaN.
     """
     t_lo, t_hi = (float(ts[0]),) * 2 if len(ts) == 1 else (float(ts.min()), float(ts.max()))
     t_abs = max(abs(t_lo), abs(t_hi))
     # Some s*t*value overflows exactly when the product of the largest |s*t|
     # and |value| does; without factors that is the widest segment's.
     reach = t_abs * seg.largest if seg.scales is None else float(seg.reaches(t_abs).max())
-    scales, reaches = seg.scales, None
-    if not math.isfinite(reach):
-        reaches = seg.reaches(t_abs)
-        scales = np.where(np.isfinite(reaches), 1.0 if seg.scales is None else seg.scales, 0.0)
     factors = None
-    if scales is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            factors = scales[:, None] * ts
-        # a segment out of reach is evaluated at t = 0 (0 * inf is nan)
-        factors[scales == 0.0] = 0.0
+    if seg.scales is not None:
+        with np.errstate(over="ignore"):
+            factors = seg.scales[:, None] * ts
     # A shifted exponent more than the float range below its peak is -inf,
     # whose exp is the 0 it stands for, and a row's sum divided by a tiny
     # peak weight can overflow (the row is then summed with its peak weight
@@ -538,9 +532,13 @@ def _lse_segments(ts: np.ndarray, seg: _Segments) -> Tuple[np.ndarray, Optional[
     # float range and the peak weights are at least 2**-960 of weights
     # summing to under 1e19: the weights are a Discrete's masses, which its
     # constructor checks sum to 1.
+    finite = math.isfinite(reach)
     noisy = not reach <= _HALF_FLOAT_MAX or seg.heavy
-    with np.errstate(divide="ignore", over="ignore") if noisy else nullcontext():
-        return _lse_side(ts, factors, seg, t_hi < 0.0, noisy), reaches
+    with np.errstate(divide="ignore", over="ignore", invalid=None if finite else "ignore") if noisy else nullcontext():
+        out = _lse_side(ts, factors, seg, t_hi < 0.0, noisy)
+    if not finite:
+        out[~np.isfinite(seg.reaches(t_abs))] = np.nan
+    return out
 
 
 def _lse_side(ts: np.ndarray, factors: Optional[np.ndarray], seg: _Segments, negative: bool, noisy: bool) -> np.ndarray:
@@ -634,21 +632,6 @@ def _lse_block(
     return out
 
 
-def _logsumexp(ts: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """ln sum_j weights[j] * exp(ts[i] * values[j]) for every i: the one-segment call of ``_lse_segments``.
-
-    ``values`` need not be sorted or distinct.  Raises OverflowError when
-    any exponent t*value, or any result, is not finite.
-    """
-    low, high = np.array([1 + int(values.argmin())]), np.array([1 + int(values.argmax())])
-    out, reaches = _lse_segments(ts, _Segments((_Part(values, weights, 0.0, 0.0, 1.0, 0.0),), low, high))
-    if reaches is not None:
-        raise OverflowError(f"log-MGF overflow: |t*value| reaches {float(reaches[0])!r}")
-    if not np.isfinite(out).all():
-        raise OverflowError("log-MGF overflow: result out of floating-point range")
-    return out[0]
-
-
 def _log_mgf_grid(prospects: Union[Sequence[Prospect], _Packed], ts: np.ndarray, over_t: bool = False) -> np.ndarray:
     """ln E{exp(t*X)} of every prospect at every t in a 1-D float array: one row per prospect.
 
@@ -675,16 +658,13 @@ def _log_mgf_grid(prospects: Union[Sequence[Prospect], _Packed], ts: np.ndarray,
         pack = prospects
     else:
         pack = prospects[0]._packed if len(prospects) == 1 else _pack(prospects)
-    if pack.segments is None:
-        kernel, reaches = np.empty((0, len(ts))), None
-    else:
-        kernel, reaches = _lse_segments(ts, pack.segments)
+    kernel = np.empty((0, len(ts))) if pack.segments is None else _lse_segments(ts, pack.segments)
     out = result = kernel if pack.plain else _combine(pack, kernel, ts)
     if over_t:
         with np.errstate(over="ignore"):
             result = out / ts
-    if reaches is not None or not np.isfinite(result).all():
-        _raise_first_overflow(pack, ts, kernel, reaches, out, result if over_t else None)
+    if not np.isfinite(result).all():
+        _raise_first_overflow(pack, ts, kernel, out, result if over_t else None)
     return result
 
 
@@ -722,20 +702,14 @@ def _combine(pack: _Packed, kernel: np.ndarray, ts: np.ndarray) -> np.ndarray:
         return out
 
 
-def _raise_first_overflow(
-    pack: _Packed,
-    ts: np.ndarray,
-    kernel: np.ndarray,
-    reaches: Optional[np.ndarray],
-    out: np.ndarray,
-    quotients: Optional[np.ndarray],
-) -> None:
+def _raise_first_overflow(pack: _Packed, ts: np.ndarray, kernel: np.ndarray, out: np.ndarray, quotients: Optional[np.ndarray]) -> None:
     """Raise OverflowError for the first form, and part in it, whose log-MGF (or its quotient by t) is not finite, if any."""
+    reaches = None if pack.segments is None else pack.segments.reaches(float(np.abs(ts).max()))
     segment = 0
     for p, form in enumerate(pack.forms):
         for values, _, mean, variance, s, _ in form:
             if values is not None:
-                if reaches is not None and not math.isfinite(reaches[segment]):
+                if not math.isfinite(reaches[segment]):
                     raise OverflowError(f"log-MGF overflow: |t*value| reaches {float(reaches[segment])!r}")
                 if not np.isfinite(kernel[segment]).all():
                     raise OverflowError("log-MGF overflow: result out of floating-point range")

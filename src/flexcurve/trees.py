@@ -20,13 +20,17 @@ interpreter's recursion limit.
 
 A rollback or curve reads its subtree's rows into arrays, groups the inner
 rows into levels (one kind at one depth), then makes one pass over the
-levels, deepest first, for a whole vector of aversions: the chance nodes
-of a level run on the prospect kernel, one call of its block reducer
-``prospects._lse_block`` over a (k x children) block, whose max pass finds
-each node's peak and masks it (the kernel's peak rule for every call
-whose t are not all negative), and the decision nodes get one segmented
-max.  Each node's arithmetic is that of the kernel on its children alone,
-so results do not depend on the batching.
+levels, deepest first, for a whole vector of aversions.  A level holds its
+children once, in the prospect kernel's layout: a zero column reading a
+node's first child again, then its children.  Chance nodes run on one
+call of the kernel's block reducer ``prospects._lse_block``, whose max
+pass (the peak rule that needs no ascending support) finds each node's
+peak, and one array comes back; decisions, the maximin and the overflow
+flags reduce the layout at the zero columns, where the first child read
+twice changes no max, min or logical or.  Each node's arithmetic is that
+of the kernel on its children alone, so results do not depend on the
+batching, and a chance node over terminals gives, bit for bit, the
+certain equivalent of the Discrete over them.
 """
 
 from __future__ import annotations
@@ -244,19 +248,16 @@ class Policy:
 
 
 class _Level(NamedTuple):
-    """Inner rows of one kind and depth; their children are the segments of ``children``.
+    """Inner rows of one kind and depth, their children read once, in the prospect kernel's layout.
 
-    ``starts`` holds the segment offsets.  ``laid`` reads the children's
-    rows in the prospect kernel's layout: a zero column, at ``heads``,
-    ahead of each segment, which reads the segment's first child;
-    ``spread`` holds each column's segment (None for one segment).
-    ``weights`` holds the probabilities by column, 0 in the zero columns,
-    at chance levels only.
+    ``laid`` reads each row's children as one segment, behind a zero column
+    at ``heads`` that reads the segment's first child again (which changes
+    no max, min or logical or); ``spread`` holds each column's segment (None
+    for one segment).  ``weights`` holds the probabilities by column, 0 in
+    the zero columns, at chance levels only.
     """
 
     rows: np.ndarray
-    children: np.ndarray
-    starts: np.ndarray
     weights: Optional[np.ndarray]
     laid: np.ndarray
     heads: np.ndarray
@@ -319,20 +320,18 @@ def _compile(table: _Table, node_id: str) -> _Plan:
     lead = begins[opens.cumsum() - 1]
     rel_starts = offset - offset[lead]
     rel_node = np.arange(len(key)) - lead
-    children, weights = local[take], weights[take]
     # The kernel's layouts of all levels side by side: each node's first
     # child read twice, the first time into its zero column.
     twice = np.ones(m, np.intp)
     twice[offset] = 2
-    laid, padded = children.repeat(twice), weights.repeat(twice)
+    laid, padded = local[take].repeat(twice), weights[take].repeat(twice)
     padded[offset + np.arange(len(key))] = 0.0
     heads = rel_starts + rel_node
     spread = rel_node.repeat(size + 1)
     n0s, k0s = begins.tolist(), offset[begins].tolist()
     levels = [
         _Level(
-            node_rows[n0:n1], children[k0:k1], rel_starts[n0:n1],
-            padded[k0 + n0 : k1 + n1] if chance else None, laid[k0 + n0 : k1 + n1], heads[n0:n1],
+            node_rows[n0:n1], padded[k0 + n0 : k1 + n1] if chance else None, laid[k0 + n0 : k1 + n1], heads[n0:n1],
             spread[k0 + n0 : k1 + n1] if n1 - n0 > 1 else None,
         )
         for n0, n1, k0, k1, chance in zip(n0s, n0s[1:] + [len(key)], k0s, k0s[1:] + [m], chance_of[begins].tolist())
@@ -364,7 +363,7 @@ def _chance_values(
         ces[:, mean] = np.add.reduceat(terms, level.heads, axis=1).T
     if math.isfinite(lowest) and np.isfinite(ces).all():
         return ces, None
-    flags = ~np.isfinite(ces) | np.logical_or.reduceat(~np.isfinite(values[level.children] * t), level.starts)
+    flags = ~np.isfinite(ces) | np.logical_or.reduceat(~np.isfinite(values[level.laid] * t), level.heads)
     ces[flags] = np.nan
     return ces, flags
 
@@ -383,7 +382,7 @@ def _evaluate(plan: _Plan, rho: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         for level in plan.levels:
             if level.weights is None:
-                best = np.maximum.reduceat(values[level.children], level.starts)
+                best = np.maximum.reduceat(values[level.laid], level.heads)
             else:
                 best, flags = _chance_values(values, level, t, mean, plan.noisy)
                 if flags is not None:
@@ -400,7 +399,7 @@ def _maximin(plan: _Plan) -> float:
     low = plan.payoffs.copy()
     for level in plan.levels:
         reduce = np.maximum if level.weights is None else np.minimum
-        low[level.rows] = reduce.reduceat(low[level.children], level.starts)
+        low[level.rows] = reduce.reduceat(low[level.laid], level.heads)
     return float(low[-1])
 
 

@@ -19,6 +19,7 @@ from flexcurve import (
     money_of_utility,
     utility_of_money,
 )
+from flexcurve.prospects import _TINY_PEAK_WEIGHT, _lse_block
 
 
 @pytest.fixture
@@ -182,3 +183,25 @@ def utility_rollback(tree, r):
         else:
             utility[nid] = max(utility[cid] for _, cid in node.children)
     return money_of_utility(utility[tree.root], r)
+
+
+def tree_pass_lse(ts, values, weights):
+    """ln sum_j weights[j] exp(ts[i] * values[j]) for every i, by the tree pass's call of the kernel's block reducer.
+
+    The values may be unsorted or repeated, as a chance node's child values
+    are: the call is that of ``trees._chance_values`` on one chance node, a
+    zero column reading the first value with weight 0, then every value,
+    with no peak weights, so a max pass finds the peak.  Raises
+    OverflowError when an exponent t*value or a result is not finite.
+    """
+    ts, values, weights = (np.asarray(a, dtype=float) for a in (ts, values, weights))
+    padded = np.concatenate(([0.0], weights))
+    with np.errstate(all="ignore"):
+        exponents = np.multiply.outer(ts, np.concatenate((values[:1], values)))
+        if not np.isfinite(exponents).all():
+            raise OverflowError("exponent t*value out of floating-point range")
+        noisy = bool(weights.min() < _TINY_PEAK_WEIGHT)
+        out = _lse_block(exponents, None, None, padded, padded, np.zeros(1, np.intp), None, noisy)[0]
+    if not np.isfinite(out).all():
+        raise OverflowError("result out of floating-point range")
+    return out

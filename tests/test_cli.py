@@ -189,6 +189,38 @@ class TestFailureModes:
         assert code == 3 and out == ""
         assert err.startswith("error:parse:")
 
+    BIG = "1" + "0" * 399  # past the float range as an integer literal
+    PAST_DIGIT_LIMIT = "1" * 5000
+    DIGIT_LIMIT_MESSAGE = (
+        "error:parse: malformed number: Exceeds the limit"
+        if hasattr(sys, "get_int_max_str_digits")
+        else "error:parse: prospects.x.points[0][0]: number must be finite"
+    )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"prospects": ' + "[" * 200_000 + "]" * 200_000 + "}", "error:parse: document nested deeper than the JSON decoder's limit\n"),
+            ('{"prospects": {"x": {"kind": "discrete", "points": [[%s, 1]]}}}' % BIG, "error:parse: prospects.x.points[0][0]: number must be finite\n"),
+            ('{"prospects": {"x": {"kind": "discrete", "points": [[1e400, 1]]}}}', "error:parse: prospects.x.points[0][0]: number must be finite\n"),
+            ('{"prospects": {"x": {"kind": "discrete", "points": [[-%s, 1]]}}}' % BIG, "error:parse: prospects.x.points[0][0]: number must be finite\n"),
+            ('{"tree": {"root": "t", "nodes": {"t": {"kind": "terminal", "payoff": %s}}}}' % BIG, "error:parse: tree.nodes.t.payoff: number must be finite\n"),
+            (
+                '{"tree": {"root": "c", "nodes": {"c": {"kind": "chance", "children": [[%s, "t"]]}, "t": {"kind": "terminal", "payoff": 1}}}}' % BIG,
+                "error:parse: tree.nodes.c.children[0][0]: number must be finite\n",
+            ),
+            ('{"defaults": {"r": %s}}' % BIG, "error:parse: defaults.r: number must be finite\n"),
+            ('{"prospects": {"x": {"kind": "discrete", "points": [[%s, 1]]}}}' % PAST_DIGIT_LIMIT, DIGIT_LIMIT_MESSAGE),
+        ],
+        ids=["deep", "int_past_float_range", "float_past_float_range", "negative_int", "payoff", "probability", "defaults_r", "digit_limit"],
+    )
+    def test_malformed_numbers_and_deep_documents_are_parse_errors(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "rollback", "--model", str(path), "--r", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith(message) and "Traceback" not in err
+
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "ce", "--model", str(tmp_path / "nope.json"), "--id", "x", "--r", "0.1"

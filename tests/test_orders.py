@@ -312,7 +312,7 @@ class TestUpperEnvelope:
         assert segments == [type(segments[0])(1.0, 4.0, ("only",))]
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_one_distribution_built_three_ways_is_one_segment(self, seed):
+    def test_one_distribution_built_three_ways_is_one_segment(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
         x = make_discrete([(float(v), 1.0 / n) for v in rng.uniform(-10, 10, n)])
@@ -322,7 +322,14 @@ class TestUpperEnvelope:
         ks = _geometric_grid(1.0, 100.0)
         best = np.argmax(np.array([[certain_equivalent(p, k * 0.1) for k in ks] for _, p in items]), axis=0)
         assert (best[1:] != best[:-1]).any()
+        # the flips are within the tie tolerance: no bracket is refined, and
+        # the envelope takes the grid's pass and the span labels' pass only
+        passes, brackets = [], []
+        real_ce, real_refine = orders._certain_equivalents, orders._refine
+        monkeypatch.setattr(orders, "_certain_equivalents", lambda ps, rhos: passes.append(1) or real_ce(ps, rhos))
+        monkeypatch.setattr(orders, "_refine", lambda f, lo, *rest: brackets.append(len(lo)) or real_refine(f, lo, *rest))
         assert upper_envelope(items, 0.1, (1.0, 100.0)) == [orders.EnvelopeSegment(1.0, 100.0, ("a", "b", "c"))]
+        assert (sum(brackets), len(passes)) == (0, 2)
 
     def test_identical_prospects_tie(self):
         items = [("a", make_gaussian(3, 1)), ("b", make_gaussian(3, 1))]

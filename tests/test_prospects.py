@@ -25,9 +25,9 @@ from flexcurve import (
     upper_envelope,
 )
 from flexcurve import prospects
-from flexcurve.prospects import _LSE_BLOCK_ELEMENTS, _log_mgf_grid, _logsumexp
+from flexcurve.prospects import _LSE_BLOCK_ELEMENTS, _log_mgf_grid, _lse_segments, _Part, _Segments
 
-from conftest import random_discrete
+from conftest import random_discrete, tree_pass_lse
 
 
 def discrete_strategy(max_size=6, min_size=1, min_mass=0.05):
@@ -182,6 +182,15 @@ class TestLogMgf:
         assert mid <= (log_mgf(x, t1) + log_mgf(x, t2)) / 2 + 1e-12
 
 
+def one_part_lse(ts, values, weights):
+    """ln sum_j weights[j] exp(ts[i] * values[j]) for every i: the kernel on one ascending support.
+
+    The row of a segment whose exponents leave the float range is NaN.
+    """
+    ts, values, weights = (np.asarray(a, dtype=float) for a in (ts, values, weights))
+    return _lse_segments(ts, _Segments((_Part(values, weights, 0.0, 0.0, 1.0, 0.0),)))[0]
+
+
 def reference_logsumexp(t, values, weights):
     """ln sum_j weights[j] exp(t values[j]) by a plain loop and math.fsum."""
     exponents = [t * v for v in values]
@@ -206,7 +215,7 @@ class TestLogSumExpKernel:
         # unsorted values with repeats, as a chance node's child CEs are
         values = np.asarray([v for v, _ in pairs] * 2)
         weights = np.asarray([w for _, w in pairs] * 2)
-        got = _logsumexp(np.asarray(ts), values, weights)
+        got = tree_pass_lse(ts, values, weights)
         for t, g in zip(ts, got):
             want = reference_logsumexp(t, values, weights)
             assert g == pytest.approx(want, rel=1e-12, abs=1e-12 * (1 + abs(t) * 1e3))
@@ -219,14 +228,18 @@ class TestLogSumExpKernel:
             weights /= weights.sum()
             ts = -np.geomspace(1e-3, 10.0, rows)
             assert rows * n > 4 * _LSE_BLOCK_ELEMENTS
-            batched = _logsumexp(ts, values, weights)
-            single = [_logsumexp(ts[i : i + 1], values, weights)[0] for i in range(rows)]
+            batched = one_part_lse(ts, values, weights)
+            single = [one_part_lse(ts[i : i + 1], values, weights)[0] for i in range(rows)]
             assert batched.tolist() == single
 
     def test_overflow_on_negative_infinite_exponent(self):
-        # exp(-inf) would contribute 0, but the exponent itself is out of range
-        with pytest.raises(OverflowError, match="t\\*value"):
-            _logsumexp(np.asarray([-1e10]), np.asarray([0.0, 1e300]), np.asarray([0.5, 0.5]))
+        # exp(-inf) would contribute 0, but the exponent itself is out of range:
+        # the kernel's row is NaN, and the log-MGF raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(one_part_lse([-1e10], [0.0, 1e300], [0.5, 0.5])).all()
+        with pytest.raises(OverflowError, match="\\|t\\*value\\| reaches inf"):
+            log_mgf(make_discrete([(0.0, 0.5), (1e300, 0.5)]), -1e10)
 
 
     def test_tiny_peak_weight_gives_the_finite_result(self):
@@ -236,11 +249,11 @@ class TestLogSumExpKernel:
         ts, values, weights = np.asarray([-1.0, 0.5]), np.asarray([0.0, 1.0]), np.asarray([1e-310, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _logsumexp(ts, values, weights)
+            got = one_part_lse(ts, values, weights)
             ce = certain_equivalent(make_discrete([(0.0, 1e-310), (1.0, 1.0)]), 1.0)
             # the tiny weight at the largest value, the peak when t > 0:
             # ln(1 + 1e-310 * e) = 0
-            high = _logsumexp(np.asarray([1.0]), values, np.asarray([1.0, 1e-310]))
+            high = one_part_lse([1.0], values, [1.0, 1e-310])
         assert got.tolist() == [-1.0, 0.5]
         assert ce == 1.0
         assert high.tolist() == [0.0]
@@ -276,10 +289,18 @@ def frozen_logsumexp(ts, values, weights):
 
 
 def assert_same_bits(ts, values, weights, block=_LSE_BLOCK_ELEMENTS):
-    """The kernel, run in blocks of ``block`` elements, equals the frozen one bit for bit."""
+    """The kernel on an ascending support, run in blocks of ``block`` elements, equals the frozen one bit for bit."""
     ts, values, weights = (np.asarray(a, dtype=float) for a in (ts, values, weights))
     with mock.patch.object(prospects, "_LSE_BLOCK_ELEMENTS", block):
-        got = _logsumexp(ts, values, weights)
+        got = one_part_lse(ts, values, weights)
+    assert got.tolist() == frozen_logsumexp(ts, values, weights).tolist()
+
+
+def assert_tree_pass_same_bits(ts, values, weights, block=_LSE_BLOCK_ELEMENTS):
+    """The tree pass's call over any values, on row blocks of ``block`` elements, equals the frozen kernel bit for bit."""
+    ts, values, weights = (np.asarray(a, dtype=float) for a in (ts, values, weights))
+    rows = max(1, block // (len(values) + 1))
+    got = np.concatenate([tree_pass_lse(ts[r0 : r0 + rows], values, weights) for r0 in range(0, len(ts), rows)])
     assert got.tolist() == frozen_logsumexp(ts, values, weights).tolist()
 
 
@@ -331,7 +352,7 @@ def repeated_supports(draw):
 
 
 class TestKernelMatchesFrozen:
-    """The kernel equals the frozen reference bit for bit on every input."""
+    """The kernel equals the frozen reference bit for bit: the prospect pass on ascending supports, the tree pass on any values."""
 
     @given(sorted_supports(), kernel_ts)
     @settings(max_examples=150, deadline=None)
@@ -346,7 +367,7 @@ class TestKernelMatchesFrozen:
     @given(repeated_supports(), kernel_ts)
     @settings(max_examples=150, deadline=None)
     def test_unsorted_repeated_values(self, support, ts):
-        assert_same_bits(ts, *support)
+        assert_tree_pass_same_bits(ts, *support)
 
     @given(kernel_values, st.floats(min_value=1e-6, max_value=1.0), kernel_ts)
     @settings(max_examples=100, deadline=None)
@@ -356,9 +377,11 @@ class TestKernelMatchesFrozen:
     @given(st.one_of(sorted_supports(12), ulp_run_supports(), repeated_supports()), kernel_ts, st.data())
     @settings(max_examples=150, deadline=None)
     def test_blocks_of_any_size(self, support, ts, data):
-        # a block of 1 to 3 rows of elements, so a call spans several blocks
+        # a block of 1 to 3 rows of elements, so a call spans several blocks;
+        # unsorted or repeated values go through the tree pass's call
         block = data.draw(st.integers(min_value=1, max_value=3 * len(support[0])))
-        assert_same_bits(ts, *support, block=block)
+        ascending = all(a < b for a, b in zip(support[0], support[0][1:]))
+        (assert_same_bits if ascending else assert_tree_pass_same_bits)(ts, *support, block=block)
 
     def test_mixed_signs_and_zero_in_one_call(self):
         values = [-40.0, -2.5, 0.0, 13.0, 99.0]
@@ -369,7 +392,7 @@ class TestKernelMatchesFrozen:
         ts, values, weights = np.asarray([-1.0, 1.0]), np.asarray([-1e308, 1e308]), np.asarray([0.5, 0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _logsumexp(ts, values, weights)
+            got = one_part_lse(ts, values, weights)
         with np.errstate(over="ignore"):
             assert got.tolist() == frozen_logsumexp(ts, values, weights).tolist()
 

@@ -3,13 +3,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flexcurve import (
     ChanceNode,
     DecisionNode,
     DecisionTree,
+    Discrete,
     Policy,
     TerminalNode,
     certain_equivalent,
@@ -20,9 +21,8 @@ from flexcurve import (
 )
 
 from flexcurve import trees
-from flexcurve.prospects import _logsumexp
 
-from conftest import random_tree, utility_rollback
+from conftest import random_tree, tree_pass_lse, utility_rollback
 
 
 def simple_tree():
@@ -173,6 +173,29 @@ class TestRollback:
             assert rollback(shifted, 0.2)[0] == pytest.approx(
                 rollback(tree, 0.2)[0] + c, abs=1e-9
             )
+
+
+class TestChanceNodeIsItsProspect:
+    """A chance node over terminals and the Discrete over the same payoffs run one kernel: the same CE bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        payoffs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12, unique=True),
+        rs=st.lists(st.floats(1e-4, 5.0), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_rollback_is_the_certain_equivalent(self, payoffs, rs, data):
+        values = sorted(payoffs)
+        weights = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(values), max_size=len(values)))
+        total = math.fsum(weights)
+        probs = tuple(w / total for w in weights)
+        assume(abs(math.fsum(probs) - 1.0) <= 1e-12)
+        nodes = {"c": ChanceNode(tuple((p, f"t{i}") for i, p in enumerate(probs)))}
+        nodes.update((f"t{i}", TerminalNode(v)) for i, v in enumerate(values))
+        tree = DecisionTree(nodes, "c")
+        prospect = Discrete(tuple(values), probs)
+        for r in rs + [1e-3, 0.1, 1.0]:
+            assert rollback(tree, r)[0] == certain_equivalent(prospect, r)
 
 
 class TestNodeCurve:
@@ -377,7 +400,7 @@ class TestDeepTrees:
 
 
 def scalar_rollback(tree, node_id, rho):
-    """Per-rho reference: the one-node log-sum-exp kernel at every chance node.
+    """Per-rho reference: the tree pass's kernel call on one node at every chance node.
 
     Children are visited in the order of recursive backward induction
     (label-sorted at decisions); returns the CE, the label chosen at every
@@ -400,7 +423,7 @@ def scalar_rollback(tree, node_id, rho):
             ces = np.array([values[cid] for _, cid in pairs])
             probs = np.array([p for p, _ in pairs])
             try:
-                lse = _logsumexp(np.array([-rho]), ces, probs)
+                lse = tree_pass_lse(np.array([-rho]), ces, probs)
             except OverflowError:
                 raise OverflowError(f"rollback overflow at chance node {nid!r}") from None
             values[nid] = float(-lse[0] / rho)
@@ -526,6 +549,19 @@ class TestBatchedRollback:
             node_curve(tree, "root", 2.0, (1.0, 10.0, 100.0))
         with pytest.raises(OverflowError, match="chance node 'a'"):
             node_curve(tree, "root", 2.0, (1.0, 100.0))
+
+    def test_an_exponent_below_the_float_range_overflows_as_the_prospect_does(self):
+        # At rho = 300 the exponent of 1e306 is -inf, whose exp adds 0: the CE
+        # would be finite, but the prospect over the same children raises, and
+        # so does the chance node, in rollback and at that k of a curve.
+        tree = DecisionTree({"c": ChanceNode(((0.5, "a"), (0.5, "b"))), "a": TerminalNode(0.0), "b": TerminalNode(1e306)}, "c")
+        with pytest.raises(OverflowError, match="reaches inf"):
+            certain_equivalent(Discrete((0.0, 1e306), (0.5, 0.5)), 300.0)
+        with pytest.raises(OverflowError, match="chance node 'c'"):
+            rollback(tree, 300.0)
+        with pytest.raises(OverflowError, match="chance node 'c'"):
+            node_curve(tree, "c", 3.0, (1.0, 100.0))
+        assert node_curve(tree, "c", 3.0, (1.0,)).ces[0] == certain_equivalent(Discrete((0.0, 1e306), (0.5, 0.5)), 3.0)
 
     def test_large_finite_values_do_not_overflow(self):
         # No node overflows, though the CEs of a level, summed over every
