@@ -14,12 +14,16 @@ together: the first estimate interpolates the grid samples around the
 bracket (inverse quintic in log k), later ones take a secant step from
 the previous round's two points, and a geometric midpoint keeps the
 bracket shrinking whatever the function; on smooth curves one round of
-CE evaluations closes nearly every bracket.
+CE evaluations closes nearly every bracket.  Each round is one batched
+CE call for all open brackets; the bookkeeping between calls runs
+bracket by bracket on Python floats, cheaper than numpy calls on the few
+brackets a call holds, with the bits of array arithmetic in the same order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -233,8 +237,25 @@ def _geometric_grid(k_lo: float, k_hi: float) -> np.ndarray:
 # Grid offsets, from a bracket's left end, of the samples its first
 # estimate interpolates: three on either side, the bracket's ends among them.
 _STENCIL = np.arange(-2, 4)
-_LEFT = -int(_STENCIL[0])
-_SAMPLE = np.arange(len(_STENCIL))
+_LEFT, _RIGHT = -int(_STENCIL[0]), int(_STENCIL[-1])
+# For each sample, the others in order.
+_OTHERS = [tuple(m for m in range(len(_STENCIL)) if m != j) for j in range(len(_STENCIL))]
+
+
+def _lagrange_step(g: List[float], x: List[float]) -> float:
+    """log k at g = 0 less x[_LEFT], on the polynomial in g through (g, x); NaN on a zero denominator.
+
+    Weights prod_{m != j} g_m / (g_m - g_j), each product and the sum left to right as numpy reduces a row of six.
+    """
+    step = 0.0
+    for j, (m0, m1, m2, m3, m4) in enumerate(_OTHERS):
+        gj = g[j]
+        den = (g[m0] - gj) * (g[m1] - gj) * (g[m2] - gj) * (g[m3] - gj) * (g[m4] - gj)
+        if den == 0.0:
+            return math.nan
+        term = (x[j] - x[_LEFT]) * (g[m0] * g[m1] * g[m2] * g[m3] * g[m4] / den)
+        step = step + term if j else term
+    return step
 
 
 def _first_estimates(
@@ -252,35 +273,37 @@ def _first_estimates(
     The estimate is NaN, and ``_refine`` starts from the end-point secant
     root, when the bracket spans several steps or lies within two steps of
     an end of the grid, when the six samples are not strictly monotone (the
-    inverse is then not a function), or when the estimate falls outside
-    the bracket.
+    inverse is then not a function), when a product of the interpolation
+    leaves the float range, or when the estimate falls outside the
+    bracket.  The interpolation runs bracket by bracket on Python floats;
+    log and exp are one numpy call each over every usable bracket.
     """
     # Columns past the left end wrap around; those brackets are not used.
     cols = np.minimum(lo[:, None] + _STENCIL, len(ks) - 1)
-    g = sample(cols)
-    steps = g[:, 1:] - g[:, :-1]
-    usable = (
-        (hi == lo + 1)
-        & (lo + _STENCIL[0] >= 0)
-        & (lo + _STENCIL[-1] < len(ks))
-        & ((steps > 0.0).all(axis=1) | (steps < 0.0).all(axis=1))
-    )
-    g, cols = g[usable], cols[usable]
-    # Lagrange weights at g = 0: prod_{m != j} g_m / (g_m - g_j), each
-    # diagonal factor (m = j) set to 1.  A product that leaves the float
-    # range gives an estimate that is not inside the bracket.
-    numerators = np.repeat(g[:, None, :], len(_STENCIL), axis=1)
-    denominators = g[:, None, :] - g[:, :, None]
-    numerators[:, _SAMPLE, _SAMPLE] = denominators[:, _SAMPLE, _SAMPLE] = 1.0
-    with np.errstate(all="ignore"):
-        weights = numerators.prod(axis=2) / denominators.prod(axis=2)
-        x = np.log(ks[cols])
-        step = ((x - x[:, _LEFT, None]) * weights).sum(axis=1)
-        estimate = ks[lo[usable]] * np.exp(step)
-    inside = (estimate > ks[lo[usable]]) & (estimate < ks[hi[usable]])
-    out = np.full(len(lo), np.nan)
-    out[usable.nonzero()[0][inside]] = estimate[inside]
-    return out
+    samples = sample(cols).tolist()
+    usable = [
+        i
+        for i, (left, right, g) in enumerate(zip(lo.tolist(), hi.tolist(), samples))
+        if right == left + 1
+        and _LEFT <= left < len(ks) - _RIGHT
+        and (all(map(operator.lt, g, g[1:])) or all(map(operator.gt, g, g[1:])))
+    ]
+    out = [math.nan] * len(samples)
+    near = ks[cols[usable]]
+    steps = [_lagrange_step(samples[i], x) for i, x in zip(usable, np.log(near).tolist())]
+    with np.errstate(over="ignore"):
+        growth = np.exp(steps).tolist()
+    for i, k, e in zip(usable, near.tolist(), growth):
+        estimate = k[_LEFT] * e
+        if k[_LEFT] < estimate < k[_LEFT + 1]:
+            out[i] = estimate
+    return np.array(out)
+
+
+def _geometric_mean(a: float, b: float) -> float:
+    """``_geometric_means`` of two positive floats."""
+    mean = math.sqrt(a * b)
+    return mean if mean < math.inf else math.sqrt(a) * math.sqrt(b)
 
 
 def _refine(
@@ -308,56 +331,56 @@ def _refine(
     width at least halves every second round.  A bracket stops at
     b - a <= ROOT_REL_TOL * b and yields the secant root of its two ends,
     or the point where the function is exactly zero.  Each round makes one
-    ``diff`` call with two or three points per open bracket.
+    ``diff`` call with two or three points per open bracket, all of its
+    p1, then all of its p2, then the midpoints; the bookkeeping between
+    calls runs bracket by bracket on Python floats.
     """
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    ga, gb = np.array(g_lo, dtype=float), np.array(g_hi, dtype=float)
-    roots = a + ga * (b - a) / (ga - gb)
-    active = np.flatnonzero(b - a > ROOT_REL_TOL * b)
-    centre = roots.copy() if first is None else np.where(np.isnan(first), roots, first)
-    halved = np.ones(len(a), dtype=bool)
-    while active.size:
-        a0, b0, ga0, gb0 = a[active], b[active], ga[active], gb[active]
-        half = 0.25 * ROOT_REL_TOL * b0
+    a, b, ga, gb = lo.tolist(), hi.tolist(), g_lo.tolist(), g_hi.tolist()
+    roots = [x + gx * (y - x) / (gx - gy) for x, y, gx, gy in zip(a, b, ga, gb)]
+    centre = roots[:] if first is None else [root if math.isnan(f) else f for root, f in zip(roots, first.tolist())]
+    halved = [True] * len(a)
+    active = [i for i, (x, y) in enumerate(zip(a, b)) if y - x > ROOT_REL_TOL * y]
+    while active:
+        halves = [0.25 * ROOT_REL_TOL * b[i] for i in active]
         # Width > 4 * half, so both points lie strictly inside the bracket.
-        c = np.minimum(np.maximum(centre[active], a0 + 2.0 * half), b0 - 2.0 * half)
-        p1, p2 = c - half, c + half
-        stalled = np.flatnonzero(~halved[active])
-        mids = _geometric_means(a0[stalled], b0[stalled])
-        g = diff(np.concatenate([active, active, active[stalled]]), np.concatenate([p1, p2, mids]))
+        cs = [min(max(centre[i], a[i] + 2.0 * h), b[i] - 2.0 * h) for i, h in zip(active, halves)]
+        p1, p2 = [c - h for c, h in zip(cs, halves)], [c + h for c, h in zip(cs, halves)]
+        stalled = [i for i in active if not halved[i]]
+        mids = [_geometric_mean(a[i], b[i]) for i in stalled]
+        g = diff(np.array(active + active + stalled), np.array(p1 + p2 + mids)).tolist()
         n = len(active)
-        g1, g2 = g[:n], g[n : 2 * n]
-        # Each row: left end, the round's points in ascending order, right end.
-        # A bracket without a midpoint repeats p2, which cannot be kept
-        # as a bracket of zero width.
-        points = np.array([a0, p1, p2, p2, b0]).T
-        values = np.array([ga0, g1, g2, g2, gb0]).T
-        if stalled.size:
-            points[stalled, 3], values[stalled, 3] = mids, g[2 * n :]
-            order = np.argsort(points[stalled, 1:4], axis=1) + 1
-            points[stalled, 1:4] = np.take_along_axis(points[stalled], order, axis=1)
-            values[stalled, 1:4] = np.take_along_axis(values[stalled], order, axis=1)
-        hit = (values == 0.0) | ((values > 0.0) != (ga0 > 0.0)[:, None])
-        j = hit.argmax(axis=1)
-        rows = np.arange(n)
-        a1, b1 = points[rows, j - 1], points[rows, j]
-        ga1, gb1 = values[rows, j - 1], values[rows, j]
-        zero = gb1 == 0.0
-        a[active], b[active], ga[active], gb[active] = a1, b1, ga1, gb1
-        with np.errstate(over="ignore"):  # a square past the float range did not halve
-            halved[active] = np.square(b1 / a1) <= b0 / a0
+        third = dict(zip(stalled, zip(mids, g[2 * n :])))
+        still = []
+        for i, x1, x2, g1, g2 in zip(active, p1, p2, g[:n], g[n : 2 * n]):
+            # Left end, the round's points in ascending order, right end.
+            points, values = [a[i], x1, x2, b[i]], [ga[i], g1, g2, gb[i]]
+            if i in third:
+                at = 1 if third[i][0] < x1 else 2 if third[i][0] < x2 else 3
+                points.insert(at, third[i][0])
+                values.insert(at, third[i][1])
+            positive = ga[i] > 0.0
+            for j, v in enumerate(values):
+                if v == 0.0 or (v > 0.0) != positive:
+                    break
+            else:  # no value changes sign (a NaN end): the pair wraps around
+                j = 0
+            a1, b1, ga1, gb1 = points[j - 1], points[j], values[j - 1], values[j]
+            q = b1 / a1  # a square past the float range did not halve
+            halved[i] = q * q <= b[i] / a[i]
+            a[i], b[i], ga[i], gb[i] = a1, b1, ga1, gb1
 
-        # Next centre: the secant root through (p1, g1) and (p2, g2), or the
-        # new bracket's end-point secant root where that one does not lie
-        # inside the bracket.  Where g1 = g2 it is taken as p1, an end of
-        # the new bracket or outside it.
-        ends = a1 + ga1 * (b1 - a1) / (ga1 - gb1)
-        slope = np.where(g1 != g2, g1 - g2, np.inf)
-        newton = p1 + g1 * (p2 - p1) / slope
-        centre[active] = np.where((newton > a1) & (newton < b1), newton, ends)
-        roots[active] = np.where(zero, b1, ends)
-        active = active[~(zero | (b1 - a1 <= ROOT_REL_TOL * b1))]
-    return roots
+            # Next centre: the secant root through (p1, g1) and (p2, g2), or the
+            # new bracket's end-point secant root where that one does not lie
+            # inside the bracket.  Where g1 = g2 it is taken as p1, an end of
+            # the new bracket or outside it.
+            ends = a1 + ga1 * (b1 - a1) / (ga1 - gb1)
+            newton = x1 + g1 * (x2 - x1) / (g1 - g2 if g1 != g2 else math.inf)
+            centre[i] = newton if a1 < newton < b1 else ends
+            roots[i] = b1 if gb1 == 0.0 else ends
+            if not (gb1 == 0.0 or b1 - a1 <= ROOT_REL_TOL * b1):
+                still.append(i)
+        active = still
+    return np.array(roots)
 
 
 def _scan_difference(

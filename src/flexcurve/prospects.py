@@ -721,7 +721,9 @@ def _raise_first_overflow(pack: _Packed, ts: np.ndarray, kernel: np.ndarray, out
             finite = np.isfinite(column)
             if not finite.all():
                 bad = int(np.argmin(finite))
-                raise OverflowError(f"log-MGF overflow: Gaussian exponent {float(column[bad])!r} at t={float(t[bad])!r}")
+                if not math.isfinite(t[bad]):
+                    raise OverflowError(f"log-MGF overflow: Gaussian scale {float(s)!r} times t={float(ts[bad])!r} out of floating-point range")
+                raise OverflowError(f"log-MGF overflow: Gaussian exponent {float(column[bad])!r} at t={float(ts[bad])!r}")
         if len(form) > 1 and not np.isfinite(out[p]).all():
             raise OverflowError("log-MGF overflow: sum of terms out of floating-point range")
         if quotients is not None and not np.isfinite(quotients[p]).all():

@@ -648,6 +648,22 @@ def test_certain_equivalent_out_of_range_is_a_range_error(tmp_path, capsys):
             assert (code, out) == (5, "") and err.startswith("error:range:"), argv
 
 
+def test_gaussian_scale_past_the_float_range_names_the_callers_t(tmp_path, capsys):
+    # 1e300 * -1e10 leaves the float range: the message names r's t, not the product
+    model = {
+        "prospects": {
+            "g": {"kind": "gaussian", "mean": 1, "variance": 1},
+            "far": {"kind": "affine", "base": "g", "scale": 1e300, "offset": 0.0},
+        }
+    }
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, "ce", "--model", str(path), "--id", "far", "--r", "1e10")
+    assert (code, out) == (5, "")
+    assert err.startswith("error:range:")
+    assert "Gaussian scale 1e+300 times t=-10000000000.0 out of floating-point range" in err
+
+
 def test_tail_certificate_past_the_float_range_is_a_range_error(tmp_path, capsys):
     # The slopes differ by 1e-300 * 1e-30 / 2, which underflows: flat stays
     # below steep until k = 2e330, so no verdict can be certified in floats.

@@ -31,6 +31,8 @@ from flexcurve.orders import (
     _discrete_tail,
     _first_estimates,
     _geometric_grid,
+    _geometric_means,
+    _lagrange_step,
     _refine,
 )
 from flexcurve.prospects import CONVOLUTION_SUPPORT_CAP
@@ -422,6 +424,31 @@ class TestOneKernelCallPerPass:
         # the grid, each refinement round and the span labels
         assert len(passes) >= 3 and passes == [3] * len(passes) and kernel == [3] * len(passes)
 
+    def test_many_brackets_refine_in_one_pass(self, monkeypatch):
+        # Coin i meets coin i - 1 at the i-th of 60 geometric k: 59 brackets
+        # refined together, in one CE pass for all of them
+        n, r = 60, 0.02
+        spreads, meets = np.linspace(60, 5, n).tolist(), np.geomspace(1.5, 40, n).tolist()
+        plain = [make_discrete([(-s, 0.5), (s, 0.5)]) for s in spreads]
+        shifts = [0.0]
+        for i in range(1, n):
+            rho = meets[i] * r
+            shifts.append(shifts[-1] + certain_equivalent(plain[i - 1], rho) - certain_equivalent(plain[i], rho))
+        items = [(f"c{i:02d}", make_discrete([(-s + c, 0.5), (s + c, 0.5)])) for i, (s, c) in enumerate(zip(spreads, shifts))]
+        passes, brackets = [], []
+        real_ce, real_refine = orders._certain_equivalents, orders._refine
+        monkeypatch.setattr(orders, "_certain_equivalents", lambda ps, rhos: passes.append(1) or real_ce(ps, rhos))
+        monkeypatch.setattr(orders, "_refine", lambda f, lo, *rest: brackets.append(len(lo)) or real_refine(f, lo, *rest))
+        segments = upper_envelope(items, r, (1.0, 50.0))
+        assert [seg.ids for seg in segments] == [(pid,) for pid, _ in items]
+        # the grid, one refinement round and the span labels
+        assert (brackets, len(passes)) == ([59], 3)
+        pytest.importorskip("mpmath")
+        for i in range(1, n, 10):
+            k = segments[i - 1].k_hi
+            root = mp_crossing(items[i - 1][1], items[i][1], r, k)
+            assert abs(k - root) <= ROOT_REL_TOL * root
+
 
 def small_discretes():
     """Discrete prospects on integers with arbitrary float masses."""
@@ -743,6 +770,255 @@ class TestFirstEstimates:
         empty = np.empty(0)
         assert _refine(diff, empty, empty, empty, empty).size == 0
         assert calls == []
+
+
+_FROZEN_STENCIL = np.arange(-2, 4)
+_FROZEN_SAMPLE = np.arange(len(_FROZEN_STENCIL))
+
+
+def frozen_steps(g, x):
+    """Each row's log k at g = 0 less its x[2], through numpy's Lagrange weights."""
+    numerators = np.repeat(g[:, None, :], len(_FROZEN_STENCIL), axis=1)
+    denominators = g[:, None, :] - g[:, :, None]
+    numerators[:, _FROZEN_SAMPLE, _FROZEN_SAMPLE] = denominators[:, _FROZEN_SAMPLE, _FROZEN_SAMPLE] = 1.0
+    with np.errstate(all="ignore"):
+        weights = numerators.prod(axis=2) / denominators.prod(axis=2)
+        return ((x - x[:, 2, None]) * weights).sum(axis=1)
+
+
+def frozen_first_estimates(ks, lo, hi, sample):
+    """``_first_estimates`` in numpy array arithmetic: the bit-for-bit reference."""
+    cols = np.minimum(lo[:, None] + _FROZEN_STENCIL, len(ks) - 1)
+    g = sample(cols)
+    steps = g[:, 1:] - g[:, :-1]
+    usable = (
+        (hi == lo + 1)
+        & (lo + _FROZEN_STENCIL[0] >= 0)
+        & (lo + _FROZEN_STENCIL[-1] < len(ks))
+        & ((steps > 0.0).all(axis=1) | (steps < 0.0).all(axis=1))
+    )
+    g, cols = g[usable], cols[usable]
+    with np.errstate(all="ignore"):
+        step = frozen_steps(g, np.log(ks[cols]))
+        estimate = ks[lo[usable]] * np.exp(step)
+    inside = (estimate > ks[lo[usable]]) & (estimate < ks[hi[usable]])
+    out = np.full(len(lo), np.nan)
+    out[usable.nonzero()[0][inside]] = estimate[inside]
+    return out
+
+
+def frozen_refine(diff, lo, hi, g_lo, g_hi, first=None):
+    """``_refine`` in numpy array arithmetic: the bit-for-bit reference."""
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    ga, gb = np.array(g_lo, dtype=float), np.array(g_hi, dtype=float)
+    roots = a + ga * (b - a) / (ga - gb)
+    active = np.flatnonzero(b - a > ROOT_REL_TOL * b)
+    centre = roots.copy() if first is None else np.where(np.isnan(first), roots, first)
+    halved = np.ones(len(a), dtype=bool)
+    while active.size:
+        a0, b0, ga0, gb0 = a[active], b[active], ga[active], gb[active]
+        half = 0.25 * ROOT_REL_TOL * b0
+        c = np.minimum(np.maximum(centre[active], a0 + 2.0 * half), b0 - 2.0 * half)
+        p1, p2 = c - half, c + half
+        stalled = np.flatnonzero(~halved[active])
+        mids = _geometric_means(a0[stalled], b0[stalled])
+        g = diff(np.concatenate([active, active, active[stalled]]), np.concatenate([p1, p2, mids]))
+        n = len(active)
+        g1, g2 = g[:n], g[n : 2 * n]
+        points = np.array([a0, p1, p2, p2, b0]).T
+        values = np.array([ga0, g1, g2, g2, gb0]).T
+        if stalled.size:
+            points[stalled, 3], values[stalled, 3] = mids, g[2 * n :]
+            order = np.argsort(points[stalled, 1:4], axis=1) + 1
+            points[stalled, 1:4] = np.take_along_axis(points[stalled], order, axis=1)
+            values[stalled, 1:4] = np.take_along_axis(values[stalled], order, axis=1)
+        hit = (values == 0.0) | ((values > 0.0) != (ga0 > 0.0)[:, None])
+        j = hit.argmax(axis=1)
+        rows = np.arange(n)
+        a1, b1 = points[rows, j - 1], points[rows, j]
+        ga1, gb1 = values[rows, j - 1], values[rows, j]
+        zero = gb1 == 0.0
+        a[active], b[active], ga[active], gb[active] = a1, b1, ga1, gb1
+        with np.errstate(over="ignore"):
+            halved[active] = np.square(b1 / a1) <= b0 / a0
+        ends = a1 + ga1 * (b1 - a1) / (ga1 - gb1)
+        slope = np.where(g1 != g2, g1 - g2, np.inf)
+        newton = p1 + g1 * (p2 - p1) / slope
+        centre[active] = np.where((newton > a1) & (newton < b1), newton, ends)
+        roots[active] = np.where(zero, b1, ends)
+        active = active[~(zero | (b1 - a1 <= ROOT_REL_TOL * b1))]
+    return roots
+
+
+SHAPES = ("line", "step", "cubic", "plateau")
+
+
+def shaped(rows, ks, roots, shapes, amplitudes):
+    """Bracket ``rows[i]``'s function at ``ks[i]``: a line, a step, a flat cubic or a line with a zero plateau about its root."""
+    u = (ks - roots[rows]) / roots[rows]
+    with np.errstate(all="ignore"):
+        v = np.select(
+            [shapes[rows] == s for s in SHAPES],
+            [u, np.where(u < 0.0, -1.0, 1.0), np.maximum(u**3, -1e-6), np.where(np.abs(u) <= 1e-8, 0.0, u)],
+        )
+        return v * amplitudes[rows]
+
+
+def assert_refine_same_bits(g, lo, hi, first=None):
+    """``_refine`` and ``frozen_refine`` make the same ``diff`` calls and return the same bytes; returns the round count."""
+    rows = np.arange(len(lo))
+    g_lo, g_hi = g(rows, lo), g(rows, hi)
+    calls = {"frozen": [], "floats": []}
+
+    def recorded(name):
+        def diff(rows, ks):
+            calls[name].append((rows.tolist(), ks.tobytes()))
+            assert name == "frozen" or len(calls[name]) <= len(calls["frozen"]), "more rounds than the reference"
+            return g(rows, ks)
+
+        return diff
+
+    with np.errstate(all="ignore"):
+        want = frozen_refine(recorded("frozen"), lo, hi, g_lo, g_hi, first)
+    got = _refine(recorded("floats"), lo, hi, g_lo, g_hi, first)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert calls["floats"] == calls["frozen"]
+    return len(calls["floats"])
+
+
+# A bracket: log10 of its left end, log10 of its relative width (the
+# narrowest are closed already), where its root sits in it, its shape, its
+# orientation and log10 of its size, and where its first estimate sits
+# (None: NaN).
+refine_brackets = st.tuples(
+    st.floats(0.0, 300.0),
+    st.floats(-9.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from(SHAPES),
+    st.sampled_from([1.0, -1.0]),
+    st.floats(-100.0, 100.0),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+
+
+class TestFrozenReference:
+    """The refinement's float bookkeeping gives the numpy versions' bits, call for call."""
+
+    @given(st.lists(refine_brackets, max_size=100), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_refine(self, brackets, without_first):
+        lo = np.array([10.0 ** b[0] for b in brackets])
+        hi = lo * (1.0 + np.array([10.0 ** b[1] for b in brackets]))
+        roots = lo + (hi - lo) * np.array([b[2] for b in brackets])
+        shapes = np.array([b[3] for b in brackets], dtype=object)
+        amplitudes = np.array([b[4] * 10.0 ** b[5] for b in brackets])
+        rows = np.arange(len(brackets))
+        g_lo, g_hi = shaped(rows, lo, roots, shapes, amplitudes), shaped(rows, hi, roots, shapes, amplitudes)
+        # the function is nonzero at both ends, with opposite signs
+        keep = (g_lo != 0.0) & (g_hi != 0.0) & ((g_lo > 0.0) != (g_hi > 0.0))
+        first = np.array([math.nan if b[6] is None else b[6] for b in brackets])
+        first = None if without_first else (lo + (hi - lo) * first)[keep]
+        kept = np.flatnonzero(keep)
+
+        def g(rows, ks):
+            return shaped(kept[rows], ks, roots, shapes, amplitudes)
+
+        assert_refine_same_bits(g, lo[keep], hi[keep], first)
+
+    @pytest.mark.parametrize("shape", ["step", "cubic"])
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e298])
+    def test_refine_stalled_brackets(self, shape, scale):
+        # steps and flat cubics keep the secant away from the root: the
+        # midpoint rounds take over, over many rounds
+        lo = scale * np.array([1.0, 1.5, 2.0, 1.0])
+        hi = scale * np.array([2.0, 9.0, 2.5, 100.0])
+        roots = scale * np.array([1.3, 7.77, 2.0001, 3.3])
+        shapes = np.array([shape] * 4, dtype=object)
+        amplitudes = np.array([1.0, -1.0, 1.0, 1e-50])
+        rounds = assert_refine_same_bits(lambda rows, ks: shaped(rows, ks, roots, shapes, amplitudes), lo, hi)
+        assert rounds >= 3
+
+    def test_refine_exact_zero_at_a_straddle_point(self):
+        lo, hi = np.array([1.0, 2.0, 3.0]), np.array([2.0, 3.0, 4.0])
+        roots = np.array([1.5, 2.25, 3.9])
+        shapes, amplitudes = np.array(["plateau"] * 3, dtype=object), np.array([1.0, -2.0, 1e-3])
+        g = lambda rows, ks: shaped(rows, ks, roots, shapes, amplitudes)  # noqa: E731
+        assert assert_refine_same_bits(g, lo, hi) == 1
+        # each bracket returns the round's point where its function is exactly zero
+        rows = np.arange(3)
+        found = _refine(g, lo, hi, g(rows, lo), g(rows, hi))
+        assert (g(rows, found) == 0.0).all() and (found != roots).all()
+
+    def test_refine_empty(self):
+        empty = np.empty(0)
+        assert assert_refine_same_bits(lambda rows, ks: ks, empty, empty) == 0
+        assert assert_refine_same_bits(lambda rows, ks: ks, empty, empty, empty) == 0
+
+    @given(
+        st.floats(-3.0, 3.0),
+        st.floats(0.02, 2.0),
+        st.lists(
+            st.tuples(
+                # the left end: near the start, near the end, or anywhere
+                st.one_of(st.integers(0, 3), st.integers(-5, -1), st.integers(0, 10**6)),
+                st.integers(1, 4),
+                st.floats(0.0, 1.0),
+                st.sampled_from(["log", "product", "wave"]),
+            ),
+            max_size=20,
+        ),
+        st.floats(-12.0, 3.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_first_estimates(self, k_exp, decades, brackets, size_exp):
+        ks = _geometric_grid(10.0**k_exp, 10.0 ** (k_exp + decades))
+        lo = np.array([b[0] % (len(ks) - 1) for b in brackets], dtype=int)
+        hi = np.minimum(lo + np.array([b[1] for b in brackets], dtype=int), len(ks) - 1)
+        roots = ks[lo] + (ks[hi] - ks[lo]) * np.array([b[2] for b in brackets])
+        kinds = np.array([b[3] for b in brackets], dtype=object)
+
+        def sample(cols):
+            k, root, kind = ks[cols], roots[:, None], kinds[:, None]
+            # smooth and monotone; a second root a fifth of a step away; a wave of about a step
+            return 10.0**size_exp * np.select(
+                [kind == "log", kind == "product"],
+                [np.log(k / root), (k - root) * (k - root * 0.999)],
+                np.sin(1e3 * (k - root) / root),
+            )
+
+        assert_first_estimates_same_bits(ks, lo, hi, sample)
+
+    @given(
+        st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6, unique=True),
+        st.floats(-300.0, 300.0),
+        st.floats(-3.0, 3.0),
+        st.floats(1e-4, 0.1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lagrange_step(self, samples, size_exp, k_exp, log_step):
+        # each product and the sum left to right, as numpy reduces a row of six
+        g = np.sort(samples) * 10.0**size_exp
+        x = k_exp + log_step * np.arange(6.0)
+        want = frozen_steps(g[None, :], x[None, :])[0]
+        got = _lagrange_step(g.tolist(), x.tolist())
+        assert np.float64(got).tobytes() == want.tobytes() if math.isfinite(want) else not math.isfinite(got)
+
+    def test_first_estimates_zero_denominator(self):
+        # strictly monotone samples 1e-73 apart: the products of their
+        # differences underflow to zero, and the estimate is NaN
+        ks = _geometric_grid(1.0, 10.0)
+        lo = np.array([100])
+        gs = (np.arange(len(ks)) - 100.5) * 1e-73
+        got = assert_first_estimates_same_bits(ks, lo, lo + 1, lambda cols: gs[cols])
+        assert np.isnan(got).all()
+
+
+def assert_first_estimates_same_bits(ks, lo, hi, sample):
+    """``_first_estimates`` equals ``frozen_first_estimates`` byte for byte; returns its estimates."""
+    got = _first_estimates(ks, lo, hi, sample)
+    want = frozen_first_estimates(ks, lo, hi, sample)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return got
 
 
 class TestGeometricGrid:

@@ -171,6 +171,18 @@ class TestLogMgf:
         with pytest.raises(OverflowError, match="t\\*value"):
             log_mgf(x, -1e300)
 
+    def test_gaussian_overflow_names_the_callers_t(self):
+        far = Affine(make_gaussian(1, 1), 1e300, 0.0)
+        # the part's scale times t leaves the float range
+        message = r"log-MGF overflow: Gaussian scale 1e\+300 times t=-10000000000\.0 out of floating-point range$"
+        with pytest.raises(OverflowError, match="^" + message):
+            log_mgf(far, -1e10)
+        with pytest.raises(OverflowError, match=r"^certain equivalent at r=10000000000\.0: " + message):
+            certain_equivalent(far, 1e10)
+        # the scaled t is finite and its square is not
+        with pytest.raises(OverflowError, match=r"^log-MGF overflow: Gaussian exponent inf at t=-10000000\.0$"):
+            log_mgf(far, -1e7)
+
     @given(discrete_strategy(), st.floats(min_value=-5, max_value=5, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_zero_at_origin_and_convexity(self, x, t):
