@@ -9,9 +9,12 @@ the leading term of the discrete parts' exponential sum.  Only a sum past
 the exact-convolution support cap escapes this (``compare`` calls it
 incomparable).  Crossings below that certificate are isolated on a
 geometric grid and refined to ROOT_REL_TOL, which turns the for-all-k
-definition into a finite, checkable procedure.  Every bracket of one call is refined
-together: the first estimate interpolates the grid samples around the
-bracket (inverse quintic in log k), later ones take a secant step from
+definition into a finite, checkable procedure.  One scanner, ``_scan``,
+brackets the crossings of ``compare``, ``find_threshold`` and
+``upper_envelope`` by one rule, skipping samples within the tie
+tolerance.  Every bracket of one call is refined together: the first
+estimate interpolates the grid samples around the bracket (inverse
+quintic in log k), later ones take a secant step from
 the previous round's two points, and a geometric midpoint keeps the
 bracket shrinking whatever the function; on smooth curves one round of
 CE evaluations closes nearly every bracket.  Each round is one batched
@@ -22,6 +25,7 @@ brackets a call holds, with the bits of array arithmetic in the same order.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -217,15 +221,6 @@ def tail_order(x: Prospect, y: Prospect, r: float) -> TailVerdict:
     return TailVerdict(relation, certified, "Gaussian slope" if min(x_var, y_var) else "worst-case gap")
 
 
-def _geometric_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sqrt(a * b) for positive a and b; sqrt(a) * sqrt(b) where the product leaves the float range."""
-    with np.errstate(over="ignore"):
-        means = np.sqrt(a * b)
-    far = np.isinf(means)
-    means[far] = np.sqrt(a[far]) * np.sqrt(b[far])
-    return means
-
-
 def _geometric_grid(k_lo: float, k_hi: float) -> np.ndarray:
     """``GRID_POINTS_PER_DECADE`` points a decade from k_lo to k_hi, as ``np.geomspace`` spaces them."""
     if k_hi <= k_lo:
@@ -301,7 +296,7 @@ def _first_estimates(
 
 
 def _geometric_mean(a: float, b: float) -> float:
-    """``_geometric_means`` of two positive floats."""
+    """sqrt(a * b) for positive a and b; sqrt(a) * sqrt(b) where the product leaves the float range."""
     mean = math.sqrt(a * b)
     return mean if mean < math.inf else math.sqrt(a) * math.sqrt(b)
 
@@ -383,53 +378,87 @@ def _refine(
     return np.array(roots)
 
 
-def _scan_difference(
-    x: Prospect, y: Prospect, r: float, certified: float
+def _tie_tolerance(u, v):
+    """Two CEs, floats or arrays, closer than this are tied: ``_TIE_EPS`` * (1 + the larger magnitude)."""
+    return _TIE_EPS * (1.0 + np.maximum(abs(u), abs(v)))
+
+
+def _scan(packed, r: float, ks: np.ndarray) -> Tuple[np.ndarray, List[float], List[Tuple[float, int]]]:
+    """Every curve of ``packed`` on the grid ``ks``, and a cut wherever the top curve changes.
+
+    Returns the CEs (one row per curve), one cut per grid gap where the top
+    curve changes, ascending, and the crossings refined among them as (k,
+    the curve above to the left of k), in order.  A change from curve a to
+    curve b is bracketed from the last sample at or before it where a - b
+    is signed (clears ``_tie_tolerance``) to the first signed sample after
+    it, skipping samples in the tie band; where the tie band runs on to the
+    end of the grid, the first sample after with a below b closes the
+    bracket instead.  It is a crossing when a is above at the bracket's
+    left end and below at its right end.  A bracket already taken by an
+    earlier change is refined once, and a change with no such bracket keeps
+    its gap's geometric midpoint as its cut.
+    """
+    ces = _certain_equivalents(packed, ks * r)
+    # np.argmax(ces, axis=0), without its cost on two rows: the first of the largest
+    best = (ces[1] > ces[0]).view(np.int8) if len(ces) == 2 else ces.argmax(axis=0)
+    pairs = {}  # (a, b) -> a - b on the grid, and its signed samples
+    brackets = {}  # (a, b, left end) -> (right end, a - b at both ends)
+    mids = []
+    for j in (best[1:] != best[:-1]).nonzero()[0].tolist():
+        a, b, u, v = int(best[j]), int(best[j + 1]), ces[:, j].tolist(), ces[:, j + 1].tolist()
+        j0, j1, g0, g1 = j, j + 1, u[a] - u[b], v[a] - v[b]
+        if not (abs(g0) > _tie_tolerance(u[a], u[b]) and abs(g1) > _tie_tolerance(v[a], v[b])):
+            if (a, b) not in pairs:
+                d = ces[a] - ces[b]
+                pairs[a, b] = d, np.flatnonzero(abs(d) > _tie_tolerance(ces[a], ces[b])).tolist()
+            d, signed = pairs[a, b]
+            n = bisect.bisect_right(signed, j)
+            j0 = signed[n - 1] if n else j
+            # No signed sample after the change: the tie band runs on to the end; the first with a below b closes.
+            j1 = signed[n] if n < len(signed) else j0 + 1 + int(np.argmax(d[j0 + 1 :] < 0.0))
+            g0, g1 = float(d[j0]) if n else 0.0, float(d[j1])  # none before it: no bracket
+        if g0 > 0.0 > g1 and (a, b, j0) not in brackets:
+            brackets[a, b, j0] = j1, g0, g1
+        else:
+            mids.append(_geometric_mean(float(ks[j]), float(ks[j + 1])))
+    if not brackets:
+        return ces, mids, []
+    first, second, lo = (np.array(c) for c in zip(*brackets))
+    hi, g_lo, g_hi = (np.array(c) for c in zip(*brackets.values()))
+
+    def diff(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # Every curve at every point, in one kernel call; each point reads its bracket's two.
+        ce = _certain_equivalents(packed, k * r)
+        points = np.arange(len(k))
+        return ce[first[rows], points] - ce[second[rows], points]
+
+    guess = _first_estimates(ks, lo, hi, lambda cols: ces[first[:, None], cols] - ces[second[:, None], cols])
+    roots = _refine(diff, ks[lo], ks[hi], g_lo, g_hi, guess).tolist()
+    return ces, sorted(mids + roots), list(zip(roots, first.tolist()))
+
+
+def _threshold_scan(
+    winner: Prospect, loser: Prospect, r: float, certified: float
 ) -> Tuple[float, Tuple[float, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Crossings of g(k) = CE(X|kr) - CE(Y|kr) on [1, certified].
+    """Crossings of g(k) = CE(winner|kr) - CE(loser|kr) on [1, certified].
 
     Returns (K, crossings, grid ks, g samples, tie tolerances); K is the
-    smallest value such that g >= 0 (up to ties) on [K, certified].
+    smallest value such that g >= 0 (up to ties) on [K, certified]: 1.0
+    when the loser is never significantly above, else the crossing where
+    the loser gives way after its last signed lead, or the end of the grid
+    when the loser never gives way after it.
     """
     if not math.isfinite(certified):
         raise OverflowError(f"tail certificate k={certified!r} out of floating-point range")
-    pair = _pack((x, y))
-
-    def g(_rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-        ce_x, ce_y = _certain_equivalents(pair, k * r)
-        return ce_x - ce_y
-
     ks = _geometric_grid(1.0, max(1.0, certified))
-    ce_x, ce_y = _certain_equivalents(pair, ks * r)
-    gs = ce_x - ce_y
-    tols = _TIE_EPS * (1.0 + np.maximum(np.abs(ce_x), np.abs(ce_y)))
-
-    significant = np.abs(gs) > tols
-    positive = gs > 0.0
-    lo = np.flatnonzero(significant[:-1] & significant[1:] & (positive[:-1] != positive[1:]))
-    hi = lo + 1
-    crossing_count = len(lo)
-
-    # The threshold's bracket runs from the last clearly negative sample to
-    # the next positive one; it is refined in the same batch as the crossings.
-    negative = np.flatnonzero(gs < -tols)
+    (ce_w, ce_l), _, crossings = _scan(_pack((winner, loser)), r, ks)
+    gs, tols = ce_w - ce_l, _tie_tolerance(ce_w, ce_l)
+    lead = np.flatnonzero(gs < -tols)
     threshold = 1.0
-    if negative.size:
-        i = int(negative[-1])
-        later = np.flatnonzero(positive[i + 1 :])
-        if later.size:
-            lo, hi = np.append(lo, i), np.append(hi, i + 1 + int(later[0]))
-        else:
-            # Certificate guarantees g >= 0 beyond the scan window.
-            threshold = float(ks[-1])
-
-    roots = []
-    if len(lo):
-        guess = _first_estimates(ks, lo, hi, lambda cols: gs[cols])
-        roots = _refine(g, ks[lo], ks[hi], gs[lo], gs[hi], guess).tolist()
-    if len(roots) > crossing_count:
-        threshold = roots[-1]
-    return threshold, tuple(roots[:crossing_count]), ks, gs, tols
+    if lead.size:
+        # Of the crossings where the loser (row 1) gives way, only the one bracketed from its last lead lies past it.
+        threshold = next((k for k, above in crossings if above == 1 and k >= ks[lead[-1]]), float(ks[-1]))
+    return threshold, tuple(k for k, _ in crossings), ks, gs, tols
 
 
 def find_threshold(x: Prospect, y: Prospect, r: float) -> Optional[float]:
@@ -443,7 +472,7 @@ def find_threshold(x: Prospect, y: Prospect, r: float) -> Optional[float]:
         return None
     if tail.relation is TailRelation.EQUAL:
         return 1.0
-    return _scan_difference(x, y, r, tail.certified_from)[0]
+    return _threshold_scan(x, y, r, tail.certified_from)[0]
 
 
 def compare(x: Prospect, y: Prospect, r: float) -> FlexibilityVerdict:
@@ -472,9 +501,7 @@ def compare(x: Prospect, y: Prospect, r: float) -> FlexibilityVerdict:
         dominant = (Flexibility.Y_STRICTLY_DOMINATES, Flexibility.Y_DOMINATES)
         flexible = (Flexibility.Y_STRICTLY_MORE_FLEXIBLE, Flexibility.Y_MORE_FLEXIBLE)
 
-    threshold, crossings, ks, gs, tols = _scan_difference(
-        winner, loser, r, tail.certified_from
-    )
+    threshold, crossings, ks, gs, tols = _threshold_scan(winner, loser, r, tail.certified_from)
 
     if threshold <= 1.0 + 1e-9:
         strict = bool(np.all(gs > tols))
@@ -563,43 +590,13 @@ def _line_envelope(
 def _grid_envelope(
     items: Sequence[Tuple[str, Prospect]], r: float, k_lo: float, k_hi: float
 ) -> List[EnvelopeSegment]:
-    ks = _geometric_grid(k_lo, k_hi)
     ids = [pid for pid, _ in items]
     curves = _pack([p for _, p in items])
-    ces = _certain_equivalents(curves, ks * r)
-    best = np.argmax(ces, axis=0)
-
-    # Grid gaps where the top curve changes, from the one on top at the left
-    # end to the one on top at the right end.  A gap is refined as a crossing
-    # when the difference flips sign and clears the tie tolerance of
-    # ``_scan_difference`` at one end at least: a flip within rounding noise
-    # keeps its midpoint cut, and the span labels' tie rule merges it away.
-    t = np.flatnonzero(best[1:] != best[:-1])
-    above, below = best[t], best[t + 1]
-    g_lo = ces[above, t] - ces[below, t]
-    g_hi = ces[above, t + 1] - ces[below, t + 1]
-    cuts = _geometric_means(ks[t], ks[t + 1])
-    tol_lo, tol_hi = (_TIE_EPS * (1.0 + np.maximum(np.abs(ces[above, j]), np.abs(ces[below, j]))) for j in (t, t + 1))
-    with np.errstate(over="ignore"):  # a product past the float range keeps its sign
-        crossing = (g_lo * g_hi < 0.0) & ((np.abs(g_lo) > tol_lo) | (np.abs(g_hi) > tol_hi))
-    first, second = above[crossing], below[crossing]
-
-    def diff(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-        # Every curve at every point, in one kernel call; each point reads its bracket's two.
-        ce = _certain_equivalents(curves, k * r)
-        points = np.arange(len(k))
-        return ce[first[rows], points] - ce[second[rows], points]
-
-    if first.size:
-        lo, g_lo, g_hi = t[crossing], g_lo[crossing], g_hi[crossing]
-        guess = _first_estimates(
-            ks, lo, lo + 1, lambda cols: ces[first[:, None], cols] - ces[second[:, None], cols]
-        )
-        cuts[crossing] = _refine(diff, ks[lo], ks[lo + 1], g_lo, g_hi, guess)
-    bounds = [k_lo, *cuts.tolist(), k_hi]
+    _, cuts, _ = _scan(curves, r, _geometric_grid(k_lo, k_hi))
+    bounds = [k_lo, *cuts, k_hi]
     spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
-    mids = _geometric_means(*np.asarray(spans).T)
+    mids = np.array([_geometric_mean(lo, hi) for lo, hi in spans])
     values = _certain_equivalents(curves, mids * r)
     top = values.max(axis=0)
     on_top = values >= top - 1e-9 * (1.0 + np.abs(top))

@@ -86,6 +86,14 @@ _TINY_PEAK_WEIGHT = 2.0**-960
 _ZERO = np.zeros(1)
 
 
+def _mass_sum(masses: Iterable[float]) -> float:
+    """``math.fsum`` of positive masses or probabilities; inf where the sum passes the float range."""
+    try:
+        return math.fsum(masses)
+    except OverflowError:
+        return math.inf
+
+
 def _require_finite(value: float, what: str) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -161,7 +169,7 @@ class Discrete:
             raise ValueError(f"mass must be positive, got {_first(given_masses, positive)!r}")
         if (values[1:] <= values[:-1]).any():
             raise ValueError("support values must be strictly ascending")
-        total = math.fsum(masses.tolist())
+        total = _mass_sum(masses.tolist())
         if abs(total - 1.0) > _MASS_SUM_EXACT:
             raise ValueError(f"masses sum to {total!r}, expected 1 within {_MASS_SUM_EXACT}")
         values.flags.writeable = masses.flags.writeable = False
@@ -316,7 +324,7 @@ def make_discrete(pairs: Iterable[Tuple[float, float]]) -> Discrete:
         if not (math.isfinite(mass) and mass > 0.0):
             raise ValueError(f"mass must be positive and finite, got {mass!r}")
         merged[value] = merged.get(value, 0.0) + mass
-    total = math.fsum(merged.values())
+    total = _mass_sum(merged.values())
     if abs(total - 1.0) > MASS_SUM_TOLERANCE:
         raise ValueError(
             f"masses sum to {total!r}, outside tolerance {MASS_SUM_TOLERANCE} of 1"

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .prospects import MASS_SUM_TOLERANCE, Discrete, make_discrete
+from .prospects import MASS_SUM_TOLERANCE, Discrete, _mass_sum, make_discrete
 from .trees import DecisionTree, _Table
 
 __all__ = [
@@ -153,7 +153,7 @@ class StiglerSpec:
             raise ValueError("quantity grid must be nonempty")
         if any(not (p > 0.0) for _, p in grid):
             raise ValueError("quantity probabilities must be positive")
-        total = math.fsum(p for _, p in grid)
+        total = _mass_sum(p for _, p in grid)
         if abs(total - 1.0) > MASS_SUM_TOLERANCE:
             raise ValueError(f"quantity probabilities sum to {total!r}, expected 1")
         cost_one = {float(q): float(c) for q, c in dict(self.cost_one).items()}

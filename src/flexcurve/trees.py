@@ -44,7 +44,7 @@ from typing import AbstractSet, Dict, List, Mapping, NamedTuple, Optional, Seque
 
 import numpy as np
 
-from .prospects import _TINY_PEAK_WEIGHT, MASS_SUM_TOLERANCE, Discrete, _lse_block, make_discrete
+from .prospects import _TINY_PEAK_WEIGHT, MASS_SUM_TOLERANCE, Discrete, _lse_block, _mass_sum, make_discrete
 from .valuation import FlexibilityCurve, _check_k_grid, check_risk_aversion
 
 __all__ = [
@@ -134,7 +134,7 @@ class _Table:
         elif not all([p > 0.0 for p, _ in children]):
             self.faults[nid] = ValueError(f"nonpositive probability at chance node {nid!r}")
         else:
-            total = math.fsum([p for p, _ in children])
+            total = _mass_sum([p for p, _ in children])
             if abs(total - 1.0) > PROBABILITY_SUM_TOLERANCE:
                 self.faults[nid] = ValueError(f"probabilities at chance node {nid!r} sum to {total!r}, expected 1")
 

@@ -228,6 +228,40 @@ class TestFailureModes:
         assert code == 3
         assert err.startswith("error:parse:")
 
+    # Two masses whose sum passes the float range: math.fsum raised OverflowError (exit 5) for it.
+    PAST_FLOAT_RANGE = [8.988465674311579e307, 8.98846567431158e307]
+
+    @pytest.mark.parametrize(
+        "model, argv, message",
+        [
+            (
+                {"prospects": {"x": {"kind": "discrete", "points": [[0, PAST_FLOAT_RANGE[0]], [1, PAST_FLOAT_RANGE[1]]]}}},
+                ["ce", "--id", "x"],
+                "error:parse: prospects.x: masses sum to inf, outside tolerance 1e-09 of 1\n",
+            ),
+            (
+                {
+                    "tree": {
+                        "root": "c",
+                        "nodes": {
+                            "c": {"kind": "chance", "children": [[PAST_FLOAT_RANGE[0], "t"], [PAST_FLOAT_RANGE[1], "u"]]},
+                            "t": {"kind": "terminal", "payoff": 1},
+                            "u": {"kind": "terminal", "payoff": 2},
+                        },
+                    }
+                },
+                ["rollback"],
+                "error:parse: tree: probabilities at chance node 'c' sum to inf, expected 1\n",
+            ),
+        ],
+        ids=["masses", "probabilities"],
+    )
+    def test_a_sum_past_the_float_range_is_a_parse_error(self, tmp_path, capsys, model, argv, message):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(model))
+        code, out, err = run(capsys, argv[0], "--model", str(path), *argv[1:], "--r", "0.1")
+        assert (code, out, err) == (3, "", message)
+
     def test_unknown_id_is_domain_error(self, model_path, capsys):
         code, _, err = run(capsys, "ce", "--model", model_path, "--id", "ghost", "--r", "0.1")
         assert code == 4

@@ -35,6 +35,7 @@ PRINTED_ROOTS = [
     ("prospects.compare.3.out", 2, 1, ("near", "safe")),
     ("prospects.compare.4.out", 2, 1, ("mixa", "mixb")),
     ("prospects.compare.5.out", 2, 1, ("mixa", "mixc")),
+    ("prospects.compare.6.out", 2, 1, ("gridx", "gridy")),
     ("prospects.envelope.0.out", 1, 1, ("pg", "safe")),
     ("prospects.envelope.1.out", 1, 1, ("wide", "lift")),
 ]
@@ -47,5 +48,7 @@ def test_printed_roots_match_an_independent_root(name, line, field, pair):
     text = (GOLDEN / name).read_text().splitlines()[line]
     printed = float(text.replace(": ", ",").split(",")[field])
     x, y = (doc.prospects[pid] for pid in pair)
-    root = mp_crossing(x, y, doc.default_r, printed)
+    argv = next(case["argv"] for case in CASES if case["stdout"] == name)
+    r = float(argv[argv.index("--r") + 1]) if "--r" in argv else doc.default_r
+    root = mp_crossing(x, y, r, printed)
     assert abs(printed - root) <= 1e-11 * root

@@ -218,6 +218,11 @@ TREE_ERRORS = [
     ("duplicate_labels", _set(["tree", "nodes", "root", "children", 1], ["sure", "c"]), "tree: duplicate child labels at decision node 'root'"),
     ("probability_zero", _set(["tree", "nodes", "c", "children"], [[0.0, "lo"], [1.0, "hi"]]), "tree: nonpositive probability at chance node 'c'"),
     ("probability_sum", _set(["tree", "nodes", "c", "children"], [[0.5, "lo"], [0.4, "hi"]]), "tree: probabilities at chance node 'c' sum to 0.9, expected 1"),
+    (
+        "probability_sum_past_the_float_range",
+        _set(["tree", "nodes", "c", "children"], [[8.988465674311579e307, "lo"], [8.98846567431158e307, "hi"]]),
+        "tree: probabilities at chance node 'c' sum to inf, expected 1",
+    ),
     ("unknown_child", _set(["tree", "nodes", "c", "children", 1], [0.5, "gone"]), "tree: node 'c' references unknown child 'gone'"),
     ("root_has_parent", _set(["tree", "nodes", "c", "children", 1], [0.5, "root"]), "tree: root node 'root' has a parent"),
     ("shared_child", _set(["tree", "nodes", "c", "children", 1], [0.5, "t"]), "tree: node 't' has 2 parents, expected exactly 1"),
@@ -290,6 +295,11 @@ PROSPECT_ERRORS = [
     ("scale_zero_over_a_cycle", {"a": _affine("b", scale=0), "b": _affine("a")}, "prospects.b.base: circular reference through 'a'"),
     ("negative_variance", {"x": _X, "g": _NEGATIVE_VARIANCE}, "prospects.g: variance must be nonnegative, got -1.0"),
     ("masses_sum", {"x": _BAD_MASSES}, "prospects.x: masses sum to 0.9, outside tolerance 1e-09 of 1"),
+    (
+        "masses_sum_past_the_float_range",
+        {"x": {"kind": "discrete", "points": [[0, 8.988465674311579e307], [1, 8.98846567431158e307]]}},
+        "prospects.x: masses sum to inf, outside tolerance 1e-09 of 1",
+    ),
     ("negative_mass", {"x": _NEGATIVE_MASS}, "prospects.x: mass must be positive and finite, got -0.5"),
     ("bad_term_in_a_sum", {"x": _X, "s": _sum("x", "a"), "a": _affine("x", scale=0)}, "prospects.a: scale must be positive, got 0.0"),
     (
@@ -478,6 +488,11 @@ SCENARIO_ERRORS = [
         "quantity_probability_sum",
         _stigler("quantities", value=[[10, 0.5], [20, 0.4]]),
         "scenarios.stigler: quantity probabilities sum to 0.9, expected 1",
+    ),
+    (
+        "quantity_probability_sum_past_the_float_range",
+        _stigler("quantities", value=[[10, 8.988465674311579e307], [20, 8.98846567431158e307]]),
+        "scenarios.stigler: quantity probabilities sum to inf, expected 1",
     ),
     ("cost1_uncovered", _stigler("cost1", value=[[10, 100]]), "scenarios.stigler: cost_one has no cost for quantity 20.0"),
     ("cost2_uncovered", _stigler("cost2", value=[[20, 130]]), "scenarios.stigler: cost_two has no cost for quantity 10.0"),

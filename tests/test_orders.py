@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from flexcurve.orders import (
     _discrete_tail,
     _first_estimates,
     _geometric_grid,
-    _geometric_means,
     _lagrange_step,
     _refine,
 )
@@ -533,6 +533,15 @@ class TestMixedForms:
             for k in np.geomspace(lo, max(tail.certified_from, 2.0 * lo), 40):
                 g, tol = gap(k)
                 assert sign * g >= -tol
+
+
+def _geometric_means(a, b):
+    """sqrt(a * b) for positive arrays a and b; sqrt(a) * sqrt(b) where the product leaves the float range."""
+    with np.errstate(over="ignore"):
+        means = np.sqrt(a * b)
+    far = np.isinf(means)
+    means[far] = np.sqrt(a[far]) * np.sqrt(b[far])
+    return means
 
 
 def counted(g, limit=500):
@@ -1077,3 +1086,238 @@ class TestBatchedEvaluation:
         assert find_threshold(x, y, r) == verdict.threshold_k
         segments = upper_envelope([("x", x), ("y", y)], r, (1.0, 50.0))
         assert [s.ids for s in segments] == [("y",), ("x",)]
+
+
+def frozen_scan_difference(x, y, r, certified):
+    """The pair scan that served compare and find_threshold before ``_scan``: the reference for both.
+
+    Crossings are grid gaps whose ends both clear the tie tolerance with
+    opposite signs; the threshold's bracket, from the last clearly negative
+    sample to the next positive one, is refined again even when it is the
+    last crossing's.
+    """
+    if not math.isfinite(certified):
+        raise OverflowError(f"tail certificate k={certified!r} out of floating-point range")
+    pair = orders._pack((x, y))
+
+    def g(_rows, k):
+        ce_x, ce_y = orders._certain_equivalents(pair, k * r)
+        return ce_x - ce_y
+
+    ks = _geometric_grid(1.0, max(1.0, certified))
+    ce_x, ce_y = orders._certain_equivalents(pair, ks * r)
+    gs = ce_x - ce_y
+    tols = _TIE_EPS * (1.0 + np.maximum(np.abs(ce_x), np.abs(ce_y)))
+    significant = np.abs(gs) > tols
+    positive = gs > 0.0
+    lo = np.flatnonzero(significant[:-1] & significant[1:] & (positive[:-1] != positive[1:]))
+    hi = lo + 1
+    crossing_count = len(lo)
+    negative = np.flatnonzero(gs < -tols)
+    threshold = 1.0
+    if negative.size:
+        i = int(negative[-1])
+        later = np.flatnonzero(positive[i + 1 :])
+        if later.size:
+            lo, hi = np.append(lo, i), np.append(hi, i + 1 + int(later[0]))
+        else:
+            threshold = float(ks[-1])
+    roots = []
+    if len(lo):
+        guess = orders._first_estimates(ks, lo, hi, lambda cols: gs[cols])
+        roots = orders._refine(g, ks[lo], ks[hi], gs[lo], gs[hi], guess).tolist()
+    if len(roots) > crossing_count:
+        threshold = roots[-1]
+    return threshold, tuple(roots[:crossing_count]), ks, gs, tols
+
+
+def frozen_grid_envelope(items, r, k_lo, k_hi):
+    """The grid envelope before ``_scan``: the reference for upper_envelope.
+
+    A top change is refined when the two curves' difference flips sign
+    between the gap's ends and one end clears the tie tolerance; otherwise
+    it keeps the gap's geometric midpoint.
+    """
+    ks = _geometric_grid(k_lo, k_hi)
+    ids = [pid for pid, _ in items]
+    curves = orders._pack([p for _, p in items])
+    ces = orders._certain_equivalents(curves, ks * r)
+    best = np.argmax(ces, axis=0)
+    t = np.flatnonzero(best[1:] != best[:-1])
+    above, below = best[t], best[t + 1]
+    g_lo = ces[above, t] - ces[below, t]
+    g_hi = ces[above, t + 1] - ces[below, t + 1]
+    cuts = _geometric_means(ks[t], ks[t + 1])
+    tol_lo, tol_hi = (_TIE_EPS * (1.0 + np.maximum(np.abs(ces[above, j]), np.abs(ces[below, j]))) for j in (t, t + 1))
+    with np.errstate(over="ignore"):
+        crossing = (g_lo * g_hi < 0.0) & ((np.abs(g_lo) > tol_lo) | (np.abs(g_hi) > tol_hi))
+    first, second = above[crossing], below[crossing]
+
+    def diff(rows, k):
+        ce = orders._certain_equivalents(curves, k * r)
+        points = np.arange(len(k))
+        return ce[first[rows], points] - ce[second[rows], points]
+
+    if first.size:
+        lo, g_lo, g_hi = t[crossing], g_lo[crossing], g_hi[crossing]
+        guess = orders._first_estimates(ks, lo, lo + 1, lambda cols: ces[first[:, None], cols] - ces[second[:, None], cols])
+        cuts[crossing] = orders._refine(diff, ks[lo], ks[lo + 1], g_lo, g_hi, guess)
+    bounds = [k_lo, *cuts.tolist(), k_hi]
+    spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    mids = _geometric_means(*np.asarray(spans).T)
+    values = orders._certain_equivalents(curves, mids * r)
+    top = values.max(axis=0)
+    on_top = values >= top - 1e-9 * (1.0 + np.abs(top))
+    segments = []
+    for (lo, hi), column in zip(spans, on_top.T):
+        labels = tuple(sorted(ids[i] for i in np.flatnonzero(column)))
+        if segments and segments[-1].ids == labels:
+            segments[-1] = orders.EnvelopeSegment(segments[-1].k_lo, hi, labels)
+        else:
+            segments.append(orders.EnvelopeSegment(lo, hi, labels))
+    return segments
+
+
+def with_frozen_scans(run, *args):
+    """``run(*args)`` with compare, find_threshold and upper_envelope on the frozen scans."""
+    with mock.patch.object(orders, "_threshold_scan", frozen_scan_difference), mock.patch.object(orders, "_grid_envelope", frozen_grid_envelope):
+        return run(*args)
+
+
+def answers(prospects, r, k_range):
+    """repr of compare and find_threshold of the first two prospects, or of upper_envelope of them all."""
+    if len(prospects) == 2:
+        x, y = prospects
+        verdict = compare(x, y, r)
+        return repr((verdict.classification, verdict.threshold_k, verdict.crossings, find_threshold(x, y, r), find_threshold(y, x, r)))
+    return repr(upper_envelope([(f"p{i}", p) for i, p in enumerate(prospects)], r, k_range))
+
+
+def tie_next_to_a_change(prospects, r, ks):
+    """Whether a grid sample next to a change of the top curve is within the tie tolerance of the two curves that swap there."""
+    ces = orders._certain_equivalents(orders._pack(prospects), ks * r)
+    best = np.argmax(ces, axis=0)
+    for t in np.flatnonzero(best[1:] != best[:-1]).tolist():
+        a, b = best[t], best[t + 1]
+        for j in (t, t + 1):
+            if abs(ces[a, j] - ces[b, j]) <= _TIE_EPS * (1.0 + max(abs(ces[a, j]), abs(ces[b, j]))):
+                return True
+    return False
+
+
+@st.composite
+def crossing_curves(draw):
+    """Two or three prospects, discrete or a Gaussian plus a discrete, each moved to meet the first at a drawn k; r; a k range.
+
+    Half the draws move each meeting onto a sample of the scan's grid, where the difference is rounding.
+    """
+    r, k_range, on_grid = draw(st.sampled_from([0.01, 0.05, 0.1])), (1.0, draw(st.floats(2.0, 50.0))), draw(st.booleans())
+
+    def one():
+        part = draw(small_discretes())
+        return part if draw(st.booleans()) else add_independent(make_gaussian(0.0, draw(st.sampled_from([1.0, 4.0, 16.0]))), part)
+
+    def meet(p, k):
+        return shift(p, certain_equivalent(first, k * r) - certain_equivalent(p, k * r))
+
+    first, n = one(), draw(st.sampled_from([2, 3]))
+    prospects = [first]
+    for _ in range(n - 1):
+        p, k = one(), draw(st.floats(1.0, 20.0))
+        if on_grid:
+            ks = _geometric_grid(*k_range) if n == 3 else _geometric_grid(1.0, max(1.0, tail_order(first, meet(p, k), r).certified_from))
+            k = float(ks[min(int(np.searchsorted(ks, k)), len(ks) - 1)])
+        prospects.append(meet(p, k))
+    return prospects, r, k_range
+
+
+def mp_gap(x, y, r, k):
+    """CE(X|kr) - CE(Y|kr) in mpmath at 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        rho = mp.mpf(k) * r
+        return mp_certain_equivalent(x, rho) - mp_certain_equivalent(y, rho)
+
+
+def assert_mp_crossing(x, y, r, c, window=1e-6):
+    """X - Y changes sign across c within ``window``, or lies within the tie tolerance at c, where its rounding hides the root."""
+    tie = _TIE_EPS * (1.0 + max(abs(certain_equivalent(p, c * r)) for p in (x, y)))
+    assert mp_gap(x, y, r, c * (1 - window)) * mp_gap(x, y, r, c * (1 + window)) < 0 or abs(mp_gap(x, y, r, c)) <= tie
+
+
+class TestScan:
+    """One scanner brackets every top change by its signed samples, refines each bracket once, and agrees with the two scans it replaced."""
+
+    X = make_discrete([(20, 0.3), (50, 0.4), (80, 0.3)])
+    Y = make_discrete([(-30, 0.2), (-10, 0.1), (100, 0.4), (170, 0.3)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(crossing_curves())
+    def test_same_answers_as_the_frozen_scans(self, case):
+        prospects, r, k_range = case
+        got = answers(prospects, r, k_range)
+        if got == with_frozen_scans(answers, prospects, r, k_range):
+            return
+        # Only a sample in the tie band next to a top change may move a bracket; mpmath then checks the new answer.
+        pytest.importorskip("mpmath")
+        if len(prospects) == 3:
+            assert tie_next_to_a_change(prospects, r, _geometric_grid(*k_range))
+            for seg in upper_envelope([(f"p{i}", p) for i, p in enumerate(prospects)], r, k_range):
+                k = math.sqrt(seg.k_lo * seg.k_hi)
+                labeled = prospects[int(seg.ids[0][1:])]
+                assert all(mp_gap(labeled, p, r, k) >= -1e-9 * (1 + abs(certain_equivalent(p, k * r))) for p in prospects)
+            return
+        x, y = prospects
+        verdict = compare(x, y, r)
+        winner, loser = (x, y) if verdict.tail.relation is TailRelation.X_ABOVE else (y, x)
+        assert tie_next_to_a_change([winner, loser], r, _geometric_grid(1.0, verdict.tail.certified_from))
+        for c in verdict.crossings:
+            assert_mp_crossing(x, y, r, c)
+        if 1.0 < verdict.threshold_k < verdict.tail.certified_from:
+            assert_mp_crossing(winner, loser, r, verdict.threshold_k)
+            assert mp_gap(winner, loser, r, verdict.threshold_k * (1 + 1e-3)) > 0
+
+    @pytest.mark.parametrize("c", [23.501866356487312, 27.84435371334215])
+    def test_a_crossing_on_a_grid_sample_is_found(self, c):
+        # a grid sample lands within the tie band of the crossing: the frozen
+        # compare lists no crossing, and the bracket now skips that sample
+        y, r = shift(self.Y, c), 0.02
+        assert with_frozen_scans(compare, self.X, y, r).crossings == ()
+        verdict = compare(self.X, y, r)
+        assert verdict.classification is Flexibility.X_STRICTLY_MORE_FLEXIBLE
+        assert verdict.crossings == (verdict.threshold_k,)
+        pytest.importorskip("mpmath")
+        root = mp_crossing(self.X, y, r, verdict.threshold_k)
+        assert abs(verdict.threshold_k - root) <= ROOT_REL_TOL * root
+        segments = upper_envelope([("x", self.X), ("y", y)], r, (1.0, verdict.tail.certified_from))
+        assert [s.ids for s in segments] == [("y",), ("x",)]
+        assert abs(segments[0].k_hi - root) <= ROOT_REL_TOL * root
+
+    def test_a_tie_band_running_to_the_end_of_the_grid_closes_on_the_first_sample_past_the_crossing(self):
+        # the worst values are 6.3e-12 apart, so from k = 6.8 to the tail
+        # certificate at 4.6e12 every sample lies in the tie band, with the sign it has
+        x = Affine(make_discrete([(-28, 0.375), (37, 0.22916666666666666), (62, 0.020833333333333332), (127, 0.3541666666666667), (132, 0.020833333333333332)]), 1.1900484374841478, -17.917185306409866)
+        y = shift(make_discrete([(6, 0.375), (111, 0.625)]), -57.238541555972326)
+        r = 0.05
+        verdict = compare(x, y, r)
+        assert verdict.tail.relation is TailRelation.X_ABOVE and verdict.tail.certified_from > 1e12
+        threshold = find_threshold(x, y, r)
+        assert threshold == with_frozen_scans(find_threshold, x, y, r) == verdict.threshold_k
+        assert verdict.crossings == (threshold,)
+        # The difference is 1e-14 near the root, the CEs' own rounding: the
+        # threshold is where mpmath's difference is within the tie band, and
+        # its sign flips across it.
+        pytest.importorskip("mpmath")
+        assert_mp_crossing(x, y, r, threshold, window=1e-3)
+        assert abs(mp_gap(x, y, r, threshold)) <= _TIE_EPS
+
+    def test_a_single_crossing_is_refined_once(self, monkeypatch):
+        brackets = []
+        real_refine = orders._refine
+        monkeypatch.setattr(orders, "_refine", lambda f, lo, *rest: brackets.append(len(lo)) or real_refine(f, lo, *rest))
+        x, y = make_discrete([(0, 0.5), (100, 0.5)]), make_discrete([(10, 1.0)])
+        verdict = compare(x, y, 0.01)
+        assert len(verdict.crossings) == 1 and brackets == [1]
+        # the frozen scan refined the threshold's bracket a second time
+        assert with_frozen_scans(compare, x, y, 0.01) == verdict and brackets == [1, 2]
