@@ -9,7 +9,18 @@ the leading term of the discrete parts' exponential sum.  Only a sum past
 the exact-convolution support cap escapes this (``compare`` calls it
 incomparable).  Crossings below that certificate are isolated on a
 geometric grid and refined to ROOT_REL_TOL, which turns the for-all-k
-definition into a finite, checkable procedure.  One scanner, ``_scan``,
+definition into a finite, checkable procedure.  ``compare`` and
+``find_threshold`` count crossings first: over the merged support
+v_1 < ... < v_N of the discrete parts, F_j sums
+(p_loser - p_winner)(v_i) exp(-r (v_i - v_1)) over i <= j.  The Laplace
+kernel diminishes variation (Karlin, *Total Positivity*, 1968): where every
+F_j clears a rounding band, phi = min_j F_j - band > 0, and summing by
+parts gives CE_winner - CE_loser >= log1p(phi)/(kr) + (v_l - v_w)kr/2 for
+k >= 1, v_w <= v_l up to 64 ulps being the Gaussian variances.  Where that
+clears twice the tie tolerance and an assumed CE rounding (64 ulps of 1/r
+and of the largest magnitude) up to certified_from, the scan's answer,
+strict dominance from k = 1 with no crossing, needs no CE; other pairs are
+scanned.  One scanner, ``_scan``,
 brackets the crossings of ``compare``, ``find_threshold`` and
 ``upper_envelope`` by one rule, skipping samples within the tie
 tolerance.  Every bracket of one call is refined together: the first
@@ -26,6 +37,7 @@ brackets a call holds, with the bits of array arithmetic in the same order.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -59,6 +71,10 @@ ROOT_REL_TOL = 1e-8
 # rounding (convolution, renormalization or a sum in a different order),
 # not a difference between distributions.
 _MASS_TIE_REL = 64 * float(np.finfo(float).eps)
+
+# Rounding of ``_margin``'s partial sums, u = ulp(1)/2, masses summing to 1 a side: terms d*exp(-t) by (4 + 2t)u|d|
+# <= 4u|d|, 8u in all; mass ties, 2 * _MASS_TIE_REL in all; a level's sum by u|F| <= 2u, an underflow by ulp(0).
+_BAND, _BAND_PER_LEVEL = 2.0 * _MASS_TIE_REL + 4.0 * math.ulp(1.0), math.ulp(1.0) + math.ulp(0.0)
 
 # Differences below 1e-12 * (1 + |CE|) cannot be distinguished from a tie.
 _TIE_EPS = 1e-12
@@ -148,26 +164,18 @@ def _decompose(prospect: Prospect) -> Tuple[np.ndarray, np.ndarray, float]:
     return values, masses, gv
 
 
-def _discrete_tail(
-    xv: Sequence[float],
-    xm: Sequence[float],
-    yv: Sequence[float],
-    ym: Sequence[float],
-    r: float,
-) -> TailVerdict:
-    px = dict(zip(xv, xm))
-    py = dict(zip(yv, ym))
+def _levels(xv: Sequence[float], xm: Sequence[float], yv: Sequence[float], ym: Sequence[float]):
+    """The merged ascending support of two discrete parts, Y's mass less X's on it, and each one's mass map."""
+    px, py = dict(zip(xv, xm)), dict(zip(yv, ym))
     merged = sorted(set(px) | set(py))
-    diffs = [py.get(v, 0.0) - px.get(v, 0.0) for v in merged]
-    istar = next(
-        (
-            i
-            for i, (v, d) in enumerate(zip(merged, diffs))
-            if abs(d) > _MASS_TIE_REL * max(px.get(v, 0.0), py.get(v, 0.0))
-        ),
-        None,
-    )
-    if istar is None:
+    return merged, [py.get(v, 0.0) - px.get(v, 0.0) for v in merged], px, py
+
+
+def _discrete_tail(merged: List[float], diffs: List[float], px: dict, py: dict, r: float) -> TailVerdict:
+    for istar, (v, d) in enumerate(zip(merged, diffs)):
+        if abs(d) > _MASS_TIE_REL * max(px.get(v, 0.0), py.get(v, 0.0)):
+            break
+    else:
         return TailVerdict(TailRelation.EQUAL, 1.0, "identical distribution")
     cstar = diffs[istar]
     # E{exp(-krX)} - E{exp(-krY)} is eventually dominated by the lowest value
@@ -176,13 +184,15 @@ def _discrete_tail(
     # level still count in the residual bound; ties below it are rounding
     # of one mass, zero as when every level ties.
     relation = TailRelation.X_ABOVE if cstar > 0.0 else TailRelation.Y_ABOVE
-    residual = math.fsum(abs(d) for d in diffs[istar + 1 :])
+    residual = math.fsum(map(abs, diffs[istar + 1 :]))
     if residual <= abs(cstar):
         k0 = 1.0
     else:
         gap = merged[istar + 1] - merged[istar]
+        ratio = residual / abs(cstar)  # past the float range for a subnormal cstar: a difference of logs
         # a divisor that underflows to 0 stands as the least float: the certificate is out of range
-        k0 = math.log(residual / abs(cstar)) / (r * gap or math.ulp(0.0))
+        log_ratio = math.log(ratio) if ratio < math.inf else math.log(residual) - math.log(abs(cstar))
+        k0 = log_ratio / (r * gap or math.ulp(0.0))
     certified = max(1.0, k0 * (1.0 + 1e-9) + 1e-6)
     if istar == 0 and (px.get(merged[0], 0.0) == 0.0 or py.get(merged[0], 0.0) == 0.0):
         rationale = "worst-case gap"
@@ -202,23 +212,55 @@ def tail_order(x: Prospect, y: Prospect, r: float) -> TailVerdict:
     ``_discrete_tail`` decides on the discrete parts, except that two
     one-point parts are parallel lines, the higher above from k = 1.
     """
-    r = check_risk_aversion(r)
-    xv, xm, x_var = _decompose(x)
-    yv, ym, y_var = _decompose(y)
-    if abs(x_var - y_var) <= _MASS_TIE_REL * max(x_var, y_var):
-        if x_var and len(xv) == len(yv) == 1 and xv[0] != yv[0]:
-            return TailVerdict(TailRelation.X_ABOVE if xv[0] > yv[0] else TailRelation.Y_ABOVE, 1.0, "Gaussian slope")
-        return _discrete_tail(xv.tolist(), xm.tolist(), yv.tolist(), ym.tolist(), r)
-    if x_var < y_var:
-        relation, steep, flat, slope = TailRelation.X_ABOVE, yv, xv, y_var - x_var
+    return _tail(x, y, check_risk_aversion(r))[0]
+
+
+def _tail(x: Prospect, y: Prospect, r: float) -> Tuple[TailVerdict, Callable[[], float]]:
+    """``tail_order``'s verdict, and ``_margin`` bound to the pair: each prospect is decomposed once."""
+    dx, dy = _decompose(x), _decompose(y)
+    (xv, xm, x_var), (yv, ym, y_var) = dx, dy
+    tied, levels = abs(x_var - y_var) <= _MASS_TIE_REL * max(x_var, y_var), None
+    if tied and x_var and len(xv) == len(yv) == 1 and xv[0] != yv[0]:
+        tail = TailVerdict(TailRelation.X_ABOVE if xv[0] > yv[0] else TailRelation.Y_ABOVE, 1.0, "Gaussian slope")
+    elif tied:
+        levels = _levels(xv.tolist(), xm.tolist(), yv.tolist(), ym.tolist())
+        tail = _discrete_tail(*levels, r)
     else:
-        relation, steep, flat, slope = TailRelation.Y_ABOVE, xv, yv, x_var - y_var
-    # CE(D|rho) lies in [min D, max D], so the flatter curve is above once
-    # slope*k*r/2 exceeds max D_steep - min D_flat; a divisor that
-    # underflows to 0 stands as the least float: the certificate is out of range.
-    k0 = 2.0 * (float(steep[-1]) - float(flat[0])) / (slope * r or math.ulp(0.0))
-    certified = max(1.0, k0 * (1.0 + 1e-9) + 1e-6)
-    return TailVerdict(relation, certified, "Gaussian slope" if min(x_var, y_var) else "worst-case gap")
+        if x_var < y_var:
+            relation, steep, flat, slope = TailRelation.X_ABOVE, yv, xv, y_var - x_var
+        else:
+            relation, steep, flat, slope = TailRelation.Y_ABOVE, xv, yv, x_var - y_var
+        # CE(D|rho) lies in [min D, max D], so the flatter curve is above once
+        # slope*k*r/2 exceeds max D_steep - min D_flat; a divisor that
+        # underflows to 0 stands as the least float: the certificate is out of range.
+        k0 = 2.0 * (float(steep[-1]) - float(flat[0])) / (slope * r or math.ulp(0.0))
+        certified = max(1.0, k0 * (1.0 + 1e-9) + 1e-6)
+        tail = TailVerdict(relation, certified, "Gaussian slope" if min(x_var, y_var) else "worst-case gap")
+    return tail, functools.partial(_margin, tail, levels, dx, dy, r)
+
+
+def _margin(tail: TailVerdict, levels, dx, dy, r: float) -> float:
+    """The count's phi > 0 where the tail's winner is strictly above on all of [1, certified_from], else 0.0.
+
+    ``dx`` and ``dy`` are the two ``_decompose``, ``levels`` their ``_levels`` or None (module docstring).
+    """
+    k, x_wins = tail.certified_from, tail.relation is TailRelation.X_ABOVE
+    if not k < math.inf:
+        return 0.0
+    merged, diffs = (levels or _levels(dx[0].tolist(), dx[1].tolist(), dy[0].tolist(), dy[1].tolist()))[:2]
+    sign, band = 1.0 if x_wins else -1.0, _BAND + len(merged) * _BAND_PER_LEVEL
+    low, total, phi = merged[0], 0.0, math.inf
+    for v, d in zip(merged, diffs):
+        total += sign * d * math.exp(r * (low - v))
+        if total <= band:
+            return 0.0
+        if total < phi:
+            phi = total
+    phi -= band
+    v_w, v_l = (dx[2], dy[2]) if x_wins else (dy[2], dx[2])
+    bound = max(abs(low), abs(merged[-1])) + max(v_w, v_l) * k * r / 2.0
+    need = 2.0 * _TIE_EPS * (1.0 + bound) + max(0.0, v_w - v_l) * k * r / 2.0 + _MASS_TIE_REL * (1.0 / r + bound)
+    return phi if math.log1p(phi) / (k * r) > need else 0.0
 
 
 def _geometric_grid(k_lo: float, k_hi: float) -> np.ndarray:
@@ -467,10 +509,10 @@ def find_threshold(x: Prospect, y: Prospect, r: float) -> Optional[float]:
     Absent (None) when the tail strictly favors Y, so no such K exists.
     """
     r = check_risk_aversion(r)
-    tail = tail_order(x, y, r)
+    tail, margin = _tail(x, y, r)
     if tail.relation is TailRelation.Y_ABOVE:
         return None
-    if tail.relation is TailRelation.EQUAL:
+    if tail.relation is TailRelation.EQUAL or margin():
         return 1.0
     return _threshold_scan(x, y, r, tail.certified_from)[0]
 
@@ -485,7 +527,7 @@ def compare(x: Prospect, y: Prospect, r: float) -> FlexibilityVerdict:
     """
     r = check_risk_aversion(r)
     try:
-        tail = tail_order(x, y, r)
+        tail, margin = _tail(x, y, r)
     except UnsupportedProspectError:
         return FlexibilityVerdict(Flexibility.INCOMPARABLE, None, (), None)
 
@@ -501,6 +543,8 @@ def compare(x: Prospect, y: Prospect, r: float) -> FlexibilityVerdict:
         dominant = (Flexibility.Y_STRICTLY_DOMINATES, Flexibility.Y_DOMINATES)
         flexible = (Flexibility.Y_STRICTLY_MORE_FLEXIBLE, Flexibility.Y_MORE_FLEXIBLE)
 
+    if margin():  # no crossing, strictly above from k = 1: what the scan would find
+        return FlexibilityVerdict(dominant[0], 1.0, (), tail)
     threshold, crossings, ks, gs, tols = _threshold_scan(winner, loser, r, tail.certified_from)
 
     if threshold <= 1.0 + 1e-9:

@@ -713,6 +713,27 @@ def test_tail_certificate_past_the_float_range_is_a_range_error(tmp_path, capsys
     assert (code, out, err) == (5, "", "error:range: tail certificate k=inf out of floating-point range\n")
 
 
+def test_subnormal_mass_difference_keeps_a_finite_tail_certificate(tmp_path, capsys):
+    # The lowest levels differ by 1e-320, so the certificate's 0.2 / 1e-320 overflows;
+    # its logarithm does not.  mpmath puts the crossing between k = 1469.0 and 1469.1.
+    model = {
+        "prospects": {
+            "x": {"kind": "discrete", "points": [[0, 1e-320], [1, 0.5], [2, 0.5]]},
+            "y": {"kind": "discrete", "points": [[1, 0.6], [2, 0.4]]},
+        }
+    }
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, "compare", "--model", str(path), "--a", "x", "--b", "y", "--r", "0.5")
+    assert (code, err) == (0, "")
+    assert out == (
+        "classification: Y_strictly_more_flexible\n"
+        "threshold_K: 1469.04865294\n"
+        "crossings: 1469.04865294\n"
+        "tail: Y_above from k=1470.43560843 (worst-case gap)\n"
+    )
+
+
 def test_policies_make_one_kernel_call(model_path, capsys, monkeypatch):
     calls = []
     real = flexcurve.prospects._lse_segments

@@ -30,6 +30,7 @@ from flexcurve.orders import (
     GRID_POINTS_PER_DECADE,
     ROOT_REL_TOL,
     _discrete_tail,
+    _levels,
     _first_estimates,
     _geometric_grid,
     _lagrange_step,
@@ -103,7 +104,7 @@ class TestTailOrder:
     def test_mass_difference_only_at_top_value(self):
         # nothing lies above the differing level, so no gap to the next
         # support value exists and the certificate starts at k = 1
-        verdict = _discrete_tail((0.0, 1.0), (0.5, 0.5), (0.0, 1.0), (0.5, 0.5 + 1e-12), 0.1)
+        verdict = _discrete_tail(*_levels((0.0, 1.0), (0.5, 0.5), (0.0, 1.0), (0.5, 0.5 + 1e-12)), 0.1)
         assert verdict.relation is TailRelation.X_ABOVE
         assert verdict.certified_from == pytest.approx(1.0, abs=1e-5)
         assert verdict.rationale == "lexicographic level 1"
@@ -111,10 +112,10 @@ class TestTailOrder:
     def test_mass_rounding_is_a_tie(self):
         # a few ulps between two masses is rounding, not a different distribution
         bumped = (0.5, math.nextafter(math.nextafter(0.5, 1.0), 1.0))
-        verdict = _discrete_tail((0.0, 1.0), (0.5, 0.5), (0.0, 1.0), bumped, 0.1)
+        verdict = _discrete_tail(*_levels((0.0, 1.0), (0.5, 0.5), (0.0, 1.0), bumped), 0.1)
         assert verdict.relation is TailRelation.EQUAL
         # below the differing level the rounding is a tie, above it counts
-        verdict = _discrete_tail((0.0, 1.0, 2.0), (0.25, 0.5, 0.25), (0.0, 1.0, 2.0), (math.nextafter(0.25, 1.0), 0.5 - 1e-6, 0.25 + 1e-6), 0.1)
+        verdict = _discrete_tail(*_levels((0.0, 1.0, 2.0), (0.25, 0.5, 0.25), (0.0, 1.0, 2.0), (math.nextafter(0.25, 1.0), 0.5 - 1e-6, 0.25 + 1e-6)), 0.1)
         assert verdict.relation is TailRelation.Y_ABOVE
         assert verdict.rationale == "lexicographic level 1"
 
@@ -186,6 +187,23 @@ class TestTailOrder:
         verdict = tail_order(x, y, 0.1)
         assert (verdict.relation, verdict.certified_from) == (TailRelation.EQUAL, 1.0)
         assert compare(x, y, 0.1).classification is Flexibility.EQUALLY_FLEXIBLE
+
+    def test_subnormal_lowest_mass_difference_keeps_a_finite_certificate(self):
+        # 0.2 / 1e-320 overflows: the certificate takes the difference of the two logs
+        x, y, r = make_discrete([(0, 1e-320), (1, 0.5), (2, 0.5)]), make_discrete([(1, 0.6), (2, 0.4)]), 0.5
+        tail = tail_order(x, y, r)
+        assert tail.relation is TailRelation.Y_ABOVE and 1470.0 < tail.certified_from < 1471.0
+        verdict = compare(x, y, r)
+        assert verdict.classification is Flexibility.Y_STRICTLY_MORE_FLEXIBLE
+        assert verdict.crossings == (verdict.threshold_k,) and 1000.0 < verdict.threshold_k < tail.certified_from
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            def gap(k):
+                return mp_certain_equivalent(x, mp.mpf(k) * r) - mp_certain_equivalent(y, mp.mpf(k) * r)
+
+            # X above at k = 1000, Y from the certificate on, and the sign changes across the threshold
+            assert gap(1000.0) > 0 > gap(tail.certified_from)
+            assert gap(verdict.threshold_k * (1 - 1e-6)) > 0 > gap(verdict.threshold_k * (1 + 1e-6))
 
 
 class TestFindThreshold:
@@ -1321,3 +1339,74 @@ class TestScan:
         assert len(verdict.crossings) == 1 and brackets == [1]
         # the frozen scan refined the threshold's bracket a second time
         assert with_frozen_scans(compare, x, y, 0.01) == verdict and brackets == [1, 2]
+
+
+@st.composite
+def count_pairs(draw):
+    """Two discretes, two Gaussians plus discretes, or a prospect and itself moved by 1e-9 to 1e-3 or by 0.01 to 20; r."""
+    r, kind, x = draw(st.sampled_from([0.001, 0.01, 0.02, 0.05, 0.1])), draw(st.sampled_from(["discrete", "mixed", "near", "moved"])), draw(small_discretes())
+    if kind == "discrete":
+        return x, draw(small_discretes()), r
+    if kind == "mixed":
+        variances = draw(st.sampled_from([(1.0, 1.0), (4.0, 4.0), (1.0, 4.0), (16.0, 1.0), (0.0, 4.0)]))
+        parts = (x, draw(small_discretes()))
+        return (*(add_independent(make_gaussian(draw(st.floats(-5.0, 5.0)), v), p) for v, p in zip(variances, parts)), r)
+    size = 10.0 ** draw(st.floats(-9.0, -3.0)) if kind == "near" else draw(st.floats(0.01, 20.0))
+    return x, shift(x, draw(st.sampled_from([-1.0, 1.0])) * size), r
+
+
+def count_answers(x, y, r):
+    return repr((compare(x, y, r), find_threshold(x, y, r), find_threshold(y, x, r)))
+
+
+class TestCrossingCount:
+    """A pair whose tilted CDF difference never changes sign gets the scan's answer with no scan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_pairs())
+    def test_same_answers_as_the_scan(self, case):
+        x, y, r = case
+        with mock.patch.object(orders, "_margin", lambda *args: 0.0):
+            scanned = count_answers(x, y, r)
+        assert count_answers(x, y, r) == scanned
+
+    @settings(max_examples=150, deadline=None)
+    @given(count_pairs())
+    def test_certified_bound_holds_in_mpmath(self, case):
+        mp = pytest.importorskip("mpmath")
+        x, y, r = case
+        tail, margin = orders._tail(x, y, r)
+        phi = 0.0 if tail.relation is TailRelation.EQUAL else margin()
+        if not phi:
+            return
+        winner, loser = (x, y) if tail.relation is TailRelation.X_ABOVE else (y, x)
+        v_w, v_l = orders._decompose(winner)[2], orders._decompose(loser)[2]
+        with mp.workdps(40):
+            for k in np.geomspace(1.0, tail.certified_from, 8).tolist():
+                rho = mp.mpf(k) * r
+                bound = mp.log1p(phi) / rho + (mp.mpf(v_l) - mp.mpf(v_w)) * rho / 2
+                assert mp_certain_equivalent(winner, rho) - mp_certain_equivalent(loser, rho) >= bound
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (make_discrete([(0, 0.5), (10, 0.5)]), make_discrete([(1, 0.5), (11, 0.5)])),
+            (add_independent(make_discrete([(0, 0.5), (10, 0.5)]), make_gaussian(0.0, 4.0)), make_discrete([(1, 0.5), (11, 0.5)])),
+        ],
+        ids=["equal variances", "Gaussian slope"],
+    )
+    def test_a_certified_pair_runs_no_kernel(self, x, y, monkeypatch):
+        calls = []
+        monkeypatch.setattr(orders, "_certain_equivalents", lambda *args: calls.append("ce"))
+        monkeypatch.setattr(orders, "_pack", lambda *args: calls.append("pack"))
+        verdict = compare(x, y, 0.05)
+        assert (verdict.classification, verdict.threshold_k, verdict.crossings) == (Flexibility.Y_STRICTLY_DOMINATES, 1.0, ())
+        assert find_threshold(y, x, 0.05) == 1.0 and find_threshold(x, y, 0.05) is None
+        assert calls == []
+
+    def test_a_certificate_past_the_float_range_still_raises(self):
+        x = add_independent(make_discrete([(0, 0.5), (1e308, 0.5)]), make_gaussian(0, 1e12))
+        y = make_discrete([(-1e308, 0.5), (0, 0.5)])
+        assert tail_order(x, y, 0.01).certified_from == math.inf
+        with pytest.raises(OverflowError):
+            compare(x, y, 0.01)
