@@ -575,10 +575,11 @@ def upper_envelope(
     """Partition [k_lo, k_hi] by which prospect's CE curve is maximal.
 
     Inputs whose normal forms hold no discrete part (Gaussians, their
-    affine maps and sums) use the exact line-envelope construction; others
-    fall back to a geometric grid whose breakpoints are all refined
-    together to ROOT_REL_TOL.  Prospects absent from the output are optimal
-    for no k in range.
+    affine maps and sums) are lines, cut at the exact breakpoints of their
+    upper hull; others where ``_scan`` finds the top curve change on a
+    geometric grid, crossings refined together to ROOT_REL_TOL.  Either way
+    ``_label`` names each span's curves on top by one rule.  Prospects
+    absent from the output are optimal for no k in range.
     """
     r = check_risk_aversion(r)
     items = list(prospects)
@@ -592,62 +593,57 @@ def upper_envelope(
     return _grid_envelope(items, r, k_lo, k_hi)
 
 
+def _meet(a: Tuple[float, float], b: Tuple[float, float]) -> float:
+    """The k where lines (slope, intercept) a and b meet."""
+    return (a[1] - b[1]) / (b[0] - a[0])
+
+
 def _line_envelope(
     items: Sequence[Tuple[str, Prospect]], r: float, k_lo: float, k_hi: float
 ) -> List[EnvelopeSegment]:
-    # Each curve is the line mean - (variance*r/2) * k.
-    groups: dict[Tuple[float, float], List[str]] = {}
-    for pid, p in items:
-        s = stats(p)
-        groups.setdefault((-0.5 * s.variance * r, s.mean), []).append(pid)
-
-    # For equal slopes only the highest intercept can ever be on top.
-    by_slope: dict[float, Tuple[float, float]] = {}
-    for slope, intercept in groups:
-        if slope not in by_slope or intercept > by_slope[slope][1]:
-            by_slope[slope] = (slope, intercept)
-    lines = sorted(by_slope.values())
-
-    def meet(a: Tuple[float, float], b: Tuple[float, float]) -> float:
-        return (a[1] - b[1]) / (b[0] - a[0])
-
-    # Upper hull over all real k; clipping to [k_lo, k_hi] below discards
-    # lines that are only on top outside the requested range.
+    # Each curve is the line mean - (variance*r/2) * k; of equal slopes only the highest intercept can be on top.
+    lines = [(-0.5 * s.variance * r, s.mean) for s in (stats(p) for _, p in items)]
+    # Upper hull over all real k; its breakpoints, clipped to [k_lo, k_hi], are the cuts.
     hull: List[Tuple[float, float]] = []
-    for line in lines:
-        while len(hull) >= 2 and meet(hull[-1], line) <= meet(hull[-2], hull[-1]):
+    for line in dict(sorted(lines)).items():  # ascending slopes, each with its highest intercept
+        while len(hull) >= 2 and _meet(hull[-1], line) <= _meet(hull[-2], hull[-1]):
             hull.pop()
         hull.append(line)
+    cuts = [min(max(_meet(a, b), k_lo), k_hi) for a, b in zip(hull, hull[1:])]
+    slopes, intercepts = (np.array(c)[:, None] for c in zip(*lines))
 
-    breakpoints = [meet(a, b) for a, b in zip(hull, hull[1:])]
-    segments: List[EnvelopeSegment] = []
-    for i, line in enumerate(hull):
-        lo = -math.inf if i == 0 else breakpoints[i - 1]
-        hi = math.inf if i == len(hull) - 1 else breakpoints[i]
-        lo = max(lo, k_lo)
-        hi = min(hi, k_hi)
-        if hi > lo:
-            segments.append(EnvelopeSegment(lo, hi, tuple(sorted(groups[line]))))
-    return segments
+    def values(ks: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # a line past the float range reads -inf
+            return intercepts + slopes * ks
+
+    return _label(items, cuts, k_lo, k_hi, values)
 
 
 def _grid_envelope(
     items: Sequence[Tuple[str, Prospect]], r: float, k_lo: float, k_hi: float
 ) -> List[EnvelopeSegment]:
-    ids = [pid for pid, _ in items]
     curves = _pack([p for _, p in items])
     _, cuts, _ = _scan(curves, r, _geometric_grid(k_lo, k_hi))
+    return _label(items, cuts, k_lo, k_hi, lambda ks: _certain_equivalents(curves, ks * r))
+
+
+def _label(
+    items: Sequence[Tuple[str, Prospect]], cuts: List[float], k_lo: float, k_hi: float, values: Callable[[np.ndarray], np.ndarray]
+) -> List[EnvelopeSegment]:
+    """Segments of [k_lo, k_hi] cut at ``cuts`` (ascending), empty spans dropped.
+
+    ``values(ks)`` holds every item's curve at each k, one row per item.  A span
+    is labelled with the curves within 1e-9 * (1 + |top|) of the top at its
+    geometric midpoint, and neighbours with equal labels are merged.
+    """
     bounds = [k_lo, *cuts, k_hi]
     spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-    mids = np.array([_geometric_mean(lo, hi) for lo, hi in spans])
-    values = _certain_equivalents(curves, mids * r)
-    top = values.max(axis=0)
-    on_top = values >= top - 1e-9 * (1.0 + np.abs(top))
-
+    at_mids = values(np.array([_geometric_mean(lo, hi) for lo, hi in spans]))
+    top = at_mids.max(axis=0)
+    on_top = at_mids >= top - 1e-9 * (1.0 + np.abs(top))
     segments: List[EnvelopeSegment] = []
     for (lo, hi), column in zip(spans, on_top.T):
-        labels = tuple(sorted(ids[i] for i in np.flatnonzero(column)))
+        labels = tuple(sorted(items[i][0] for i in np.flatnonzero(column)))
         if segments and segments[-1].ids == labels:
             segments[-1] = EnvelopeSegment(segments[-1].k_lo, hi, labels)
         else:

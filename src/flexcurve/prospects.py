@@ -393,7 +393,8 @@ def _convolve(
     """Exact convolution of two discrete distributions, as value and mass arrays.
 
     Returns None when the pairwise-sum support would exceed the cap.
-    Values equal to the bit are merged; there is no epsilon merging.
+    Values equal to the bit are merged, with no epsilon merging; a value
+    whose mass underflows to 0 is left out.
     """
     if len(xv) * len(zv) > CONVOLUTION_SUPPORT_CAP:
         return None
@@ -402,6 +403,8 @@ def _convolve(
     weights = np.multiply.outer(xm, zm).ravel()
     uniq, inverse = np.unique(sums, return_inverse=True)
     agg = np.bincount(inverse, weights=weights, minlength=len(uniq))
+    if not agg.all():
+        uniq, agg = uniq[agg > 0.0], agg[agg > 0.0]
     return uniq, agg / math.fsum(agg.tolist())
 
 

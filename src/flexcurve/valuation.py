@@ -26,7 +26,7 @@ __all__ = [
     "CURVE_SLACK",
 ]
 
-# Numerical slack allowed on curve monotonicity / tail invariants.
+# Numerical slack on curve monotonicity / tail invariants, times 1 + the magnitude compared: a CE rounds relatively.
 CURVE_SLACK = 1e-9
 
 
@@ -168,10 +168,10 @@ class FlexibilityCurve:
             raise ValueError("k values must be positive")
         if any(b <= a for a, b in zip(self.ks, self.ks[1:])):
             raise ValueError("k values must be strictly ascending")
-        if any(b > a + CURVE_SLACK for a, b in zip(self.ces, self.ces[1:])):
+        if any(b > a + CURVE_SLACK * (1.0 + abs(a)) for a, b in zip(self.ces, self.ces[1:])):
             raise ValueError("certain equivalents must be nonincreasing in k")
         if math.isfinite(self.tail_limit):
-            if any(ce < self.tail_limit - CURVE_SLACK for ce in self.ces):
+            if any(ce < self.tail_limit - CURVE_SLACK * (1.0 + abs(self.tail_limit)) for ce in self.ces):
                 raise ValueError("certain equivalent below the tail limit")
 
     @property

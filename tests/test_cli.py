@@ -734,6 +734,21 @@ def test_subnormal_mass_difference_keeps_a_finite_tail_certificate(tmp_path, cap
     )
 
 
+@pytest.mark.parametrize(
+    "points, r", [([[1e12, 0.3], [1000000000005, 0.7]], "0.1"), ([[1e10, 0.3], [10000000001, 0.7]], "10")]
+)
+def test_curve_of_large_values_allows_their_rounding(tmp_path, capsys, points, r):
+    # Neighbouring CEs rise by their rounding (an ulp of 1e12 is 1.2e-4), so the
+    # curve check's slack scales with the CE: this is not a domain error.
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"prospects": {"y": {"kind": "discrete", "points": points}}}))
+    code, out, err = run(capsys, "curve", "--model", str(path), "--ids", "y", "--k", "1:1000:4000", "--r", r)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "k,y" and len(lines) == 4001
+    assert all(points[0][0] <= float(line.split(",")[1]) <= points[1][0] for line in lines[1:])
+
+
 def test_policies_make_one_kernel_call(model_path, capsys, monkeypatch):
     calls = []
     real = flexcurve.prospects._lse_segments

@@ -38,6 +38,7 @@ PRINTED_ROOTS = [
     ("prospects.compare.6.out", 2, 1, ("gridx", "gridy")),
     ("prospects.envelope.0.out", 1, 1, ("pg", "safe")),
     ("prospects.envelope.1.out", 1, 1, ("wide", "lift")),
+    ("prospects.envelope.2.out", 1, 1, ("pg", "pn")),
 ]
 
 

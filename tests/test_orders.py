@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flexcurve
@@ -59,6 +59,16 @@ def bisect_threshold_oracle(x, y, r, lo, hi, tol=1e-10):
 
 
 class TestTailOrder:
+    def test_a_value_whose_mass_underflows_is_no_tail_level(self):
+        # the convolution's value 0 has mass 1e-200 * 1e-200 = 0.0 and is dropped, so value 1 is the lowest level
+        x = make_discrete([(0, 1e-200), (1, 1.0)])
+        p = add_independent(add_independent(x, make_gaussian(0, 1)), x)
+        values, masses, variance = orders._decompose(p)
+        assert (values.tolist(), masses.tolist(), variance) == ([1.0, 2.0], [2e-200, 1.0], 1.0)
+        q = add_independent(make_discrete([(1, 0.5), (2, 0.5)]), make_gaussian(0, 1))
+        verdict = tail_order(p, q, 0.1)
+        assert (verdict.relation, verdict.rationale) == (TailRelation.X_ABOVE, "mass-at-worst gap")
+
     def test_less_mass_at_shared_worst_wins(self):
         x = make_discrete([(0, 0.5), (100, 0.5)])
         w = make_discrete([(0, 0.4), (50, 0.6)])
@@ -1410,3 +1420,128 @@ class TestCrossingCount:
         assert tail_order(x, y, 0.01).certified_from == math.inf
         with pytest.raises(OverflowError):
             compare(x, y, 0.01)
+
+
+def frozen_line_envelope(items, r, k_lo, k_hi):
+    """The line envelope before the shared labeller: its own tie rule, exact equality of slope and intercept.
+
+    The reference for upper_envelope on Gaussian-only items.
+    """
+    groups = {}
+    for pid, p in items:
+        s = flexcurve.stats(p)
+        groups.setdefault((-0.5 * s.variance * r, s.mean), []).append(pid)
+    by_slope = {}
+    for slope, intercept in groups:
+        if slope not in by_slope or intercept > by_slope[slope][1]:
+            by_slope[slope] = (slope, intercept)
+
+    def meet(a, b):
+        return (a[1] - b[1]) / (b[0] - a[0])
+
+    hull = []
+    for line in sorted(by_slope.values()):
+        while len(hull) >= 2 and meet(hull[-1], line) <= meet(hull[-2], hull[-1]):
+            hull.pop()
+        hull.append(line)
+    breakpoints = [meet(a, b) for a, b in zip(hull, hull[1:])]
+    segments = []
+    for i, line in enumerate(hull):
+        lo = max(-math.inf if i == 0 else breakpoints[i - 1], k_lo)
+        hi = min(math.inf if i == len(hull) - 1 else breakpoints[i], k_hi)
+        if hi > lo:
+            segments.append(orders.EnvelopeSegment(lo, hi, tuple(sorted(groups[line]))))
+    return segments
+
+
+@st.composite
+def gaussian_items(draw):
+    """1-6 Gaussian-only items (Gaussians, their affine maps, sums of two) and maybe one more that repeats one or builds a sum two ways; r; k_hi.
+
+    Values come from a seeded generator, so no three lines meet at one point by construction.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r, k_hi = draw(st.sampled_from([0.01, 0.1, 1.0])), 10.0 ** draw(st.floats(0.5, 6.0))
+
+    def gaussian():
+        # means in units of r and variances spread over decades, so that lines meet across the whole k range
+        return make_gaussian(float(rng.uniform(-5.0, 5.0)) * r, float(10.0 ** rng.uniform(-2.0, 1.0)))
+
+    def one():
+        kind = draw(st.sampled_from(["gaussian", "affine", "sum"]))
+        if kind == "gaussian":
+            return gaussian()
+        if kind == "affine":
+            return Affine(gaussian(), float(rng.uniform(0.5, 2.0)), float(rng.uniform(-3.0, 3.0)) * r)
+        return add_independent(Affine(gaussian(), 1.0, 0.5 * r), gaussian()) if draw(st.booleans()) else add_independent(gaussian(), gaussian())
+
+    items = [(f"p{i}", one()) for i in range(draw(st.integers(1, 6)))]
+    twin = draw(st.sampled_from(["none", "repeat", "two ways"]))
+    if twin == "repeat":
+        items.append(("twin", items[draw(st.integers(0, len(items) - 1))][1]))
+    elif twin == "two ways":
+        # decimal means and variances, whose float sums differ from the decimal sums in the last bit
+        (a, c), (b, d) = (np.round(rng.uniform(0.01, 3.0, 2), 2).tolist() for _ in range(2))
+        items += [("sum", add_independent(make_gaussian(a, b), make_gaussian(c, d))), ("twin", make_gaussian(round(a + c, 2), round(b + d, 2)))]
+    return items, r, k_hi
+
+
+def labelled_apart(items, r, segments):
+    """Whether, at some segment's geometric midpoint, the label rule names other curves than the segment does."""
+    lines = [(s.mean, s.variance) for s in (flexcurve.stats(p) for _, p in items)]
+    for seg in segments:
+        k = math.sqrt(seg.k_lo * seg.k_hi)
+        values = [m - 0.5 * v * r * k for m, v in lines]
+        top = max(values)
+        if tuple(sorted(pid for (pid, _), v in zip(items, values) if v >= top - 1e-9 * (1.0 + abs(top)))) != seg.ids:
+            return True
+    return False
+
+
+class TestSpanLabeller:
+    """Both envelope constructions end in one labeller: the line hull keeps its exact breakpoints and labels by the grid's rule."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(gaussian_items())
+    def test_line_envelope_is_the_frozen_hull_or_the_grids_labels(self, case):
+        items, r, k_hi = case
+        got, frozen = upper_envelope(items, r, (1.0, k_hi)), frozen_line_envelope(items, r, 1.0, k_hi)
+        if not labelled_apart(items, r, frozen):
+            assert repr(got) == repr(frozen)
+            return
+        # Near-tied lines: the hull's breakpoints, labelled as the grid labels them.
+        # The grid misses a line on top for less than a few of its steps.
+        assume(all(s.k_hi > 1.02 * s.k_lo for s in frozen))
+        assert {s.k_lo for s in got} <= {s.k_lo for s in frozen}
+        assert [s.ids for s in got] == [s.ids for s in orders._grid_envelope(items, r, 1.0, k_hi)]
+
+    def test_a_sum_and_its_decimal_twin_are_one_segment(self, monkeypatch):
+        # mean and variance 0.30000000000000004 against 0.3: the frozen hull named only the sum
+        items = [("a", add_independent(make_gaussian(0.1, 0.1), make_gaussian(0.2, 0.2))), ("b", make_gaussian(0.3, 0.3))]
+        assert frozen_line_envelope(items, 0.1, 1.0, 10.0) == [orders.EnvelopeSegment(1.0, 10.0, ("a",))]
+        monkeypatch.setattr(orders, "_certain_equivalents", lambda *args: pytest.fail("the line hull evaluates no CE"))
+        assert upper_envelope(items, 0.1, (1, 10)) == [orders.EnvelopeSegment(1.0, 10.0, ("a", "b"))]
+        monkeypatch.undo()
+        # a common discrete part sends the same pair through the grid, which labels it alike
+        part = make_discrete([(0, 0.5), (1, 0.5)])
+        moved = [(pid, add_independent(p, part)) for pid, p in items]
+        assert upper_envelope(moved, 0.1, (1, 10)) == [orders.EnvelopeSegment(1.0, 10.0, ("a", "b"))]
+
+    def test_an_ulp_apart_pair_has_no_breakpoint(self):
+        # the frozen hull cut at k = 32, where compare finds no crossing
+        x, y = make_gaussian(100.0, 4.0), make_gaussian(100.00000000000001, 4.000000000000001)
+        assert [s.k_hi for s in frozen_line_envelope([("a", x), ("b", y)], 1.0, 1.0, 100.0)] == [32.0, 100.0]
+        assert compare(x, y, 1.0).crossings == ()
+        assert upper_envelope([("a", x), ("b", y)], 1.0, (1, 100)) == [orders.EnvelopeSegment(1.0, 100.0, ("a", "b"))]
+
+    def test_a_range_past_the_grids_reach(self):
+        # 200 decades, which the grid cannot hold; the hull's breakpoint is exact
+        items = [("a", make_gaussian(0, 1)), ("b", make_gaussian(1, 2))]
+        assert upper_envelope(items, 1.0, (1, 1e200)) == [orders.EnvelopeSegment(1.0, 2.0, ("b",)), orders.EnvelopeSegment(2.0, 1e200, ("a",))]
+
+    def test_lines_past_the_float_range_neither_raise_nor_warn(self):
+        items = [("a", make_gaussian(-1e308, 1e300)), ("b", make_gaussian(1e308, 1e301))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            segments = upper_envelope(items, 1.0, (1, 1e300))
+        assert segments[0].k_lo == 1.0 and segments[-1].k_hi == 1e300

@@ -152,6 +152,12 @@ class TestAddIndependent:
         assert isinstance(out, IndependentSum)
         assert len(out.terms) == 2
 
+    def test_a_mass_product_that_underflows_is_left_out(self):
+        # 1e-200 * 1e-200 is 0.0 in floats: the value 0 has no mass and is dropped
+        x = make_discrete([(0, 1e-200), (1, 1.0)])
+        out = add_independent(x, x)
+        assert (out.values, out.masses) == ((1.0, 2.0), (2e-200, 1.0))
+
 
 class TestLogMgf:
     def test_point_mass(self):

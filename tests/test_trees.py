@@ -204,6 +204,13 @@ class TestNodeCurve:
         assert curve.ces == (10.0, 10.0, 10.0)
         assert curve.tail_limit == 10.0
 
+    def test_curve_of_large_payoffs_allows_their_rounding(self):
+        # Neighbouring CEs rise by up to an ulp of 1e12 (1.2e-4): within the curve check's relative slack.
+        tree = DecisionTree({"c": ChanceNode(((0.3, "lo"), (0.7, "hi"))), "lo": TerminalNode(1e12), "hi": TerminalNode(1e12 + 5)}, "c")
+        curve = node_curve(tree, "c", 0.1, tuple(np.geomspace(1, 1000, 4000)))
+        assert all(1e12 <= ce <= 1e12 + 5 for ce in curve.ces)
+        assert any(b > a for a, b in zip(curve.ces, curve.ces[1:]))
+
     def test_decision_curve_is_pointwise_max_of_children(self, rng):
         ks = tuple(np.geomspace(1, 100, 16))
         for _ in range(20):

@@ -292,3 +292,11 @@ class TestFlexibilityCurve:
     def test_invariant_enforced_on_construction(self):
         with pytest.raises(ValueError):
             FlexibilityCurve("bad", 0.1, (1.0, 2.0), (1.0, 2.0), -math.inf)
+
+    def test_slack_scales_with_the_values_compared(self):
+        # a rise of one ulp of 1e12, and an undershoot of the tail limit by one, pass
+        FlexibilityCurve("ok", 0.1, (1.0, 2.0), (1e12, 1e12 + 1.220703125e-4), 1e12 - 1.220703125e-4)
+        with pytest.raises(ValueError, match="nonincreasing"):
+            FlexibilityCurve("bad", 0.1, (1.0, 2.0), (1e12, 1e12 + 2e3), -math.inf)
+        with pytest.raises(ValueError, match="below the tail limit"):
+            FlexibilityCurve("bad", 0.1, (1.0, 2.0), (1e12, 1e12 - 2e3), 1e12)
