@@ -7,39 +7,29 @@ ordering can be certified in closed form: beyond a computable k the
 flatter Gaussian line provably wins, or, when the variances are equal,
 the leading term of the discrete parts' exponential sum.  Only a sum past
 the exact-convolution support cap escapes this (``compare`` calls it
-incomparable).  Crossings below that certificate are isolated on a
-geometric grid and refined to ROOT_REL_TOL, which turns the for-all-k
-definition into a finite, checkable procedure.  ``compare`` and
-``find_threshold`` count crossings first: over the merged support
-v_1 < ... < v_N of the discrete parts, F_j sums
+incomparable).  ``compare`` and ``find_threshold`` count crossings first:
+over the merged support v_1 < ... < v_N of the discrete parts, F_j sums
 (p_loser - p_winner)(v_i) exp(-r (v_i - v_1)) over i <= j.  The Laplace
 kernel diminishes variation (Karlin, *Total Positivity*, 1968): where every
 F_j clears a rounding band, phi = min_j F_j - band > 0, and summing by
 parts gives CE_winner - CE_loser >= log1p(phi)/(kr) + (v_l - v_w)kr/2 for
 k >= 1, v_w <= v_l up to 64 ulps being the Gaussian variances.  Where that
 clears twice the tie tolerance and an assumed CE rounding (64 ulps of 1/r
-and of the largest magnitude) up to certified_from, the scan's answer,
-strict dominance from k = 1 with no crossing, needs no CE; other pairs are
-scanned.  One scanner, ``_scan``,
-brackets the crossings of ``compare``, ``find_threshold`` and
-``upper_envelope`` by one rule, skipping samples within the tie
-tolerance.  Every bracket of one call is refined together: the first
-estimate interpolates the grid samples around the bracket (inverse
-quintic in log k), later ones take a secant step from
-the previous round's two points, and a geometric midpoint keeps the
-bracket shrinking whatever the function; on smooth curves one round of
-CE evaluations closes nearly every bracket.  Each round is one batched
-CE call for all open brackets; the bookkeeping between calls runs
-bracket by bracket on Python floats, cheaper than numpy calls on the few
-brackets a call holds, with the bits of array arithmetic in the same order.
+and of the largest magnitude) up to certified_from, the answer, strict
+dominance from k = 1 with no crossing, needs no CE.  Every other pair, and
+every envelope, goes to one scanner, ``_scan``: from each curve's CE and
+tilted mean at geometric samples it settles by proof, gap by gap below the
+certificate and up to the tie tolerance, where each pair keeps its sign
+and where it crosses once (``_settle``), splitting only the gaps it cannot
+settle, and refines every crossing to ROOT_REL_TOL, all brackets
+together, one CE call a round.
+That turns the for-all-k definition into a finite, checked procedure.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -62,7 +52,7 @@ __all__ = [
     "upper_envelope",
 ]
 
-GRID_POINTS_PER_DECADE = 512
+GRID_POINTS_PER_DECADE = 128
 
 # Relative width at which refinement stops when locating a crossing.
 ROOT_REL_TOL = 1e-8
@@ -171,6 +161,11 @@ def _levels(xv: Sequence[float], xm: Sequence[float], yv: Sequence[float], ym: S
     return merged, [py.get(v, 0.0) - px.get(v, 0.0) for v in merged], px, py
 
 
+def _certified(k0: float) -> float:
+    """The tail certificate past a bound k0 on the last crossing: a relative and an absolute margin, at least 1."""
+    return max(1.0, k0 * (1.0 + 1e-9) + 1e-6)
+
+
 def _discrete_tail(merged: List[float], diffs: List[float], px: dict, py: dict, r: float) -> TailVerdict:
     for istar, (v, d) in enumerate(zip(merged, diffs)):
         if abs(d) > _MASS_TIE_REL * max(px.get(v, 0.0), py.get(v, 0.0)):
@@ -193,7 +188,7 @@ def _discrete_tail(merged: List[float], diffs: List[float], px: dict, py: dict, 
         # a divisor that underflows to 0 stands as the least float: the certificate is out of range
         log_ratio = math.log(ratio) if ratio < math.inf else math.log(residual) - math.log(abs(cstar))
         k0 = log_ratio / (r * gap or math.ulp(0.0))
-    certified = max(1.0, k0 * (1.0 + 1e-9) + 1e-6)
+    certified = _certified(k0)
     if istar == 0 and (px.get(merged[0], 0.0) == 0.0 or py.get(merged[0], 0.0) == 0.0):
         rationale = "worst-case gap"
     elif istar == 0:
@@ -234,8 +229,7 @@ def _tail(x: Prospect, y: Prospect, r: float) -> Tuple[TailVerdict, Callable[[],
         # slope*k*r/2 exceeds max D_steep - min D_flat; a divisor that
         # underflows to 0 stands as the least float: the certificate is out of range.
         k0 = 2.0 * (float(steep[-1]) - float(flat[0])) / (slope * r or math.ulp(0.0))
-        certified = max(1.0, k0 * (1.0 + 1e-9) + 1e-6)
-        tail = TailVerdict(relation, certified, "Gaussian slope" if min(x_var, y_var) else "worst-case gap")
+        tail = TailVerdict(relation, _certified(k0), "Gaussian slope" if min(x_var, y_var) else "worst-case gap")
     return tail, functools.partial(_margin, tail, levels, dx, dy, r)
 
 
@@ -269,72 +263,6 @@ def _geometric_grid(k_lo: float, k_hi: float) -> np.ndarray:
         return np.asarray([k_lo])
     decades = math.log10(k_hi / k_lo)
     return _geometric_points(k_lo, k_hi, max(2, int(math.ceil(GRID_POINTS_PER_DECADE * decades)) + 1))
-
-
-# Grid offsets, from a bracket's left end, of the samples its first
-# estimate interpolates: three on either side, the bracket's ends among them.
-_STENCIL = np.arange(-2, 4)
-_LEFT, _RIGHT = -int(_STENCIL[0]), int(_STENCIL[-1])
-# For each sample, the others in order.
-_OTHERS = [tuple(m for m in range(len(_STENCIL)) if m != j) for j in range(len(_STENCIL))]
-
-
-def _lagrange_step(g: List[float], x: List[float]) -> float:
-    """log k at g = 0 less x[_LEFT], on the polynomial in g through (g, x); NaN on a zero denominator.
-
-    Weights prod_{m != j} g_m / (g_m - g_j), each product and the sum left to right as numpy reduces a row of six.
-    """
-    step = 0.0
-    for j, (m0, m1, m2, m3, m4) in enumerate(_OTHERS):
-        gj = g[j]
-        den = (g[m0] - gj) * (g[m1] - gj) * (g[m2] - gj) * (g[m3] - gj) * (g[m4] - gj)
-        if den == 0.0:
-            return math.nan
-        term = (x[j] - x[_LEFT]) * (g[m0] * g[m1] * g[m2] * g[m3] * g[m4] / den)
-        step = step + term if j else term
-    return step
-
-
-def _first_estimates(
-    ks: np.ndarray, lo: np.ndarray, hi: np.ndarray, sample: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """A first estimate of the root in each bracket [ks[lo], ks[hi]], or NaN.
-
-    ``sample(cols)`` returns, for an (n, 6) array of grid columns, bracket
-    i's samples at ``cols[i]``.  A bracket of one grid step with three
-    samples on either side (its ends among them) gets inverse quintic
-    interpolation in log k: log k as the polynomial in g through those six
-    samples, read at g = 0.  Its error shrinks as the sixth power of the
-    grid step, so on smooth curves the estimate lands well within the
-    quarter tolerance that lets ``_refine`` close the bracket in one round.
-    The estimate is NaN, and ``_refine`` starts from the end-point secant
-    root, when the bracket spans several steps or lies within two steps of
-    an end of the grid, when the six samples are not strictly monotone (the
-    inverse is then not a function), when a product of the interpolation
-    leaves the float range, or when the estimate falls outside the
-    bracket.  The interpolation runs bracket by bracket on Python floats;
-    log and exp are one numpy call each over every usable bracket.
-    """
-    # Columns past the left end wrap around; those brackets are not used.
-    cols = np.minimum(lo[:, None] + _STENCIL, len(ks) - 1)
-    samples = sample(cols).tolist()
-    usable = [
-        i
-        for i, (left, right, g) in enumerate(zip(lo.tolist(), hi.tolist(), samples))
-        if right == left + 1
-        and _LEFT <= left < len(ks) - _RIGHT
-        and (all(map(operator.lt, g, g[1:])) or all(map(operator.gt, g, g[1:])))
-    ]
-    out = [math.nan] * len(samples)
-    near = ks[cols[usable]]
-    steps = [_lagrange_step(samples[i], x) for i, x in zip(usable, np.log(near).tolist())]
-    with np.errstate(over="ignore"):
-        growth = np.exp(steps).tolist()
-    for i, k, e in zip(usable, near.tolist(), growth):
-        estimate = k[_LEFT] * e
-        if k[_LEFT] < estimate < k[_LEFT + 1]:
-            out[i] = estimate
-    return np.array(out)
 
 
 def _geometric_mean(a: float, b: float) -> float:
@@ -420,87 +348,188 @@ def _refine(
     return np.array(roots)
 
 
+def _hermite_start(k_a: float, k_b: float, y_a: float, y_b: float, s_a: float, s_b: float) -> float:
+    """A first estimate of the root in [k_a, k_b], where y_a and y_b have opposite signs.
+
+    The root of the cubic Hermite in log k through each end's value y and
+    exact slope s = dy/dlog k, by Newton's method from the end-point secant
+    root; that secant root where the cubic's is not found inside.
+    """
+    h = math.log(k_b / k_a)
+    # y_a + c1 t + c2 t^2 + c3 t^3 for t in [0, 1]
+    c1, c2, c3 = h * s_a, 3.0 * (y_b - y_a) - h * (2.0 * s_a + s_b), 2.0 * (y_a - y_b) + h * (s_a + s_b)
+    t = y_a / (y_a - y_b)
+    for _ in range(8):
+        step = (y_a + t * (c1 + t * (c2 + t * c3))) / (c1 + t * (2.0 * c2 + 3.0 * t * c3) or math.nan)
+        t -= step
+        if not abs(step) > 1e-15:
+            break
+    k = k_a * math.exp(t * h) if 0.0 < t < 1.0 else k_a
+    return k if k_a < k < k_b else k_a + y_a * (k_b - k_a) / (y_a - y_b)
+
+
 def _tie_tolerance(u, v):
     """Two CEs, floats or arrays, closer than this are tied: ``_TIE_EPS`` * (1 + the larger magnitude)."""
     return _TIE_EPS * (1.0 + np.maximum(abs(u), abs(v)))
 
 
-def _scan(packed, r: float, ks: np.ndarray) -> Tuple[np.ndarray, List[float], List[Tuple[float, int]]]:
-    """Every curve of ``packed`` on the grid ``ks``, and a cut wherever the top curve changes.
+def _settle(a: np.ndarray, b: np.ndarray, ends: np.ndarray):
+    """Proven signs and settled flags of gaps [a, b] between curves with CEs u, v and tilted means e, f.
 
-    Returns the CEs (one row per curve), one cut per grid gap where the top
-    curve changes, ascending, and the crossings refined among them as (k,
-    the curve above to the left of k), in order.  A change from curve a to
-    curve b is bracketed from the last sample at or before it where a - b
-    is signed (clears ``_tie_tolerance``) to the first signed sample after
-    it, skipping samples in the tie band; where the tie band runs on to the
-    end of the grid, the first sample after with a below b closes the
-    bracket instead.  It is a crossing when a is above at the bracket's
-    left end and below at its right end.  A bracket already taken by an
-    earlier change is refined once, and a change with no such bracket keeps
-    its gap's geometric midpoint as its cut.
+    ``ends`` stacks, at the gaps' left ends (``ends[0]``) and right ends (``ends[1]``), u, v, e, f, then
+    g = u - v, its ``_tie_tolerance`` and its sign: 1 or -1 where g clears the tolerance, else 0.  A gap is
+    settled when tied at both ends, proven to keep its ends' common sign (its proven sign), proven to cross
+    once between opposite signs, or proven never to take the sign opposite its one signed end's.  As
+    d(k CE)/dk = E falls when k rises, G = k g has its slope in [e(b) - f(a), e(a) - f(b)], widened by two
+    tolerances for rounding.  Where that excludes 0, g crosses 0 at most once and only one way, and a sign
+    both ends share holds between them: beyond a/b times the tolerance where G moves towards 0
+    (|g(k)| >= a |g(a)| / k), and beyond |g(b)| where it moves away.  Otherwise the boxes [u(b), u(a)] and
+    [v(b), v(a)] may be disjoint, or G lies within the lines through its ends with the extreme slopes.  The
+    proofs hold up to the tie tolerance, which stands for the rounding of the CEs and tilted means.
     """
-    ces = _certain_equivalents(packed, ks * r)
-    # np.argmax(ces, axis=0), without its cost on two rows: the first of the largest
-    best = (ces[1] > ces[0]).view(np.int8) if len(ces) == 2 else ces.argmax(axis=0)
-    pairs = {}  # (a, b) -> a - b on the grid, and its signed samples
-    brackets = {}  # (a, b, left end) -> (right end, a - b at both ends)
-    mids = []
-    for j in (best[1:] != best[:-1]).nonzero()[0].tolist():
-        a, b, u, v = int(best[j]), int(best[j + 1]), ces[:, j].tolist(), ces[:, j + 1].tolist()
-        j0, j1, g0, g1 = j, j + 1, u[a] - u[b], v[a] - v[b]
-        if not (abs(g0) > _tie_tolerance(u[a], u[b]) and abs(g1) > _tie_tolerance(v[a], v[b])):
-            if (a, b) not in pairs:
-                d = ces[a] - ces[b]
-                pairs[a, b] = d, np.flatnonzero(abs(d) > _tie_tolerance(ces[a], ces[b])).tolist()
-            d, signed = pairs[a, b]
-            n = bisect.bisect_right(signed, j)
-            j0 = signed[n - 1] if n else j
-            # No signed sample after the change: the tie band runs on to the end; the first with a below b closes.
-            j1 = signed[n] if n < len(signed) else j0 + 1 + int(np.argmax(d[j0 + 1 :] < 0.0))
-            g0, g1 = float(d[j0]) if n else 0.0, float(d[j1])  # none before it: no bracket
-        if g0 > 0.0 > g1 and (a, b, j0) not in brackets:
-            brackets[a, b, j0] = j1, g0, g1
-        else:
-            mids.append(_geometric_mean(float(ks[j]), float(ks[j + 1])))
+    u, v, e, f, (g_a, g_b), tol, (s_a, s_b) = ends.swapaxes(0, 1)  # each: its value at a, then at b
+    band = tol.max(axis=0)
+    slow, fast = e[1] - f[0] - 2.0 * band, e[0] - f[1] + 2.0 * band
+    settled, strict = (slow > 0.0) | (fast < 0.0), np.where(s_a == s_b, s_a, 0.0)
+    if settled.all():
+        return strict, settled
+    box = np.subtract(u[1] - v[0] > band, u[0] - v[1] < -band, dtype=float)
+    strict, settled = np.where(settled, strict, box), settled | (box != 0)
+    if not (~settled & (s_a * s_b >= 0)).any():  # the lines below settle no gap between opposite signs
+        return strict, settled
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        left, right, corner, spread = a * g_a, b * g_b, slow * fast * (b - a), fast - slow
+        lowest, highest = (left * fast - right * slow + corner) / spread, (right * fast - left * slow - corner) / spread
+    bent = np.subtract(lowest > b * band, highest < -b * band, dtype=float)
+    strict, both = np.where(settled, strict, bent), s_a + s_b
+    settled |= (bent != 0) | (s_a == 0) & (s_b == 0) | (both == 1) & (lowest >= -a * band) | (both == -1) & (highest <= a * band)
+    return strict, settled
+
+
+def _hidden(ks: np.ndarray, ces: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Curves x gaps: where a curve is proven below the top curve at the gap's right end, beyond the tie tolerance, all through it.
+
+    G = k CE is concave in k (its slope, the tilted mean, falls), so the top curve's G lies above its chord
+    over the gap and the other's below its tangent at the left end, slope widened by two tolerances for
+    rounding: the two lines' difference clearing the tolerance at both ends proves the curve below.  The
+    tolerance at a sample is the largest of its pairs' (``_tie_tolerance`` of its largest CE magnitude).
+    """
+    big, tol = ks * ces, _TIE_EPS * (1.0 + abs(ces).max(axis=0))
+    top, gaps = ces[:, 1:].argmax(axis=0), np.arange(len(ks) - 1)
+    chord_a, chord_b, left = big[top, gaps], big[top, gaps + 1], big[:, :-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rise = (means[:, :-1] + 2.0 * np.maximum(tol[:-1], tol[1:])) * (ks[1:] - ks[:-1])
+        return (chord_a - left > ks[:-1] * tol[:-1]) & (chord_b - left - rise > ks[1:] * tol[1:])
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair of n curves, first less than second: ``np.triu_indices(n, 1)``."""
+    return np.triu_indices(n, 1)
+
+
+def _scan(packed, r: float, k_lo: float, k_hi: float):
+    """Prove where pairs of ``packed``'s curves cross on [k_lo, k_hi]; refine the crossings that can touch the top.
+
+    The curves are sampled ``GRID_POINTS_PER_DECADE`` points a decade (CE and tilted mean), and every gap
+    ``_settle`` leaves open is split at its geometric midpoint, one kernel call a round.  Past 4 times the
+    seed's points only gaps between opposite signs split, and none narrower than ROOT_REL_TOL * its right end:
+    a gap left open keeps the sign its samples agree on.  With four curves or more, pairs outnumber curves:
+    only pairs open together on some gap, neither curve ``_hidden`` there, are kept, each settled only on
+    such gaps; with three, a gap left open is settled for a pair where either curve is hidden.  Either way
+    no crossing is refined where one of its curves is hidden all through its bracket: it cannot touch the
+    top.  A crossing is bracketed between signed samples of opposite signs with only tied ones between; a tie band running on
+    to the end closes at its first sample of the other sign.  Returns the ks, the CEs (a row a curve), the
+    settled pairs' signs and proven gap signs (``_settle``; two curves make one pair, the first less the
+    second), and the crossings as (k, left sample, right sample), ascending.
+    """
+    n = len(packed.forms)
+    ks = _geometric_grid(k_lo, k_hi)
+    budget = 4 * len(ks)
+    ces, means = _certain_equivalents(packed, ks * r, tilted=True)
+    while True:
+        first, second = _pairs(n)
+        hidden = _hidden(ks, ces, means) if n > 3 else None
+        if hidden is not None:  # pairs outnumber curves: keep those both open on some gap
+            shown = (~hidden).astype(float)
+            near = (shown @ shown.T)[first, second] > 0.0
+            first, second = first[near], second[near]
+        # u, v, e and f: each pair's first and second curves' CEs, then their tilted means
+        curves = np.concatenate((ces, means))[np.concatenate((first, second, first + n, second + n))].reshape(4, len(first), len(ks))
+        g, tol = curves[0] - curves[1], _tie_tolerance(curves[0], curves[1])
+        signs = np.subtract(g > tol, g < -tol, dtype=np.int8)
+        curves = np.concatenate((curves, (g, tol, signs)))
+        if hidden is None:
+            strict, settled = _settle(ks[:-1], ks[1:], np.stack((curves[..., :-1], curves[..., 1:])))
+            if n == 3 and not settled.all():
+                hidden = _hidden(ks, ces, means)
+                settled |= hidden[first] | hidden[second]
+        else:  # only the gaps where neither curve is hidden
+            strict, settled = np.zeros((len(first), len(ks) - 1)), np.ones((len(first), len(ks) - 1), dtype=bool)
+            rows, cols = (~(hidden[first] | hidden[second])).nonzero()
+            ends = curves[:, rows, np.stack((cols, cols + 1))].swapaxes(0, 1)
+            strict[rows, cols], settled[rows, cols] = _settle(ks[cols], ks[cols + 1], ends)
+        if settled.all():
+            break
+        unsettled = ~settled & (ks[1:] - ks[:-1] > ROOT_REL_TOL * ks[1:])
+        split = unsettled.any(axis=0)
+        if len(ks) + np.count_nonzero(split) > budget:
+            split = (unsettled & (signs[:, :-1] * signs[:, 1:] < 0)).any(axis=0)
+        split = split.nonzero()[0]
+        if not split.size:
+            strict = np.where(settled | (signs[:, :-1] != signs[:, 1:]), strict, signs[:, :-1])
+            break
+        mids = np.sqrt(ks[split]) * np.sqrt(ks[split + 1])
+        more, more_means = _certain_equivalents(packed, mids * r, tilted=True)
+        ks = np.insert(ks, split + 1, mids)
+        ces, means = np.insert(ces, split + 1, more, axis=1), np.insert(means, split + 1, more_means, axis=1)
+    brackets = []
+    for pair in ((signs != 0).any(axis=1) & (g > 0.0).any(axis=1) & (g < 0.0).any(axis=1)).nonzero()[0].tolist():
+        row, i, j = signs[pair], first[pair], second[pair]
+        signed = row.nonzero()[0]
+        flips = (row[signed[1:]] != row[signed[:-1]]).nonzero()[0]
+        ends = list(zip(signed[flips].tolist(), signed[flips + 1].tolist()))
+        last = int(signed[-1])
+        past = (g[pair, last + 1 :] * row[last] < 0.0).nonzero()[0]
+        ends += [(last, last + 1 + int(past[0]))] if past.size else []
+        for left, right in ends:
+            if hidden is None or not (hidden[i, left:right].all() or hidden[j, left:right].all()):
+                k_a, k_b, g_a, g_b = float(ks[left]), float(ks[right]), float(g[pair, left]), float(g[pair, right])
+                # dCE/dlog k = E - CE gives g's slopes
+                start = _hermite_start(k_a, k_b, g_a, g_b, float(means[i, left] - means[j, left]) - g_a, float(means[i, right] - means[j, right]) - g_b)
+                brackets.append((i, j, left, right, k_a, k_b, g_a, g_b, start))
     if not brackets:
-        return ces, mids, []
-    first, second, lo = (np.array(c) for c in zip(*brackets))
-    hi, g_lo, g_hi = (np.array(c) for c in zip(*brackets.values()))
+        return ks, ces, signs, strict, []
+    a, b, left, right, k_lo, k_hi, g_lo, g_hi, starts = (np.array(c) for c in zip(*brackets))
 
     def diff(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
         # Every curve at every point, in one kernel call; each point reads its bracket's two.
-        ce = _certain_equivalents(packed, k * r)
-        points = np.arange(len(k))
-        return ce[first[rows], points] - ce[second[rows], points]
+        ce, points = _certain_equivalents(packed, k * r), np.arange(len(k))
+        return ce[a[rows], points] - ce[b[rows], points]
 
-    guess = _first_estimates(ks, lo, hi, lambda cols: ces[first[:, None], cols] - ces[second[:, None], cols])
-    roots = _refine(diff, ks[lo], ks[hi], g_lo, g_hi, guess).tolist()
-    return ces, sorted(mids + roots), list(zip(roots, first.tolist()))
+    roots = _refine(diff, k_lo, k_hi, g_lo, g_hi, starts).tolist()
+    return ks, ces, signs, strict, sorted(zip(roots, left.tolist(), right.tolist()))
 
 
-def _threshold_scan(
-    winner: Prospect, loser: Prospect, r: float, certified: float
-) -> Tuple[float, Tuple[float, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Crossings of g(k) = CE(winner|kr) - CE(loser|kr) on [1, certified].
+def _threshold_scan(winner: Prospect, loser: Prospect, r: float, certified: float) -> Tuple[float, Tuple[float, ...], bool]:
+    """Threshold K, crossings and strictness of g(k) = CE(winner|kr) - CE(loser|kr) on [1, certified].
 
-    Returns (K, crossings, grid ks, g samples, tie tolerances); K is the
-    smallest value such that g >= 0 (up to ties) on [K, certified]: 1.0
-    when the loser is never significantly above, else the crossing where
-    the loser gives way after its last signed lead, or the end of the grid
-    when the loser never gives way after it.
+    K is 1.0 if the loser never leads beyond the tie tolerance, else the crossing where it gives way after its
+    last lead, or ``certified``.  Strict: g is proven beyond the tolerance on every gap past K's bracket, with no
+    tied sample more than 2 * ROOT_REL_TOL past K; for K within 1e-9 of 1, on the whole range.
     """
     if not math.isfinite(certified):
         raise OverflowError(f"tail certificate k={certified!r} out of floating-point range")
-    ks = _geometric_grid(1.0, max(1.0, certified))
-    (ce_w, ce_l), _, crossings = _scan(_pack((winner, loser)), r, ks)
-    gs, tols = ce_w - ce_l, _tie_tolerance(ce_w, ce_l)
-    lead = np.flatnonzero(gs < -tols)
-    threshold = 1.0
-    if lead.size:
-        # Of the crossings where the loser (row 1) gives way, only the one bracketed from its last lead lies past it.
-        threshold = next((k for k, above in crossings if above == 1 and k >= ks[lead[-1]]), float(ks[-1]))
-    return threshold, tuple(k for k, _ in crossings), ks, gs, tols
+    ks, _, signs, strict, crossings = _scan(_pack((winner, loser)), r, 1.0, max(1.0, certified))
+    signs, strict, roots = signs[0], strict[0], tuple(k for k, *_ in crossings)
+    lead = (signs < 0).nonzero()[0]
+    if not lead.size:
+        return 1.0, roots, bool((signs > 0).all() and (strict > 0).all())
+    # Of the crossings where the loser gives way, only the one bracketed from its last lead lies past it.
+    threshold, end = next(((k, right) for k, left, right in crossings if left == lead[-1]), (float(ks[-1]), len(ks) - 1))
+    # The samples between the last lead and the bracket's right end are tied.
+    tied_past = (ks[lead[-1] + 1 : end] > threshold * (1.0 + 2.0 * ROOT_REL_TOL)).any()
+    return threshold, roots, threshold > 1.0 + 1e-9 and not tied_past and bool((strict[end:] > 0).all())
 
 
 def find_threshold(x: Prospect, y: Prospect, r: float) -> Optional[float]:
@@ -521,9 +550,9 @@ def compare(x: Prospect, y: Prospect, r: float) -> FlexibilityVerdict:
     """Classify the pair into the flexibility taxonomy.
 
     Dominance is the threshold-1 case; the strict variants require the
-    difference to clear the tie tolerance at every checked point.  The
-    incomparable verdict is reserved for independent sums past the
-    exact-convolution support cap, which the tail cannot reduce.
+    difference to clear the tie tolerance past the threshold, settled gap
+    by gap.  The incomparable verdict is reserved for independent sums
+    past the exact-convolution support cap, which the tail cannot reduce.
     """
     r = check_risk_aversion(r)
     try:
@@ -545,17 +574,11 @@ def compare(x: Prospect, y: Prospect, r: float) -> FlexibilityVerdict:
 
     if margin():  # no crossing, strictly above from k = 1: what the scan would find
         return FlexibilityVerdict(dominant[0], 1.0, (), tail)
-    threshold, crossings, ks, gs, tols = _threshold_scan(winner, loser, r, tail.certified_from)
+    threshold, crossings, strict = _threshold_scan(winner, loser, r, tail.certified_from)
 
     if threshold <= 1.0 + 1e-9:
-        strict = bool(np.all(gs > tols))
-        classification = dominant[0] if strict else dominant[1]
-        return FlexibilityVerdict(classification, 1.0, crossings, tail)
-
-    beyond = ks > threshold * (1.0 + 2.0 * ROOT_REL_TOL)
-    strict = bool(np.all(gs[beyond] > tols[beyond])) if np.any(beyond) else True
-    classification = flexible[0] if strict else flexible[1]
-    return FlexibilityVerdict(classification, threshold, crossings, tail)
+        return FlexibilityVerdict(dominant[0] if strict else dominant[1], 1.0, crossings, tail)
+    return FlexibilityVerdict(flexible[0] if strict else flexible[1], threshold, crossings, tail)
 
 
 @dataclass(frozen=True)
@@ -576,15 +599,19 @@ def upper_envelope(
 
     Inputs whose normal forms hold no discrete part (Gaussians, their
     affine maps and sums) are lines, cut at the exact breakpoints of their
-    upper hull; others where ``_scan`` finds the top curve change on a
-    geometric grid, crossings refined together to ROOT_REL_TOL.  Either way
-    ``_label`` names each span's curves on top by one rule.  Prospects
-    absent from the output are optimal for no k in range.
+    upper hull; others at the crossings ``_scan`` proves near the top,
+    refined together to ROOT_REL_TOL.  Either way ``_label`` names each
+    span's curves on top by one rule.  Prospects absent from the output are
+    optimal for no k in range.  Raises ValueError for a repeated id.
     """
     r = check_risk_aversion(r)
     items = list(prospects)
     if not items:
         raise ValueError("envelope needs at least one prospect")
+    ids = [pid for pid, _ in items]
+    repeated = next((pid for i, pid in enumerate(ids) if pid in ids[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"repeated prospect id {repeated!r}")
     k_lo, k_hi = (float(k_range[0]), float(k_range[1]))
     if not (0.0 < k_lo < k_hi < math.inf):
         raise ValueError(f"invalid k range {k_range!r}")
@@ -622,9 +649,16 @@ def _line_envelope(
 def _grid_envelope(
     items: Sequence[Tuple[str, Prospect]], r: float, k_lo: float, k_hi: float
 ) -> List[EnvelopeSegment]:
+    """Cuts at the crossings ``_scan`` proves near the top (within ROOT_REL_TOL, one), and mid-gap where the top sample changes with none."""
     curves = _pack([p for _, p in items])
-    _, cuts, _ = _scan(curves, r, _geometric_grid(k_lo, k_hi))
-    return _label(items, cuts, k_lo, k_hi, lambda ks: _certain_equivalents(curves, ks * r))
+    ks, ces, _, _, crossings = _scan(curves, r, k_lo, k_hi)
+    cuts: List[float] = []
+    for k, *_ in crossings:
+        if not cuts or k > cuts[-1] * (1.0 + ROOT_REL_TOL):
+            cuts.append(k)
+    best, crossed = ces.argmax(axis=0), set((np.searchsorted(ks, cuts) - 1).tolist())
+    mids = [_geometric_mean(float(ks[j]), float(ks[j + 1])) for j in (best[1:] != best[:-1]).nonzero()[0].tolist() if j not in crossed]
+    return _label(items, sorted(cuts + mids), k_lo, k_hi, lambda ks: _certain_equivalents(curves, ks * r))
 
 
 def _label(
@@ -642,8 +676,8 @@ def _label(
     top = at_mids.max(axis=0)
     on_top = at_mids >= top - 1e-9 * (1.0 + np.abs(top))
     segments: List[EnvelopeSegment] = []
-    for (lo, hi), column in zip(spans, on_top.T):
-        labels = tuple(sorted(items[i][0] for i in np.flatnonzero(column)))
+    for (lo, hi), column in zip(spans, on_top.T.tolist()):
+        labels = tuple(sorted(pid for (pid, _), on in zip(items, column) if on))
         if segments and segments[-1].ids == labels:
             segments[-1] = EnvelopeSegment(segments[-1].k_lo, hi, labels)
         else:

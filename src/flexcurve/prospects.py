@@ -501,7 +501,7 @@ def _pack(prospects: Sequence[Prospect]) -> _Packed:
     )
 
 
-def _lse_segments(ts: np.ndarray, seg: _Segments) -> np.ndarray:
+def _lse_segments(ts: np.ndarray, seg: _Segments, tilted: bool = False):
     """ln sum_j w_j exp(s * t * v_j) over each segment's support (v, w) and factor s, at every t: a segments x t array.
 
     Each segment's exponents are shifted by its largest; the weight at that
@@ -520,7 +520,9 @@ def _lse_segments(ts: np.ndarray, seg: _Segments) -> np.ndarray:
     which holds 0 by then: started from 0, a segment's sum is, bit for bit,
     the pairwise sum ``ndarray.sum`` gives its part alone, so a segment's
     result depends neither on its neighbours, nor on the block it falls
-    in, nor on the rule.
+    in, nor on the rule.  With ``tilted`` it also returns each row's
+    derivative in t, s times the mean of v under the weights
+    w_j exp(s * t * v_j); the log-sums keep their bits.
 
     Blocks hold at most ``_LSE_BLOCK_ELEMENTS`` elements, split over rows
     and runs of whole segments; the blocks of one run reuse one buffer.
@@ -546,23 +548,26 @@ def _lse_segments(ts: np.ndarray, seg: _Segments) -> np.ndarray:
     finite = math.isfinite(reach)
     noisy = not reach <= _HALF_FLOAT_MAX or seg.heavy
     with np.errstate(divide="ignore", over="ignore", invalid=None if finite else "ignore") if noisy else nullcontext():
-        out = _lse_side(ts, factors, seg, t_hi < 0.0, noisy)
+        out, means = _lse_side(ts, factors, seg, t_hi < 0.0, noisy, tilted)
     if not finite:
         out[~np.isfinite(seg.reaches(t_abs))] = np.nan
-    return out
+    if tilted and seg.scales is not None:
+        means *= seg.scales[:, None]
+    return (out, means) if tilted else out
 
 
-def _lse_side(ts: np.ndarray, factors: Optional[np.ndarray], seg: _Segments, negative: bool, noisy: bool) -> np.ndarray:
+def _lse_side(ts: np.ndarray, factors: Optional[np.ndarray], seg: _Segments, negative: bool, noisy: bool, tilted: bool):
     """``_lse_segments`` in blocks, reading the peaks from the zero columns when ``negative`` (every t < 0), else masking.
 
-    ``factors`` holds s*t (segments x t) when some s is not 1.
+    ``factors`` holds s*t (segments x t) when some s is not 1.  Returns the log-sums and the unscaled tilted means (``tilted``) or None.
     """
     rows, count, width = len(ts), len(seg.starts), len(seg.values)
     zeroed = seg.zeroed if negative else seg.weights
     if rows * width <= _LSE_BLOCK_ELEMENTS:
         block = _exponents(ts, factors, seg.segment, seg.values, None)
         peaks = (seg.peak_weights, seg.log_peak_weights) if negative else (None, None)
-        return _lse_block(block, *peaks, seg.weights, zeroed, seg.starts, seg.segment, noisy)
+        out = _lse_block(block, *peaks, seg.weights, zeroed, seg.starts, seg.segment, noisy, seg.values if tilted else None)
+        return out if tilted else (out, None)
     if width <= _LSE_BLOCK_ELEMENTS:
         runs = [(0, count)]
     else:
@@ -573,7 +578,7 @@ def _lse_side(ts: np.ndarray, factors: Optional[np.ndarray], seg: _Segments, neg
             past = max(first + 1, int(np.searchsorted(ends, seg.starts[first] + _LSE_BLOCK_ELEMENTS, side="right")))
             runs.append((first, past))
             first = past
-    out = np.empty((count, rows))
+    out, means = np.empty((count, rows)), np.empty((count, rows if tilted else 0))  # no columns unless tilted
     for first, past in runs:
         c0 = int(seg.starts[first])
         c1 = int(seg.starts[past]) if past < count else width
@@ -586,8 +591,9 @@ def _lse_side(ts: np.ndarray, factors: Optional[np.ndarray], seg: _Segments, neg
             t = ts[r0 : r0 + step]
             scaled = None if factors is None else factors[first:past, r0 : r0 + step]
             block = _exponents(t, scaled, segment, seg.values[c0:c1], buffer[: len(t)])
-            out[first:past, r0 : r0 + step] = _lse_block(block, *peaks, seg.weights[c0:c1], zeroed[c0:c1], starts, segment, noisy)
-    return out
+            reduced = _lse_block(block, *peaks, seg.weights[c0:c1], zeroed[c0:c1], starts, segment, noisy, seg.values[c0:c1] if tilted else None)
+            out[first:past, r0 : r0 + step], means[first:past, r0 : r0 + step] = reduced if tilted else (reduced, 0.0)
+    return out, means if tilted else None
 
 
 def _exponents(
@@ -608,14 +614,16 @@ def _lse_block(
     starts: np.ndarray,
     segment: Optional[np.ndarray],
     noisy: bool,
-) -> np.ndarray:
+    values: Optional[np.ndarray] = None,
+):
     """The log-sum-exp of each (row, segment) of ``block`` (the exponents, overwritten) from its zero column's peak.
 
     The result is segments x rows, so that the per-segment arithmetic after
     the sums runs along rows.  With ``peak_weights`` each zero column holds
-    its segment's peak already.  Without them the peak columns are unknown:
-    one max pass fills each zero column with its segment's peak, and every
-    element equal to it is masked.
+    its segment's peak already, the segment's smallest value.  Without them
+    the peak columns are unknown: one max pass fills each zero column with
+    its segment's peak, and every element equal to it is masked.  Given the
+    columns' ``values``, it also returns their mean under the same terms.
     """
     if peak_weights is None:
         block[:, starts] = np.maximum.reduceat(block, starts, axis=1)
@@ -640,10 +648,17 @@ def _lse_block(
     if noisy:
         over = np.isinf(ratio)
         out[over] = (np.log(rest + at_peak) + peaks)[over]
-    return out
+    if values is None:
+        return out
+    # The same terms times their values; the peak's are its weight at the segment's smallest value (the zero
+    # column's), or the masked elements'.
+    block *= values
+    moment = np.add.reduceat(block, starts, axis=1).T
+    moment += at_peak * values[starts][:, None] if top is None else np.add.reduceat(weights * values * top, starts, axis=1).T
+    return out, moment / (rest + at_peak)
 
 
-def _log_mgf_grid(prospects: Union[Sequence[Prospect], _Packed], ts: np.ndarray, over_t: bool = False) -> np.ndarray:
+def _log_mgf_grid(prospects: Union[Sequence[Prospect], _Packed], ts: np.ndarray, over_t: bool = False, tilted: bool = False):
     """ln E{exp(t*X)} of every prospect at every t in a 1-D float array: one row per prospect.
 
     ``prospects`` may come packed by ``_pack``, to be evaluated at several
@@ -657,7 +672,10 @@ def _log_mgf_grid(prospects: Union[Sequence[Prospect], _Packed], ts: np.ndarray,
     summation).  Each row is, bit for bit, what evaluating its prospect
     alone gives.  With ``over_t`` each row is divided by t (at t = -rho
     that is minus the certain equivalent), and a quotient out of range is
-    an error too.
+    an error too.  With ``tilted`` it also returns each row's derivative
+    in t, the mean under the tilt exp(t*X): s * E_Y(s * t) + c for a
+    discrete part s * Y + c, s * mu + s^2 * v * t + c for a Gaussian one,
+    summed.
 
     Raises OverflowError for the first prospect, and in it the first part,
     whose log-MGF (or quotient) leaves the float range, in the words of
@@ -669,44 +687,58 @@ def _log_mgf_grid(prospects: Union[Sequence[Prospect], _Packed], ts: np.ndarray,
         pack = prospects
     else:
         pack = prospects[0]._packed if len(prospects) == 1 else _pack(prospects)
-    kernel = np.empty((0, len(ts))) if pack.segments is None else _lse_segments(ts, pack.segments)
-    out = result = kernel if pack.plain else _combine(pack, kernel, ts)
+    kernel, slopes = np.empty((0, len(ts))), np.empty((0, len(ts))) if tilted else None
+    if pack.segments is not None:
+        kernel, slopes = _lse_segments(ts, pack.segments, True) if tilted else (_lse_segments(ts, pack.segments), None)
+    out = result = kernel if pack.plain else _combine(pack, kernel, ts, slopes)
+    if tilted and not pack.plain:
+        out, slopes = out[:, : len(ts)], out[:, len(ts) :]
+        result = out
     if over_t:
         with np.errstate(over="ignore"):
             result = out / ts
     if not np.isfinite(result).all():
         _raise_first_overflow(pack, ts, kernel, out, result if over_t else None)
-    return result
+    return (result, slopes) if tilted else result
 
 
-def _combine(pack: _Packed, kernel: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Each form's log-MGF row from the kernel's rows: add the Gaussian parts, the offsets and the parts in order."""
+def _combine(pack: _Packed, kernel: np.ndarray, ts: np.ndarray, slopes: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each form's log-MGF row from the kernel's rows: add the Gaussian parts, the offsets and the parts in order.
+
+    Given the kernel rows' ``slopes``, each row's derivative in t rides beside it through the same pass, in the
+    result's columns past len(ts).
+    """
     with np.errstate(over="ignore", invalid="ignore"):
+        if slopes is not None:
+            kernel = np.concatenate((kernel, slopes), axis=1)
         columns = kernel
         if pack.gaussian is not None:
             means, halves, scales = pack.lines
             t = scales * ts
             lines = means * t + halves * t * t
+            if slopes is not None:
+                lines = np.concatenate((lines, (means + 2.0 * halves * t) * scales), axis=1)
             if pack.discrete is None:
                 columns = lines
             else:
-                columns = np.empty((len(pack.discrete) + len(pack.gaussian), len(ts)))
+                columns = np.empty((len(pack.discrete) + len(pack.gaussian), kernel.shape[1]))
                 columns[pack.discrete] = kernel
                 columns[pack.gaussian] = lines
         if pack.shifted is not None:
             if columns is kernel:
                 columns = kernel.copy()
-            columns[pack.shifted] += pack.offsets * ts
+            offsets = pack.offsets * ts
+            columns[pack.shifted] += offsets if slopes is None else np.concatenate((offsets, np.broadcast_to(pack.offsets, offsets.shape)), axis=1)
         if pack.width == 1:
             return columns
         if pack.padded is not None:
             # -0.0 pads: x + -0.0 is x for every x, -0.0 included
-            grid = np.full((len(pack.forms) * pack.width, len(ts)), -0.0)
+            grid = np.full((len(pack.forms) * pack.width, columns.shape[1]), -0.0)
             grid[pack.padded] = columns
             columns = grid
         # One slab per part place, every form's part at once: np.add.accumulate
         # keeps this order too, but walks the part axis element by element.
-        grid = columns.reshape(-1, pack.width, len(ts))
+        grid = columns.reshape(-1, pack.width, columns.shape[1])
         out = grid[:, 0].copy()
         for place in range(1, pack.width):
             out += grid[:, place]

@@ -124,7 +124,7 @@ def _certain_equivalents_at(prospects: Sequence[Prospect], r: float) -> List[flo
         raise OverflowError(f"certain equivalent at r={r!r}: {exc}") from None
 
 
-def _certain_equivalents(prospects: Union[Sequence[Prospect], _Packed], rhos: np.ndarray) -> np.ndarray:
+def _certain_equivalents(prospects: Union[Sequence[Prospect], _Packed], rhos: np.ndarray, tilted: bool = False):
     """CE(X|rho) of every prospect at every positive rho in a 1-D array: one row per prospect.
 
     One log-MGF pass, and so one kernel call, for all of them; a caller
@@ -132,10 +132,11 @@ def _certain_equivalents(prospects: Union[Sequence[Prospect], _Packed], rhos: np
     with ``prospects._pack``.  Row i is, point by point,
     :func:`certain_equivalent` of prospect i at each rho.  Raises
     OverflowError for the first prospect, in order, whose log-MGF or
-    certain equivalent leaves the float range.
+    certain equivalent leaves the float range.  With ``tilted``, also the
+    tilted means E{X exp(-rho X)} / E{exp(-rho X)}: dCE/drho = -(CE - E) / rho.
     """
     try:
-        return _log_mgf_grid(prospects, -rhos, over_t=True)
+        return _log_mgf_grid(prospects, -rhos, over_t=True, tilted=tilted)
     except OverflowError as exc:
         raise OverflowError(
             f"certain equivalent for r in [{float(rhos.min())!r}, {float(rhos.max())!r}]: {exc}"

@@ -19,7 +19,7 @@ import flexcurve
 from flexcurve import certain_equivalent, cli, make_discrete, model_io
 from flexcurve.cli import main
 
-from conftest import oracle_ce
+from conftest import mp_certain_equivalent, mp_crossing, oracle_ce
 
 
 MODEL = {
@@ -266,6 +266,16 @@ class TestFailureModes:
         code, _, err = run(capsys, "ce", "--model", model_path, "--id", "ghost", "--r", "0.1")
         assert code == 4
         assert err.startswith("error:domain:")
+
+    @pytest.mark.parametrize("ids", ["a,a", "a,d,a"])
+    def test_envelope_of_a_repeated_id_is_domain_error(self, tmp_path, capsys, ids):
+        # the ids used to print as one label, "a;a"; curve keeps one column per id
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"prospects": {"a": {"kind": "discrete", "points": [[0, 0.5], [100, 0.5]]}, "d": {"kind": "discrete", "points": [[10, 1.0]]}}}))
+        code, out, err = run(capsys, "envelope", "--model", str(path), "--ids", ids, "--r", "0.01", "--k", "1:50:20")
+        assert (code, out, err) == (4, "", "error:domain: repeated prospect id 'a'\n")
+        code, out, _ = run(capsys, "curve", "--model", str(path), "--ids", "a,a", "--r", "0.01", "--k", "1:50:2")
+        assert code == 0 and out.splitlines()[0] == "k,a,a"
 
     def test_negative_r_is_domain_error(self, model_path, capsys):
         code, _, err = run(capsys, "ce", "--model", model_path, "--id", "x", "--r", "-1")
@@ -715,7 +725,7 @@ def test_tail_certificate_past_the_float_range_is_a_range_error(tmp_path, capsys
 
 def test_subnormal_mass_difference_keeps_a_finite_tail_certificate(tmp_path, capsys):
     # The lowest levels differ by 1e-320, so the certificate's 0.2 / 1e-320 overflows;
-    # its logarithm does not.  mpmath puts the crossing between k = 1469.0 and 1469.1.
+    # its logarithm does not.
     model = {
         "prospects": {
             "x": {"kind": "discrete", "points": [[0, 1e-320], [1, 0.5], [2, 0.5]]},
@@ -726,12 +736,27 @@ def test_subnormal_mass_difference_keeps_a_finite_tail_certificate(tmp_path, cap
     path.write_text(json.dumps(model))
     code, out, err = run(capsys, "compare", "--model", str(path), "--a", "x", "--b", "y", "--r", "0.5")
     assert (code, err) == (0, "")
-    assert out == (
-        "classification: Y_strictly_more_flexible\n"
-        "threshold_K: 1469.04865294\n"
-        "crossings: 1469.04865294\n"
-        "tail: Y_above from k=1470.43560843 (worst-case gap)\n"
-    )
+    lines = out.splitlines()
+    assert (lines[0], lines[3]) == ("classification: Y_strictly_more_flexible", "tail: Y_above from k=1470.43560843 (worst-case gap)")
+    threshold = lines[1].removeprefix("threshold_K: ")
+    assert lines[2] == f"crossings: {threshold}"
+    # mpmath puts the crossing at k = 1469.0493116.  The subnormal mass carries 11 bits, so the
+    # float CE difference there is off by a jitter of about 6e-8, and no scan can place the root
+    # closer than that jitter over the difference's slope: 3.8e-7 relative, past ROOT_REL_TOL.
+    pytest.importorskip("mpmath")
+    import mpmath as mp
+
+    x, y = (make_discrete(model["prospects"][p]["points"]) for p in ("x", "y"))
+    root = mp_crossing(x, y, 0.5, 1469.0493, rel=1e-5)
+
+    def gap(k):
+        with mp.workdps(50):
+            return mp_certain_equivalent(x, mp.mpf(k) * 0.5) - mp_certain_equivalent(y, mp.mpf(k) * 0.5)
+
+    near = [root * (1.0 + i * 1e-7) for i in range(-6, 7)]
+    jitter = max(abs(certain_equivalent(x, k * 0.5) - certain_equivalent(y, k * 0.5) - float(gap(k))) for k in near)
+    slope = float((gap(root * (1 + 1e-6)) - gap(root * (1 - 1e-6))) / (2e-6 * root))
+    assert abs(float(threshold) - root) <= jitter / abs(slope)
 
 
 @pytest.mark.parametrize(

@@ -39,10 +39,12 @@ PRINTED_ROOTS = [
     ("prospects.envelope.0.out", 1, 1, ("pg", "safe")),
     ("prospects.envelope.1.out", 1, 1, ("wide", "lift")),
     ("prospects.envelope.2.out", 1, 1, ("pg", "pn")),
+    ("prospects.envelope.4.out", 1, 1, ("ms1", "ms0")),
+    ("prospects.envelope.4.out", 2, 1, ("ms0", "ms2")),
 ]
 
 
-@pytest.mark.parametrize("name, line, field, pair", PRINTED_ROOTS, ids=[r[0].removesuffix(".out") for r in PRINTED_ROOTS])
+@pytest.mark.parametrize("name, line, field, pair", PRINTED_ROOTS, ids=[f"{r[0].removesuffix('.out')}-{'-'.join(r[3])}" if r[0] == "prospects.envelope.4.out" else r[0].removesuffix(".out") for r in PRINTED_ROOTS])
 def test_printed_roots_match_an_independent_root(name, line, field, pair):
     pytest.importorskip("mpmath")
     doc = parse_model((GOLDEN / "prospects.json").read_text())
