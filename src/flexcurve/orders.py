@@ -18,9 +18,10 @@ clears twice the tie tolerance and an assumed CE rounding (64 ulps of 1/r
 and of the largest magnitude) up to certified_from, the answer, strict
 dominance from k = 1 with no crossing, needs no CE.  Every other pair, and
 every envelope, goes to one scanner, ``_scan``: from each curve's CE and
-tilted mean at geometric samples it settles by proof, gap by gap below the
-certificate and up to the tie tolerance, where each pair keeps its sign
-and where it crosses once (``_settle``), splitting only the gaps it cannot
+tilted mean at geometric samples it settles by proof, every gap of each
+pair it keeps alike, below the certificate and up to the tie tolerance,
+where each pair keeps its sign and where it crosses once (``_settle``),
+splitting only the gaps it cannot
 settle, and refines every crossing to ROOT_REL_TOL, all brackets
 together, one CE call a round.
 That turns the for-all-k definition into a finite, checked procedure.
@@ -373,11 +374,11 @@ def _tie_tolerance(u, v):
     return _TIE_EPS * (1.0 + np.maximum(abs(u), abs(v)))
 
 
-def _settle(a: np.ndarray, b: np.ndarray, ends: np.ndarray):
-    """Proven signs and settled flags of gaps [a, b] between curves with CEs u, v and tilted means e, f.
+def _settle(ks: np.ndarray, u: np.ndarray, v: np.ndarray, e: np.ndarray, f: np.ndarray):
+    """Differences, signs, proven gap signs and settled flags of pairs of curves with CEs u, v and tilted means e, f.
 
-    ``ends`` stacks, at the gaps' left ends (``ends[0]``) and right ends (``ends[1]``), u, v, e, f, then
-    g = u - v, its ``_tie_tolerance`` and its sign: 1 or -1 where g clears the tolerance, else 0.  A gap is
+    Each of u, v, e and f holds a row a pair, a column a sample at ``ks``; gap j runs from a = ks[j] to
+    b = ks[j + 1].  g = u - v has the sign 1 or -1 where it clears its ``_tie_tolerance``, else 0.  A gap is
     settled when tied at both ends, proven to keep its ends' common sign (its proven sign), proven to cross
     once between opposite signs, or proven never to take the sign opposite its one signed end's.  As
     d(k CE)/dk = E falls when k rises, G = k g has its slope in [e(b) - f(a), e(a) - f(b)], widened by two
@@ -387,23 +388,25 @@ def _settle(a: np.ndarray, b: np.ndarray, ends: np.ndarray):
     [v(b), v(a)] may be disjoint, or G lies within the lines through its ends with the extreme slopes.  The
     proofs hold up to the tie tolerance, which stands for the rounding of the CEs and tilted means.
     """
-    u, v, e, f, (g_a, g_b), tol, (s_a, s_b) = ends.swapaxes(0, 1)  # each: its value at a, then at b
-    band = tol.max(axis=0)
-    slow, fast = e[1] - f[0] - 2.0 * band, e[0] - f[1] + 2.0 * band
+    g, tol = u - v, _tie_tolerance(u, v)
+    signs = np.subtract(g > tol, g < -tol, dtype=np.int8)
+    a, b, s_a, s_b = ks[:-1], ks[1:], signs[:, :-1], signs[:, 1:]  # each gap's left end, then its right end
+    band = np.maximum(tol[:, :-1], tol[:, 1:])
+    slow, fast = e[:, 1:] - f[:, :-1] - 2.0 * band, e[:, :-1] - f[:, 1:] + 2.0 * band
     settled, strict = (slow > 0.0) | (fast < 0.0), np.where(s_a == s_b, s_a, 0.0)
     if settled.all():
-        return strict, settled
-    box = np.subtract(u[1] - v[0] > band, u[0] - v[1] < -band, dtype=float)
+        return g, signs, strict, settled
+    box = np.subtract(u[:, 1:] - v[:, :-1] > band, u[:, :-1] - v[:, 1:] < -band, dtype=float)
     strict, settled = np.where(settled, strict, box), settled | (box != 0)
     if not (~settled & (s_a * s_b >= 0)).any():  # the lines below settle no gap between opposite signs
-        return strict, settled
+        return g, signs, strict, settled
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        left, right, corner, spread = a * g_a, b * g_b, slow * fast * (b - a), fast - slow
+        left, right, corner, spread = a * g[:, :-1], b * g[:, 1:], slow * fast * (b - a), fast - slow
         lowest, highest = (left * fast - right * slow + corner) / spread, (right * fast - left * slow - corner) / spread
     bent = np.subtract(lowest > b * band, highest < -b * band, dtype=float)
     strict, both = np.where(settled, strict, bent), s_a + s_b
     settled |= (bent != 0) | (s_a == 0) & (s_b == 0) | (both == 1) & (lowest >= -a * band) | (both == -1) & (highest <= a * band)
-    return strict, settled
+    return g, signs, strict, settled
 
 
 def _hidden(ks: np.ndarray, ces: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -434,10 +437,10 @@ def _scan(packed, r: float, k_lo: float, k_hi: float):
     The curves are sampled ``GRID_POINTS_PER_DECADE`` points a decade (CE and tilted mean), and every gap
     ``_settle`` leaves open is split at its geometric midpoint, one kernel call a round.  Past 4 times the
     seed's points only gaps between opposite signs split, and none narrower than ROOT_REL_TOL * its right end:
-    a gap left open keeps the sign its samples agree on.  With four curves or more, pairs outnumber curves:
-    only pairs open together on some gap, neither curve ``_hidden`` there, are kept, each settled only on
-    such gaps; with three, a gap left open is settled for a pair where either curve is hidden.  Either way
-    no crossing is refined where one of its curves is hidden all through its bracket: it cannot touch the
+    a gap left open keeps the sign its samples agree on.  Every kept pair settles all its gaps alike: where
+    pairs outnumber curves (four or more), only pairs open together on some gap, neither curve ``_hidden``
+    there, are kept; with three curves or more, a gap a round leaves open is settled for a pair where either
+    curve is hidden, and no crossing is refined where one of its curves is hidden all through its bracket: it cannot touch the
     top.  A crossing is bracketed between signed samples of opposite signs with only tied ones between; a tie band running on
     to the end closes at its first sample of the other sign.  Returns the ks, the CEs (a row a curve), the
     settled pairs' signs and proven gap signs (``_settle``; two curves make one pair, the first less the
@@ -449,26 +452,17 @@ def _scan(packed, r: float, k_lo: float, k_hi: float):
     ces, means = _certain_equivalents(packed, ks * r, tilted=True)
     while True:
         first, second = _pairs(n)
-        hidden = _hidden(ks, ces, means) if n > 3 else None
+        hidden = _hidden(ks, ces, means) if len(first) > n else None
         if hidden is not None:  # pairs outnumber curves: keep those both open on some gap
             shown = (~hidden).astype(float)
             near = (shown @ shown.T)[first, second] > 0.0
             first, second = first[near], second[near]
         # u, v, e and f: each pair's first and second curves' CEs, then their tilted means
         curves = np.concatenate((ces, means))[np.concatenate((first, second, first + n, second + n))].reshape(4, len(first), len(ks))
-        g, tol = curves[0] - curves[1], _tie_tolerance(curves[0], curves[1])
-        signs = np.subtract(g > tol, g < -tol, dtype=np.int8)
-        curves = np.concatenate((curves, (g, tol, signs)))
-        if hidden is None:
-            strict, settled = _settle(ks[:-1], ks[1:], np.stack((curves[..., :-1], curves[..., 1:])))
-            if n == 3 and not settled.all():
-                hidden = _hidden(ks, ces, means)
-                settled |= hidden[first] | hidden[second]
-        else:  # only the gaps where neither curve is hidden
-            strict, settled = np.zeros((len(first), len(ks) - 1)), np.ones((len(first), len(ks) - 1), dtype=bool)
-            rows, cols = (~(hidden[first] | hidden[second])).nonzero()
-            ends = curves[:, rows, np.stack((cols, cols + 1))].swapaxes(0, 1)
-            strict[rows, cols], settled[rows, cols] = _settle(ks[cols], ks[cols + 1], ends)
+        g, signs, strict, settled = _settle(ks, *curves)
+        if n > 2 and not settled.all():
+            hidden = _hidden(ks, ces, means) if hidden is None else hidden
+            settled |= hidden[first] | hidden[second]
         if settled.all():
             break
         unsettled = ~settled & (ks[1:] - ks[:-1] > ROOT_REL_TOL * ks[1:])
@@ -621,8 +615,9 @@ def upper_envelope(
 
 
 def _meet(a: Tuple[float, float], b: Tuple[float, float]) -> float:
-    """The k where lines (slope, intercept) a and b meet."""
-    return (a[1] - b[1]) / (b[0] - a[0])
+    """The k where lines (slope, intercept) a and b meet; a difference of quotients where the intercepts' difference overflows."""
+    k = (a[1] - b[1]) / (b[0] - a[0])
+    return k if math.isfinite(k) else a[1] / (b[0] - a[0]) - b[1] / (b[0] - a[0])
 
 
 def _line_envelope(
@@ -640,8 +635,9 @@ def _line_envelope(
     slopes, intercepts = (np.array(c)[:, None] for c in zip(*lines))
 
     def values(ks: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # a line past the float range reads -inf
-            return intercepts + slopes * ks
+        with np.errstate(over="ignore"):  # where a line leaves the float range, a column reads every line over k: same order
+            at = intercepts + slopes * ks
+            return np.where(np.isfinite(at).all(axis=0), at, intercepts / ks + slopes)
 
     return _label(items, cuts, k_lo, k_hi, values)
 

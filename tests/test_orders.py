@@ -337,8 +337,10 @@ class TestUpperEnvelope:
         assert segments[1].k_lo == pytest.approx(20.0 / 9.0, rel=1e-9)
 
     def test_single_prospect_covers_range(self):
-        segments = upper_envelope([("only", make_gaussian(0, 1))], 0.5, (1.0, 4.0))
-        assert segments == [type(segments[0])(1.0, 4.0, ("only",))]
+        # a line, and a discrete through the scan, where one curve forms no pair
+        for only in (make_gaussian(0, 1), make_discrete([(0, 0.5), (100, 0.5)])):
+            segments = upper_envelope([("only", only)], 0.5, (1.0, 4.0))
+            assert segments == [type(segments[0])(1.0, 4.0, ("only",))]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_one_distribution_built_three_ways_is_one_segment(self, seed, monkeypatch):
@@ -1112,7 +1114,7 @@ def with_frozen_scans(run, *args):
 def answers(prospects, r, k_range):
     """compare and find_threshold of the first two prospects, or upper_envelope of them all.
 
-    A pair gives (classification, (threshold, find_threshold both ways), crossings); a trio its segments
+    A pair gives (classification, (threshold, find_threshold both ways), crossings); three or more their segments
     as (k_lo, k_hi, ids), spans narrower than ROOT_REL_TOL, the scans' resolution, merged into their neighbours.
     """
     if len(prospects) == 2:
@@ -1144,7 +1146,7 @@ def agree(got, want):
 
 @st.composite
 def crossing_curves(draw):
-    """Two or three prospects, discrete or a Gaussian plus a discrete, each moved to meet the first at a drawn k; r; a k range.
+    """Two to five prospects, discrete or a Gaussian plus a discrete, each moved to meet the first at a drawn k; r; a k range.
 
     Half the draws move each meeting onto a sample of the scan's grid, where the difference is rounding.
     """
@@ -1157,12 +1159,12 @@ def crossing_curves(draw):
     def meet(p, k):
         return shift(p, certain_equivalent(first, k * r) - certain_equivalent(p, k * r))
 
-    first, n = one(), draw(st.sampled_from([2, 3]))
+    first, n = one(), draw(st.sampled_from([2, 3, 4, 5]))
     prospects = [first]
     for _ in range(n - 1):
         p, k = one(), draw(st.floats(1.0, 20.0))
         if on_grid:
-            ks = _geometric_grid(*k_range) if n == 3 else _geometric_grid(1.0, max(1.0, tail_order(first, meet(p, k), r).certified_from))
+            ks = _geometric_grid(*k_range) if n >= 3 else _geometric_grid(1.0, max(1.0, tail_order(first, meet(p, k), r).certified_from))
             k = float(ks[min(int(np.searchsorted(ks, k)), len(ks) - 1)])
         prospects.append(meet(p, k))
     return prospects, r, k_range
@@ -1228,7 +1230,7 @@ class TestScan:
             return
         # Where the answers differ, mpmath must show the frozen scans wrong and this one right.
         pytest.importorskip("mpmath")
-        if len(prospects) == 3:
+        if len(prospects) >= 3:
             # every stretch both label, differently: the label is what mpmath puts on top there.  A curve
             # mpmath ties with the top within the label band may be left out: the band's edge is read at
             # span midpoints, so it moves with the cuts in either scan
@@ -1375,9 +1377,7 @@ def pair_gaps(x, y, r, k_hi):
     pack = orders._pack((x, y))
     ks = orders._scan(pack, r, 1.0, k_hi)[0]
     ces, means = orders._certain_equivalents(pack, ks * r, tilted=True)
-    g, tol = ces[0] - ces[1], orders._tie_tolerance(ces[0], ces[1])
-    curves = np.stack((ces[0], ces[1], means[0], means[1], g, tol, np.sign(g) * (abs(g) > tol)))
-    strict = orders._settle(ks[:-1], ks[1:], np.stack((curves[:, :-1], curves[:, 1:])))[0]
+    strict = orders._settle(ks, ces[:1], ces[1:], means[:1], means[1:])[2][0]
     return ks, ces, strict
 
 
@@ -1610,4 +1610,7 @@ class TestSpanLabeller:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             segments = upper_envelope(items, 1.0, (1, 1e300))
-        assert segments[0].k_lo == 1.0 and segments[-1].k_hi == 1e300
+        # the means differ by more than the float range; the lines meet at k = 2e308 / 4.5e300
+        assert [s.ids for s in segments] == [("b",), ("a",)]
+        assert (segments[0].k_lo, segments[1].k_hi) == (1.0, 1e300)
+        assert segments[0].k_hi == segments[1].k_lo == pytest.approx(4.0e8 / 9.0, rel=1e-15)
