@@ -23,8 +23,9 @@ An evaluation pass reads the forms of all the prospects it needs at once:
 ``_pack`` lays every discrete part of every form side by side as one
 segment of a log-sum-exp kernel, so the pass makes a single kernel call
 (``_lse_segments``), and the Gaussian parts, the offsets and the sum over
-each form's parts follow as whole-array arithmetic.  A prospect caches
-its own pack; every row is, bit for bit, what the prospect alone gives.
+each form's parts follow as whole-array arithmetic; at a single t they
+follow on Python floats, with the same bits.  A prospect caches its own
+pack; every row is, bit for bit, what the prospect alone gives.
 The kernel's contract: ascending supports in, one segments x t array
 out, and a segment whose exponents leave the float range comes back NaN;
 the pass then raises OverflowError in the words of its first such part.
@@ -331,7 +332,19 @@ def make_discrete(pairs: Iterable[Tuple[float, float]]) -> Discrete:
         )
     values = tuple(sorted(merged))
     masses = tuple(merged[v] / total for v in values)
-    return Discrete(values, masses)
+    exact = _mass_sum(masses)
+    if abs(exact - 1.0) > _MASS_SUM_EXACT:
+        raise ValueError(f"masses sum to {exact!r}, expected 1 within {_MASS_SUM_EXACT}")
+    # Every other rule of ``Discrete._hold`` holds already: the values were
+    # checked finite above; each m / total is positive, as m > 0 and total is
+    # within 1e-9 of 1, so the quotient exceeds half the smallest subnormal;
+    # and the values are strictly ascending, being sorted distinct dict keys
+    # (0.0 and -0.0 are one key).
+    support = np.array(values), np.array(masses)
+    support[0].flags.writeable = support[1].flags.writeable = False
+    prospect = Discrete.__new__(Discrete)
+    prospect.__dict__.update(values=values, masses=masses, _support=support)
+    return prospect
 
 
 def make_gaussian(mean: float, variance: float) -> Gaussian:
@@ -682,14 +695,66 @@ def _log_mgf_grid(prospects: Union[Sequence[Prospect], _Packed], ts: np.ndarray,
     evaluating the prospects one by one and their parts in form order; a
     one-part form whose offset takes its log-MGF out of range is an error
     only with ``over_t``.
+
+    A call with one t and no ``tilted`` finishes on Python floats
+    (``_log_mgf_column``), with the same bits.
     """
-    if isinstance(prospects, _Packed):
-        pack = prospects
-    else:
-        pack = prospects[0]._packed if len(prospects) == 1 else _pack(prospects)
+    if len(ts) == 1 and not tilted:
+        return np.array(_log_mgf_column(prospects, ts, over_t))[:, None]
+    pack = _pack_of(prospects)
     kernel, slopes = np.empty((0, len(ts))), np.empty((0, len(ts))) if tilted else None
     if pack.segments is not None:
         kernel, slopes = _lse_segments(ts, pack.segments, True) if tilted else (_lse_segments(ts, pack.segments), None)
+    return _finish(pack, ts, kernel, slopes, over_t)
+
+
+def _pack_of(prospects: Union[Sequence[Prospect], _Packed]) -> _Packed:
+    """``prospects`` packed: as given, a lone prospect's cached pack, or a new one."""
+    if isinstance(prospects, _Packed):
+        return prospects
+    return prospects[0]._packed if len(prospects) == 1 else _pack(prospects)
+
+
+def _log_mgf_column(prospects: Union[Sequence[Prospect], _Packed], ts: np.ndarray, over_t: bool = False) -> List[float]:
+    """``_log_mgf_grid`` at the one t of ``ts``: its column as Python floats, one per prospect.
+
+    The kernel's column is read once; the Gaussian parts, the offsets, the
+    sum over each form's parts and the quotient by t follow on Python
+    floats, in ``_combine``'s order.  Their ``+``, ``*`` and ``/`` round as
+    numpy's do, so each value has the array path's bits: numpy's per-call
+    cost on one-element arrays, not arithmetic, is what this saves.  A
+    value that is not finite sends the call through the array path, which
+    raises in its words (or returns it, as ``_log_mgf_grid`` does).
+    """
+    pack = _pack_of(prospects)
+    kernel = _lse_segments(ts, pack.segments) if pack.segments is not None else np.empty((0, 1))
+    column, t = kernel.ravel().tolist(), float(ts[0])
+    if not pack.plain:
+        rows, column = iter(column), []
+        for form in pack.forms:
+            total = None
+            for values, _, mean, variance, s, c in form:
+                if values is None:
+                    st = float(s) * t
+                    value = float(mean) * st + 0.5 * float(variance) * st * st
+                else:
+                    value = next(rows)
+                if c:
+                    value += float(c) * t
+                # Padded places add -0.0 in the array path, which changes nothing.
+                total = value if total is None else total + value
+            column.append(total)
+    if over_t:
+        # Python's 0.0 divisor raises where numpy's gives a value that is not finite.
+        column = [v / t for v in column] if t else [math.nan]
+    if all(map(math.isfinite, column)):
+        return column
+    return _finish(pack, ts, kernel, None, over_t)[:, 0].tolist()
+
+
+def _finish(pack: _Packed, ts: np.ndarray, kernel: np.ndarray, slopes: Optional[np.ndarray], over_t: bool):
+    """``_log_mgf_grid`` from the kernel's rows (and ``slopes``, when tilted): combine, divide by t, check the range."""
+    tilted = slopes is not None
     out = result = kernel if pack.plain else _combine(pack, kernel, ts, slopes)
     if tilted and not pack.plain:
         out, slopes = out[:, : len(ts)], out[:, len(ts) :]
@@ -776,7 +841,7 @@ def _raise_first_overflow(pack: _Packed, ts: np.ndarray, kernel: np.ndarray, out
 def log_mgf(prospect: Prospect, t: float) -> float:
     """Evaluate ln E{exp(t*X)} from the normal form's parts."""
     t = _require_finite(t, "MGF argument t")
-    return float(_log_mgf_grid((prospect,), np.asarray([t]))[0, 0])
+    return _log_mgf_column((prospect,), np.asarray([t]))[0]
 
 
 def stats(prospect: Prospect) -> ProspectStats:

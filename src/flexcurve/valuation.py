@@ -13,7 +13,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .prospects import Prospect, _log_mgf_grid, _Packed, stats
+from .prospects import Prospect, _log_mgf_column, _log_mgf_grid, _Packed, stats
 
 __all__ = [
     "FlexibilityCurve",
@@ -119,7 +119,7 @@ def _certain_equivalents_at(prospects: Sequence[Prospect], r: float) -> List[flo
     if r == 0.0:
         return [stats(p).mean for p in prospects]
     try:
-        return _log_mgf_grid(prospects, np.asarray([-r]), over_t=True)[:, 0].tolist()
+        return _log_mgf_column(prospects, np.asarray([-r]), over_t=True)
     except OverflowError as exc:
         raise OverflowError(f"certain equivalent at r={r!r}: {exc}") from None
 

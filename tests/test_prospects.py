@@ -74,6 +74,45 @@ class TestMakeDiscrete:
         with pytest.raises(ValueError):
             make_discrete(pairs)
 
+    @given(
+        st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e300, 1e300), st.floats(1e-320, 1.0)), min_size=1, max_size=8),
+        st.sampled_from([1.0, 1.0 + 5e-10, 1.0 - 5e-10]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_gives_the_discrete_of_its_tuples(self, pairs, total):
+        # masses summing to `total`, inside the renormalizing tolerance
+        drawn = math.fsum(m for _, m in pairs)
+        x = make_discrete([(v, m / drawn * total) for v, m in pairs])
+        want = Discrete(x.values, x.masses)
+        assert x == want and hash(x) == hash(want) and repr(x) == repr(want)
+        for got, held in zip(x._support, want._support):
+            assert got.dtype == np.float64 and got.tobytes() == held.tobytes()
+            assert not got.flags.writeable
+        assert all(type(v) is float for v in x.values + x.masses)
+
+    @pytest.mark.parametrize(
+        "pairs, exact, message",
+        [
+            ([], None, "discrete prospect needs at least one (value, mass) pair"),
+            ([(math.nan, 1.0)], None, "support value must be finite, got nan"),
+            ([(0, 0.0)], None, "mass must be positive and finite, got 0.0"),
+            ([(0, math.inf)], None, "mass must be positive and finite, got inf"),
+            ([(0, 0.6), (1, 0.6)], None, "masses sum to 1.2, outside tolerance 1e-09 of 1"),
+            ([(0, 8.988465674311579e307), (1, 8.98846567431158e307)], None, "masses sum to inf, outside tolerance 1e-09 of 1"),
+            # the renormalized masses' own sum, the one constructor rule make_discrete's checks do not imply
+            ([(0, 0.09120222323242), (1, 0.48692369463444435), (2, 0.4218740821331358)], 0.0, "masses sum to 0.9999999999999999, expected 1 within 0.0"),
+        ],
+    )
+    def test_error_messages(self, pairs, exact, message):
+        with mock.patch.object(prospects, "_MASS_SUM_EXACT", exact) if exact is not None else contextlib.nullcontext():
+            with pytest.raises(ValueError) as caught:
+                make_discrete(pairs)
+            if exact is not None:
+                # the constructor words it the same way
+                values, masses = zip(*((float(v), m / math.fsum(m for _, m in pairs)) for v, m in pairs))
+                assert raised(lambda: Discrete(values, masses)) == (ValueError, message)
+        assert str(caught.value) == message
+
 
 class TestMakeGaussian:
     def test_echo(self):
@@ -528,6 +567,86 @@ class TestPackedPass:
             packed = _log_mgf_grid(batch, ts)
         assert len(sizes) > 1 and max(sizes) <= _LSE_BLOCK_ELEMENTS
         assert packed.tolist() == [reference_log_mgf(x, ts).tolist() for x in batch]
+
+
+def numbers(lo, hi):
+    """Floats in [lo, hi], some as numpy scalars, and integers: a prospect's fields hold what it was given."""
+    return st.floats(lo, hi) | st.floats(lo, hi).map(np.float64) | st.integers(int(lo), int(hi))
+
+
+@st.composite
+def one_column_prospects(draw):
+    """Plain and factored Discretes, Gaussian-only forms, Affine chains, moved convolutions, sums with Gaussians and offsets."""
+    kind = draw(st.sampled_from(["plain", "factored", "gaussians", "chain", "moved", "sum"]))
+    if kind == "plain":
+        return draw(discrete_strategy())
+    if kind == "factored":
+        return convolve(draw(st.lists(convolution_factor(), min_size=2, max_size=3)))
+    if kind == "gaussians":
+        terms = draw(st.lists(st.builds(Gaussian, numbers(-100, 100), numbers(0, 1e3)), min_size=1, max_size=3))
+        x = terms[0] if len(terms) == 1 else IndependentSum(tuple(terms))
+        return Affine(x, draw(numbers(1, 10)), draw(numbers(-50, 50))) if draw(st.booleans()) else x
+    if kind == "chain":
+        x = draw(packed_terms())
+        for _ in range(draw(st.integers(1, 3))):
+            x = Affine(x, draw(numbers(1, 10)), draw(numbers(-50, 50)))
+        return x
+    if kind == "moved":
+        wrapper = draw(st.sampled_from(["shift", "scale", "shift of scale"]))
+        return WRAPPERS[wrapper](convolve(draw(st.lists(convolution_factor(), min_size=2, max_size=3))), draw(st.floats(0.1, 10.0)), draw(st.floats(-50, 50)))
+    return draw(packed_prospects())
+
+
+def outcome(call):
+    """The hex of each value ``call()`` returns, or the type and text of what it raises."""
+    try:
+        return [v.hex() for v in call()]
+    except OverflowError as exc:
+        return OverflowError, str(exc)
+
+
+class TestOneColumn:
+    """A one-t call finishes on Python floats with the bits of the array path."""
+
+    @given(st.lists(one_column_prospects(), min_size=1, max_size=3), st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0, -40.0, 1e-300]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_one_column_is_the_array_path_bit_for_bit(self, batch, t, over_t):
+        with warnings.catch_warnings():
+            # numpy's 0 / 0 warns on both paths
+            warnings.simplefilter("ignore" if over_t and t == 0.0 else "error")
+            column = outcome(lambda: prospects._log_mgf_column(batch, np.asarray([t]), over_t))
+            one = outcome(lambda: _log_mgf_grid(batch, np.asarray([t]), over_t)[:, 0].tolist())
+            grid = outcome(lambda: _log_mgf_grid(batch, np.asarray([t, t]), over_t)[:, 0].tolist())
+        assert column == one == grid
+        if isinstance(column, list):
+            assert all(type(v) is float for v in prospects._log_mgf_column(batch, np.asarray([t]), over_t))
+
+    COIN = ((0.0, 0.5), (1.0, 0.5))
+    OVERFLOWS = {
+        "gaussian": (lambda: make_gaussian(0.0, 1e308), "log-MGF overflow: Gaussian exponent inf at t=-40.0"),
+        "affine": (lambda: Affine(make_discrete([(0.0, 0.5), (1e300, 0.5)]), 1e10, 0.0), "log-MGF overflow: |t*value| reaches inf"),
+        # the moved values round to one point, 1e308
+        "shift": (lambda: shift(make_discrete(TestOneColumn.COIN), 1e308), "log-MGF overflow: |t*value| reaches inf"),
+        "offset": (lambda: Affine(make_discrete(TestOneColumn.COIN), 1.0, 1e308), "ln E{exp(tX)}/t out of floating-point range"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWS))
+    def test_overflows_raise_in_the_array_path_words(self, case):
+        build, message = self.OVERFLOWS[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as caught:
+                certain_equivalent(build(), 40.0)
+            assert str(caught.value) == f"certain equivalent at r=40.0: {message}"
+            x = build()
+            assert outcome(lambda: _log_mgf_grid((x,), np.asarray([-40.0]), True)[0]) == (OverflowError, message)
+            assert outcome(lambda: _log_mgf_grid((x,), np.asarray([-40.0, -40.0]), True)[0]) == (OverflowError, message)
+
+    def test_a_log_mgf_past_the_range_without_the_quotient_is_returned(self):
+        # a one-part form whose offset takes it out of range raises only with the quotient
+        x = Affine(make_discrete(self.COIN), 1.0, 1e308)
+        assert log_mgf(x, 40.0) == math.inf
+        assert _log_mgf_grid((x,), np.asarray([40.0])).tolist() == [[math.inf]]
 
 
 class TestComposition:
